@@ -7,10 +7,9 @@ then checks a one-step local error against its integral representation at two
 quadrature densities.  Everything runs in seconds at N = 128.
 """
 
-import numpy as np
-
 import lowreg as lr
-from lowreg.study_cli import V_SEED_OFFSET, smooth_data_spec
+from lowreg.study_cli import smooth_data_spec
+from lowreg.torus_spectral import difference, rough_wave_state
 
 SEED = 42
 T = 1.0
@@ -32,18 +31,11 @@ def schrodinger_functional():
 def wave_functional():
     g1, g2 = lr.TorusGrid(128), lr.TorusGrid(256)
     nl = lr.Nonlinearity.preset("quadratic")
-    u = lr.random_rough_field(
+    w0 = rough_wave_state(
         lr.RoughDataSpec(theta=1.0, seed=SEED, real_valued=True, amplitude=0.5), g1
     )
-    v = lr.random_rough_field(
-        lr.RoughDataSpec(theta=0.0, seed=SEED + V_SEED_OFFSET, real_valued=True,
-                         amplitude=0.5), g1
-    )
     vals = []
-    for datum, n_out in (
-        (lr.WaveState(u, v), 64),
-        (lr.WaveState(lr.regrid(u, g2), lr.regrid(v, g2)), 128),
-    ):
+    for datum, n_out in ((w0, 64), (lr.regrid(w0, g2), 128)):
         states = lr.wave_reference_solve(lr.WaveProblem(nl, datum, T), n_out, TAU_REF)
         vals.append(lr.nullform_norm(lr.trajectory_of(states, 0.0, T)))
     print(f"nullform_norm: {vals[0]:.6f} (doubled resolution: {vals[1]:.6f})")
@@ -53,25 +45,15 @@ def local_error_representation():
     grid = lr.TorusGrid(128)
     nl = lr.Nonlinearity.preset("quadratic")
     tau = 2.0**-6
-    u = lr.random_rough_field(
-        smooth_data_spec(seed=7, amplitude=0.5, real_valued=True), grid
-    )
-    v = lr.random_rough_field(
-        smooth_data_spec(seed=7 + V_SEED_OFFSET, amplitude=0.5, real_valued=True),
-        grid,
-    )
-    w0 = lr.WaveState(u, v)
+    spec = smooth_data_spec(seed=7, amplitude=0.5, real_valued=True)
+    w0 = rough_wave_state(spec, grid, v_theta=spec.theta)
     states = lr.wave_reference_solve(lr.WaveProblem(nl, w0, tau), 1024, tau / 16384)
     traj = lr.trajectory_of(states, 0.0, tau)
     # The discrepancy shrinks with quadrature density until it reaches the
     # accuracy of the reference trajectory itself.
     for q in (16, 64, 256):
         direct, integral = lr.wave_local_error_oracle(traj, tau, nl, q)
-        diff = lr.WaveState(
-            lr.SpectralField(grid, lr.hermitian_part(direct.u.coeffs - integral.u.coeffs), True),
-            lr.SpectralField(grid, lr.hermitian_part(direct.v.coeffs - integral.v.coeffs), True),
-        )
-        rel = lr.wave_state_norm(diff) / lr.wave_state_norm(direct)
+        rel = lr.wave_state_norm(difference(direct, integral)) / lr.wave_state_norm(direct)
         print(f"one-step error vs integral form (q={q}): "
               f"relative discrepancy {rel:.3e}")
 

@@ -8,6 +8,9 @@ local-error integral oracles), ``study_cli`` (convergence-study driver and
 command line).
 """
 
+# Defined before the submodule imports: reports echo it.
+__version__ = "0.1.0"
+
 from .diagnostics import (
     Trajectory,
     dalembert_split,
@@ -85,5 +88,3 @@ from .wave_integrators import (
     wave_reference_solve,
     wave_state_norm,
 )
-
-__version__ = "0.1.0"

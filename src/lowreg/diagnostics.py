@@ -19,15 +19,18 @@ from .torus_spectral import (
     SpectralField,
     TorusGrid,
     WaveState,
-    _conj_perm,
+    _pair,
+    _parse_file,
+    conjugate,
     dealiased_product_coeffs,
     derivative,
+    difference,
     field_from_lines,
     field_to_lines,
     hermitian_part,
-    pad_coeffs,
+    padded_coeffs,
+    padded_values,
     spacetime_norm,
-    truncate_coeffs,
     wave_state_from_lines,
     wave_state_to_lines,
 )
@@ -103,8 +106,8 @@ def null_form_field(w: WaveState) -> SpectralField:
     """
     ux = derivative(w.u, 1)
     coeffs = dealiased_product_coeffs(
-        [w.v.coeffs, w.v.coeffs], w.grid.n_modes
-    ) - dealiased_product_coeffs([ux.coeffs, ux.coeffs], w.grid.n_modes)
+        [w.v.coeffs, w.v.coeffs]
+    ) - dealiased_product_coeffs([ux.coeffs, ux.coeffs])
     return SpectralField(w.grid, hermitian_part(coeffs), True)
 
 
@@ -169,18 +172,7 @@ def nls_local_error_oracle(
     stride, h = _quadrature_layout(traj, tau, quad_order)
     grid = traj.grid
     n = grid.n_modes
-    m = 2 * n
     k2 = grid.freqs.astype(np.float64) ** 2
-    dsym = 1j * grid.freqs.astype(np.complex128)
-    dsym[n // 2] = 0.0
-    rev = _conj_perm(n)
-
-    def phys(coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(pad_coeffs(coeffs, m)) * m
-
-    def coeffs_of(values: np.ndarray) -> np.ndarray:
-        return truncate_coeffs(np.fft.fft(values) / m, n)
-
     nodes = traj.states[::stride]
     fac_a: list[np.ndarray] = []  # coefficient arrays of |u|^2 conj(u)
     fac_c: list[np.ndarray] = []  # coefficients of conj(u)
@@ -189,13 +181,13 @@ def nls_local_error_oracle(
     mul_c: list[np.ndarray] = []  # physical factor -2*(mu*u^2*|u|^2 + u_x^2)
     mul_e: list[np.ndarray] = []  # physical factor -4 * u * u_x
     for node in nodes:
-        c = node.coeffs
-        up = phys(c)
-        uxp = phys(dsym * c)
+        ux = derivative(node, 1)
+        up = padded_values(node.coeffs)
+        uxp = padded_values(ux.coeffs)
         absu2 = np.abs(up) ** 2
-        fac_a.append(coeffs_of(absu2 * np.conj(up)))
-        fac_c.append(np.conj(c[rev]))
-        fac_e.append(np.conj((dsym * c)[rev]))
+        fac_a.append(padded_coeffs(absu2 * np.conj(up)))
+        fac_c.append(conjugate(node).coeffs)
+        fac_e.append(conjugate(ux).coeffs)
         mul_a.append(mu * up * up)
         mul_c.append(-2.0 * (mu * up * up * absu2 + uxp * uxp))
         mul_e.append(-4.0 * up * uxp)
@@ -210,18 +202,16 @@ def nls_local_error_oracle(
         inner = np.zeros(n, dtype=np.complex128)
         for j in range(l + 1):
             d = l - j
-            pa = phys(shift[d] * fac_a[j])
-            pc = phys(shift[d] * fac_c[j])
-            pe = phys(shift[d] * fac_e[j])
-            integrand = coeffs_of(mul_a[j] * pa + mul_c[j] * pc + mul_e[j] * pe)
+            pa = padded_values(shift[d] * fac_a[j])
+            pc = padded_values(shift[d] * fac_c[j])
+            pe = padded_values(shift[d] * fac_e[j])
+            integrand = padded_coeffs(mul_a[j] * pa + mul_c[j] * pc + mul_e[j] * pe)
             w_in = 0.5 * h if j in (0, l) else h
             inner += w_in * (prop[j] * integrand)
         w_out = 0.5 * h if l == quad_order else h
         total += w_out * inner
     integral = SpectralField(grid, mu * total, False)
-
-    direct_coeffs = traj.states[-1].coeffs - lri_step(traj.states[0], tau, mu).coeffs
-    return SpectralField(grid, direct_coeffs, False), integral
+    return difference(traj.states[-1], lri_step(traj.states[0], tau, mu)), integral
 
 
 def wave_local_error_oracle(
@@ -260,28 +250,15 @@ def wave_local_error_oracle(
         back_u, back_v = _apply_block(*_flow_entries(grid, -2.0 * s), inner_u, inner_v)
         total_u += h * (tau - s) * back_u
         total_v += h * (tau - s) * back_v
-    final_u, final_v = _apply_block(*_flow_entries(grid, tau), total_u, total_v)
-    integral = WaveState(
-        SpectralField(grid, hermitian_part(final_u), True),
-        SpectralField(grid, hermitian_part(final_v), True),
-    )
+    integral = _pair(grid, *_apply_block(*_flow_entries(grid, tau), total_u, total_v))
 
-    # The difference of two nearly equal real fields needs resymmetrizing:
-    # its roundoff asymmetry is not small relative to the difference itself.
-    stepped = corrected_lie_step(traj.states[0], tau, nl)
-    direct = WaveState(
-        SpectralField(
-            grid, hermitian_part(traj.states[-1].u.coeffs - stepped.u.coeffs), True
-        ),
-        SpectralField(
-            grid, hermitian_part(traj.states[-1].v.coeffs - stepped.v.coeffs), True
-        ),
-    )
+    direct = difference(traj.states[-1], corrected_lie_step(traj.states[0], tau, nl))
     return direct, integral
 
 
 # Trajectory files: a "trajectory" header, kind, sample count, time grid and
-# meta lines, followed by one field or wave-state record per sample.
+# meta lines, followed by one field or wave-state record per sample.  Meta
+# keys are single words and values single lines; both are read back as str.
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
@@ -294,7 +271,17 @@ def write_trajectory(traj: Trajectory, path) -> None:
         f"meta {len(traj.meta)}",
     ]
     for key in sorted(traj.meta):
-        lines.append(f"{key} {traj.meta[key]}")
+        key_text, value_text = str(key), str(traj.meta[key])
+        if not (
+            key_text.split() == [key_text]
+            and "".join(value_text.splitlines()) == value_text
+            and (key_text + value_text).isascii()
+        ):
+            raise ValueError(
+                f"meta entry {key!r}: {traj.meta[key]!r} cannot be written: keys "
+                "must be one word, values one line, both ASCII"
+            )
+        lines.append(f"{key_text} {value_text}")
     for state in traj.states:
         if traj.is_wave:
             lines.extend(wave_state_to_lines(state))
@@ -304,9 +291,7 @@ def write_trajectory(traj: Trajectory, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trajectory(path) -> Trajectory:
-    with open(path, encoding="ascii") as fh:
-        lines: Iterator[str] = iter(fh.read().splitlines())
+def _trajectory_from_lines(lines: Iterator[str]) -> Trajectory:
     if next(lines).strip() != "trajectory":
         raise ValueError("not a trajectory file")
     kind = next(lines).split()[1]
@@ -322,3 +307,7 @@ def read_trajectory(path) -> Trajectory:
     states = [reader(lines) for _ in range(count)]
     times = t0 + dt * np.arange(count)
     return Trajectory(times, states, meta)
+
+
+def read_trajectory(path) -> Trajectory:
+    return _parse_file(path, _trajectory_from_lines)

@@ -15,13 +15,17 @@ import enum
 import numpy as np
 
 from .torus_spectral import (
-    BlowUpError,
     SpectralField,
     TorusGrid,
     _conj_perm,
-    pad_coeffs,
+    _require_finite,
+    evolve,
+    padded_coeffs,
+    padded_values,
+    series_mask,
+    sin_over,
     sobolev_norm,
-    truncate_coeffs,
+    steps_for,
 )
 
 BLOWUP_FACTOR = 1e6
@@ -48,14 +52,6 @@ class NlsStepperKind(enum.Enum):
     LIE_SPLITTING = "lie"
 
 
-def _sin_over(y: np.ndarray) -> np.ndarray:
-    """sin(y)/y, with the cubic Taylor polynomial below |y| < 1e-4."""
-    y = np.asarray(y, dtype=np.float64)
-    small = np.abs(y) < 1e-4
-    safe = np.where(small, 1.0, y)
-    return np.where(small, 1.0 - y * y / 6.0, np.sin(safe) / safe)
-
-
 def phi1_of_ix(x: np.ndarray, branch: str | None = None) -> np.ndarray:
     """phi1(i*x) = (e^{ix} - 1)/(ix) for real x.
 
@@ -64,18 +60,11 @@ def phi1_of_ix(x: np.ndarray, branch: str | None = None) -> np.ndarray:
     takes over.  ``branch`` forces "series" or "closed" for switchover tests.
     """
     x = np.asarray(x, dtype=np.float64)
-    if branch is None:
-        use_series = np.abs(x) < 1e-4
-    elif branch == "series":
-        use_series = np.ones(x.shape, dtype=bool)
-    elif branch == "closed":
-        use_series = np.zeros(x.shape, dtype=bool)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
+    use_series = series_mask(x, branch, 1e-4)
     z = 1j * x
     series = 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
     half = 0.5 * x
-    closed = np.exp(1j * half) * _sin_over(half)
+    closed = np.exp(1j * half) * sin_over(half)
     return np.where(use_series, series, closed)
 
 
@@ -108,36 +97,28 @@ class _Stepper:
     def __init__(self, grid: TorusGrid, tau: float, mu: float, kind: NlsStepperKind):
         if tau <= 0:
             raise ValueError("tau must be > 0")
-        self.grid = grid
         self.tau = tau
         self.mu = mu
         self.kind = kind
-        self.n = grid.n_modes
-        self.m = 2 * self.n
         self.free = _free_multiplier(grid, tau)
         self.phi1 = _phi1_multiplier(grid, tau)
-        self.rev = _conj_perm(self.n)
-
-    def _phys(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(pad_coeffs(coeffs, self.m)) * self.m
-
-    def _coeffs(self, values: np.ndarray) -> np.ndarray:
-        return truncate_coeffs(np.fft.fft(values) / self.m, self.n)
+        self.rev = _conj_perm(grid.n_modes)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         if self.kind is NlsStepperKind.LOW_REGULARITY:
             filtered = self.phi1 * np.conj(c[self.rev])
-            u_phys = self._phys(c)
-            cubic = self._coeffs(u_phys * u_phys * self._phys(filtered))
+            u_phys = padded_values(c)
+            cubic = padded_coeffs(u_phys * u_phys * padded_values(filtered))
             return self.free * (c - 1j * self.tau * self.mu * cubic)
-        u_phys = self._phys(c)
+        u_phys = padded_values(c)
         rotated = u_phys * np.exp(-1j * self.tau * self.mu * np.abs(u_phys) ** 2)
-        return self.free * self._coeffs(rotated)
+        return self.free * padded_coeffs(rotated)
 
 
-def _require_finite(f: SpectralField) -> None:
-    if not np.all(np.isfinite(f.coeffs.view(np.float64))):
-        raise BlowUpError("non-finite coefficients in stepper input")
+def _one_step(u_n: SpectralField, tau: float, mu: float, kind: NlsStepperKind) -> SpectralField:
+    _require_finite(u_n.coeffs)
+    stepper = _Stepper(u_n.grid, tau, mu, kind)
+    return SpectralField(u_n.grid, stepper.step(u_n.coeffs), False)
 
 
 def lri_step(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
@@ -147,9 +128,7 @@ def lri_step(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
     with the cubic product dealiased and the conjugate taken in coefficient
     space.  ``mu = 0`` reduces the map to the free flow.
     """
-    _require_finite(u_n)
-    stepper = _Stepper(u_n.grid, tau, mu, NlsStepperKind.LOW_REGULARITY)
-    return SpectralField(u_n.grid, stepper.step(u_n.coeffs), False)
+    return _one_step(u_n, tau, mu, NlsStepperKind.LOW_REGULARITY)
 
 
 def lie_step_nls(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
@@ -159,9 +138,7 @@ def lie_step_nls(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
     pointwise on the 2x grid (then truncates); the linear substep is the free
     flow.
     """
-    _require_finite(u_n)
-    stepper = _Stepper(u_n.grid, tau, mu, NlsStepperKind.LIE_SPLITTING)
-    return SpectralField(u_n.grid, stepper.step(u_n.coeffs), False)
+    return _one_step(u_n, tau, mu, NlsStepperKind.LIE_SPLITTING)
 
 
 def run_nls(
@@ -180,26 +157,18 @@ def run_nls(
     when a snapshot's H^1 norm exceeds ``guard_factor`` times the initial one
     or turns non-finite.
     """
-    _require_finite(u0)
     stepper = _Stepper(u0.grid, tau, mu, kind)
-    # Guarding every step (not just snapshots) keeps divergence from ever
-    # reaching floating overflow; the squared-norm check is a few vector ops.
     weights = 1.0 + u0.grid.freqs.astype(np.float64) ** 2
     guard_sq = (guard_factor * max(sobolev_norm(u0, 1.0), 1e-300)) ** 2
-    c = u0.coeffs.copy()
-    out: list[SpectralField] = []
-    if record_every:
-        out.append(SpectralField(u0.grid, c, False))
-    for j in range(1, n_steps + 1):
-        c = stepper.step(c)
-        h1_sq = float(weights @ (c.real**2 + c.imag**2))
-        if not np.isfinite(h1_sq) or h1_sq > guard_sq:
-            raise BlowUpError(f"H^1 norm guard tripped at step {j}")
-        if record_every and j % record_every == 0:
-            out.append(SpectralField(u0.grid, c, False))
-    if not record_every:
-        out.append(SpectralField(u0.grid, c, False))
-    return out
+    return evolve(
+        (u0.coeffs,),
+        lambda c: (stepper.step(c),),
+        lambda c: float(weights @ (c.real**2 + c.imag**2)),
+        guard_sq,
+        n_steps,
+        record_every,
+        lambda c: SpectralField(u0.grid, c, False),
+    )
 
 
 def nls_reference_solve(
@@ -215,11 +184,7 @@ def nls_reference_solve(
         raise ValueError("n_out must be >= 1")
     if problem.t_end == 0:
         return [problem.u0]
-    spacing = problem.t_end / n_out
-    per = spacing / tau_ref
-    if abs(per - round(per)) > 1e-9 * max(1.0, per):
-        raise ValueError("tau_ref must divide t_end / n_out")
-    per = round(per)
+    per = steps_for(problem.t_end / n_out, tau_ref)
     return run_nls(
         problem.u0,
         tau_ref,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -23,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import (
-    Trajectory,
     nls_local_error_oracle,
     nullform_norm,
     strichartz_l4,
@@ -34,38 +35,31 @@ from .diagnostics import (
 from .nls_integrators import (
     NlsProblem,
     NlsStepperKind,
-    lri_step,
     nls_reference_solve,
     run_nls,
 )
 from .torus_spectral import (
+    V_SEED_OFFSET,  # re-exported: scripts and tests draw wave data with it
     BlowUpError,
     RoughDataSpec,
-    SpectralField,
     TorusGrid,
-    WaveState,
-    hermitian_part,
+    difference,
     random_rough_field,
     regrid,
+    rough_wave_state,
     sobolev_norm,
+    steps_for,
 )
 from .wave_integrators import (
     Nonlinearity,
     WaveProblem,
-    corrected_lie_step,
     run_wave,
     wave_reference_solve,
     wave_state_norm,
 )
 
-VERSION = "0.1.0"
-
 FIT_FLOOR = 1e-11
 FIT_CEILING = 1.0
-
-# Streams for the velocity component are split off the user seed by a fixed
-# documented offset so (u, v) draws never collide.
-V_SEED_OFFSET = 1_000_003
 
 _NLS_SCHEMES = ("lri", "lie")
 _WAVE_SCHEMES = ("corrected_lie", "lie")
@@ -147,10 +141,14 @@ class StudyConfig:
             raise ConfigError("all step sizes must be > 0")
         if any(a <= b for a, b in zip(taus, taus[1:])):
             raise ConfigError("tau_list must be strictly decreasing")
-        for t in taus:
-            n = self.t_end / t
-            if abs(n - round(n)) > 1e-9 * max(1.0, n):
-                raise ConfigError(f"step size {t} does not divide t_end = {self.t_end}")
+        # The sweep, the reference and the max-over-steps strides need these.
+        try:
+            for t in taus:
+                steps_for(self.t_end, t)
+                if self.max_over_steps:
+                    steps_for(t, taus[-1])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         object.__setattr__(self, "tau_list", taus)
         if self.ref_factor < 16:
             raise ConfigError("ref_factor must be >= 16")
@@ -178,7 +176,7 @@ class ConvergenceReport:
     r_squared: float | None
     validation: dict
     config: dict
-    version: str = VERSION
+    version: str = __version__
     spatially_resolved: bool | None = None
     spatial_change: float | None = None
     wall_time: float | None = dataclasses.field(default=None, compare=False)
@@ -255,56 +253,35 @@ def smooth_data_spec(seed: int, delta: float = 0.01, amplitude: float = 1.0,
 
 
 def _initial_state(config: StudyConfig, grid: TorusGrid):
-    if config.equation == "nls":
-        spec = RoughDataSpec(
-            theta=config.theta, seed=config.seed, delta=config.delta,
-            real_valued=False, amplitude=config.amplitude,
-        )
-        return random_rough_field(spec, grid)
-    u_spec = RoughDataSpec(
+    spec = RoughDataSpec(
         theta=config.theta, seed=config.seed, delta=config.delta,
-        real_valued=True, amplitude=config.amplitude,
+        real_valued=config.equation == "wave", amplitude=config.amplitude,
     )
-    v_spec = RoughDataSpec(
-        theta=max(config.theta - 1.0, 0.0), seed=config.seed + V_SEED_OFFSET,
-        delta=config.delta, real_valued=True, amplitude=config.amplitude,
-    )
-    return WaveState(random_rough_field(u_spec, grid), random_rough_field(v_spec, grid))
-
-
-def _norm_fn(config: StudyConfig) -> Callable:
     if config.equation == "nls":
-        r = 0.0 if config.error_norm == "L2" else config.norm_r
+        return random_rough_field(spec, grid)
+    return rough_wave_state(spec, grid)
+
+
+def _norm_fn(equation: str, r: float = 0.0) -> Callable:
+    if equation == "nls":
         return lambda f: sobolev_norm(f, r)
     return wave_state_norm
 
 
-def _diff(a, b):
-    if isinstance(a, WaveState):
-        # Resymmetrize: the roundoff asymmetry of a difference of two nearly
-        # equal real fields is not small relative to the difference itself.
-        return WaveState(
-            SpectralField(a.grid, hermitian_part(a.u.coeffs - b.u.coeffs), True),
-            SpectralField(a.grid, hermitian_part(a.v.coeffs - b.v.coeffs), True),
+def _run_scheme(phase, initial, equation, scheme, nl, mu, tau, n_steps,
+                record_every=None):
+    """Run one scheme; a blow-up names the study phase and the scheme."""
+    try:
+        if equation == "nls":
+            return run_nls(
+                initial, tau, n_steps, mu, NlsStepperKind(scheme), record_every=record_every
+            )
+        return run_wave(
+            initial, tau, n_steps, nl,
+            corrected=(scheme != "lie"), record_every=record_every,
         )
-    return SpectralField(a.grid, a.coeffs - b.coeffs, False)
-
-
-def _run_scheme(initial, equation, scheme, nl, mu, tau, n_steps, record_every=None):
-    if equation == "nls":
-        kind = NlsStepperKind.LOW_REGULARITY if scheme == "lri" else NlsStepperKind.LIE_SPLITTING
-        return run_nls(initial, tau, n_steps, mu, kind, record_every=record_every)
-    return run_wave(
-        initial, tau, n_steps, nl,
-        corrected=(scheme != "lie"), record_every=record_every,
-    )
-
-
-def _steps_for(t_end: float, tau: float) -> int:
-    n = t_end / tau
-    if abs(n - round(n)) > 1e-9 * max(1.0, n):
-        raise ConfigError(f"step size {tau} does not divide the horizon {t_end}")
-    return round(n)
+    except BlowUpError as exc:
+        raise BlowUpError(f"{phase} run ({scheme}): {exc}") from exc
 
 
 def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: float | None = None) -> dict:
@@ -318,66 +295,38 @@ def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: floa
         raise ConfigError("tau_ref must be > 0")
     if isinstance(problem, NlsProblem):
         equation, nl, mu, initial = "nls", None, problem.mu, problem.u0
-        schemes = _NLS_SCHEMES
-        if norm_fn is None:
-            norm_fn = lambda f: sobolev_norm(f, 0.0)
-        initial_norm = norm_fn(initial)
     else:
-        equation, nl = "wave", problem.nonlinearity
-        mu, initial = 1, problem.initial
-        schemes = _WAVE_SCHEMES
-        if norm_fn is None:
-            norm_fn = wave_state_norm
-        initial_norm = norm_fn(initial)
+        equation, nl, mu, initial = "wave", problem.nonlinearity, 1, problem.initial
+    norm_fn = norm_fn or _norm_fn(equation)
     if tol is None:
-        tol = 1e-6 * initial_norm
-    n_steps = _steps_for(problem.t_end, tau_ref)
-    ref = _run_scheme(initial, equation, schemes[0], nl, mu, tau_ref, n_steps)[-1]
-    comp = _run_scheme(initial, equation, schemes[1], nl, mu, tau_ref, n_steps)[-1]
-    distance = norm_fn(_diff(ref, comp))
-    record = {
-        "tau_ref": tau_ref,
-        "reference_scheme": schemes[0],
-        "comparator_scheme": schemes[1],
-        "distance": distance,
-        "initial_norm": initial_norm,
-        "tolerance": tol,
-        "passed": bool(distance <= tol),
-    }
-    if distance > tol:
-        raise ValidationError(
-            f"reference cross-validation failed: two-scheme distance "
-            f"{distance:.3e} exceeds tolerance {tol:.3e} at tau_ref={tau_ref:g}",
-            record,
-        )
-    return record
+        tol = 1e-6 * norm_fn(initial)
+    return _reference_run(
+        equation, initial, nl, mu, problem.t_end, tau_ref, norm_fn, tol
+    )[1]
 
 
-def _reference_run(config: StudyConfig, initial, nl, tau_ref: float):
-    """Reference trajectory at tau_ref plus the cross-validation record."""
-    norm_fn = _norm_fn(config)
-    initial_norm = norm_fn(initial)
-    tol = config.cross_val_tol * initial_norm
-    n_steps = _steps_for(config.t_end, tau_ref)
-    canonical = _NLS_SCHEMES[0] if config.equation == "nls" else _WAVE_SCHEMES[0]
-    comparator = "lie"
-    record_every = None
-    if config.max_over_steps:
-        record_every = _steps_for(config.tau_list[-1], tau_ref)
+def _reference_run(equation, initial, nl, mu, t_end, tau_ref, norm_fn, tol, record_every=None):
+    """Reference run at tau_ref, cross-validated against the comparator.
+
+    Returns the reference snapshots and the validation record; raises
+    ``ValidationError`` if the terminal distance exceeds the absolute ``tol``.
+    """
+    canonical, comparator = _NLS_SCHEMES if equation == "nls" else _WAVE_SCHEMES
+    n_steps = steps_for(t_end, tau_ref)
     ref_states = _run_scheme(
-        initial, config.equation, canonical, nl, config.mu, tau_ref, n_steps,
+        "reference", initial, equation, canonical, nl, mu, tau_ref, n_steps,
         record_every=record_every,
     )
     comp = _run_scheme(
-        initial, config.equation, comparator, nl, config.mu, tau_ref, n_steps
+        "comparator", initial, equation, comparator, nl, mu, tau_ref, n_steps
     )[-1]
-    distance = norm_fn(_diff(ref_states[-1], comp))
+    distance = norm_fn(difference(ref_states[-1], comp))
     record = {
         "tau_ref": tau_ref,
         "reference_scheme": canonical,
         "comparator_scheme": comparator,
         "distance": distance,
-        "initial_norm": initial_norm,
+        "initial_norm": norm_fn(initial),
         "tolerance": tol,
         "passed": bool(distance <= tol),
     }
@@ -390,28 +339,21 @@ def _reference_run(config: StudyConfig, initial, nl, tau_ref: float):
     return ref_states, record
 
 
-def _sweep_errors(config: StudyConfig, initial, nl, ref_states, tau_ref: float, norm_fn):
+def _sweep_errors(config: StudyConfig, initial, nl, ref_states, norm_fn):
     errors = []
     for tau in config.tau_list:
-        n_steps = _steps_for(config.t_end, tau)
-        try:
-            if config.max_over_steps:
-                states = _run_scheme(
-                    initial, config.equation, config.scheme, nl, config.mu,
-                    tau, n_steps, record_every=1,
-                )
-                stride = _steps_for(tau, config.tau_list[-1])
-                err = 0.0
-                for j in range(1, n_steps + 1):
-                    err = max(err, norm_fn(_diff(states[j], ref_states[j * stride])))
-            else:
-                terminal = _run_scheme(
-                    initial, config.equation, config.scheme, nl, config.mu,
-                    tau, n_steps,
-                )[-1]
-                err = norm_fn(_diff(terminal, ref_states[-1]))
-        except BlowUpError as exc:
-            raise BlowUpError(f"blow-up during the tau={tau:g} run: {exc}") from exc
+        n_steps = steps_for(config.t_end, tau)
+        states = _run_scheme(
+            f"sweep tau={tau:g}", initial, config.equation, config.scheme, nl,
+            config.mu, tau, n_steps, record_every=1 if config.max_over_steps else None,
+        )
+        if config.max_over_steps:
+            stride = steps_for(tau, config.tau_list[-1])
+            err = 0.0
+            for j in range(1, n_steps + 1):
+                err = max(err, norm_fn(difference(states[j], ref_states[j * stride])))
+        else:
+            err = norm_fn(difference(states[-1], ref_states[-1]))
         errors.append(float(err))
     return errors
 
@@ -428,23 +370,19 @@ def _spatial_check(config: StudyConfig, initial, nl, norm_fn):
     canonical = _NLS_SCHEMES[0] if config.equation == "nls" else _WAVE_SCHEMES[0]
 
     def error_on(state0):
-        n_steps = _steps_for(config.t_end, tau_c)
+        n_steps = steps_for(config.t_end, tau_c)
         coarse = _run_scheme(
-            state0, config.equation, config.scheme, nl, config.mu, tau_c, n_steps
+            "spatial check", state0, config.equation, config.scheme, nl,
+            config.mu, tau_c, n_steps,
         )[-1]
         fine = _run_scheme(
-            state0, config.equation, canonical, nl, config.mu, tau_mini,
-            n_steps * factor,
+            "spatial check", state0, config.equation, canonical, nl, config.mu,
+            tau_mini, n_steps * factor,
         )[-1]
-        return norm_fn(_diff(coarse, fine))
+        return norm_fn(difference(coarse, fine))
 
-    big = TorusGrid(2 * config.n_modes)
-    if isinstance(initial, WaveState):
-        embedded = WaveState(regrid(initial.u, big), regrid(initial.v, big))
-    else:
-        embedded = regrid(initial, big)
     e_base = error_on(initial)
-    e_fine = error_on(embedded)
+    e_fine = error_on(regrid(initial, TorusGrid(2 * config.n_modes)))
     change = abs(e_fine - e_base) / max(e_base, 1e-300)
     return bool(change < 0.01), float(change)
 
@@ -455,11 +393,15 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
     grid = TorusGrid(config.n_modes)
     initial = _initial_state(config, grid)
     nl = Nonlinearity.preset(config.nonlinearity) if config.equation == "wave" else None
-    norm_fn = _norm_fn(config)
+    norm_fn = _norm_fn(config.equation, config.norm_r if config.error_norm == "Hr" else 0.0)
     tau_ref = config.tau_list[-1] / config.ref_factor
 
-    ref_states, validation = _reference_run(config, initial, nl, tau_ref)
-    errors = _sweep_errors(config, initial, nl, ref_states, tau_ref, norm_fn)
+    ref_states, validation = _reference_run(
+        config.equation, initial, nl, config.mu, config.t_end, tau_ref, norm_fn,
+        config.cross_val_tol * norm_fn(initial),
+        config.ref_factor if config.max_over_steps else None,
+    )
+    errors = _sweep_errors(config, initial, nl, ref_states, norm_fn)
 
     pairs = list(zip(config.tau_list, errors))
     fitted_order = r_squared = None
@@ -702,81 +644,39 @@ def _cmd_converge(args, equation: str) -> int:
     return 0
 
 
-def _diagnose_common(args):
-    seed = args.seed if args.seed is not None else 42
-    modes = args.modes if args.modes is not None else 512
-    t_end = args.t_end if args.t_end is not None else 1.0
-    samples = args.samples if args.samples is not None else 128
+def _cmd_diagnose(args, functional: str) -> int:
+    """Strichartz or null-form functional on a reference trajectory."""
+    seed, modes, t_end, samples = args.seed, args.modes, args.t_end, args.samples
     tau_ref = args.tau_ref if args.tau_ref is not None else t_end / 4096
-    amplitude = args.amplitude if args.amplitude is not None else 0.5
-    theta = args.theta if args.theta is not None else 1.0
-    return seed, modes, t_end, samples, tau_ref, amplitude, theta
+    results = {"functional": functional, "seed": seed, "modes": modes,
+               "t_end": t_end, "samples": samples}
+    if functional == "strichartz_l4":
+        spec = RoughDataSpec(theta=args.theta, seed=seed, real_valued=False,
+                             amplitude=args.amplitude)
+        datum = random_rough_field(spec, TorusGrid(modes))
 
+        def value_on(state, n_out, step):
+            states = nls_reference_solve(NlsProblem(args.mu, state, t_end), n_out, step)
+            return strichartz_l4(trajectory_of(states, 0.0, t_end, scheme="lri",
+                                               tau_ref=step, seed=seed))
+    else:
+        nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
+        results["nonlinearity"] = nl.tag
+        spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
+        datum = rough_wave_state(spec, TorusGrid(modes))
 
-def _cmd_diagnose_strichartz(args) -> int:
-    seed, modes, t_end, samples, tau_ref, amplitude, theta = _diagnose_common(args)
-    grid = TorusGrid(modes)
-    datum = random_rough_field(
-        RoughDataSpec(theta=theta, seed=seed, real_valued=False, amplitude=amplitude),
-        grid,
-    )
-
-    def value_on(field, n_out, step):
-        problem = NlsProblem(args.mu if args.mu is not None else 1, field, t_end)
-        states = nls_reference_solve(problem, n_out, step)
-        return strichartz_l4(trajectory_of(states, 0.0, t_end, scheme="lri",
-                                           tau_ref=step, seed=seed))
+        def value_on(state, n_out, step):
+            states = wave_reference_solve(WaveProblem(nl, state, t_end), n_out, step)
+            return nullform_norm(trajectory_of(states, 0.0, t_end, scheme="corrected_lie",
+                                               tau_ref=step, seed=seed))
 
     value = value_on(datum, samples, tau_ref)
-    print(f"strichartz_l4 {value!r}")
-    results = {"functional": "strichartz_l4", "value": value, "seed": seed,
-               "modes": modes, "t_end": t_end, "samples": samples}
+    print(f"{functional} {value!r}")
+    results["value"] = value
     if args.refine:
         refined = value_on(regrid(datum, TorusGrid(2 * modes)), 2 * samples, tau_ref)
         change = abs(refined - value) / max(value, 1e-300)
-        print(f"strichartz_l4_refined {refined!r}")
-        print(f"relative_change {change!r}")
-        results.update({"refined_value": refined, "relative_change": change})
-    if args.out:
-        _atomic_write(args.out, json.dumps(results, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_diagnose_nullform(args) -> int:
-    seed, modes, t_end, samples, tau_ref, amplitude, theta = _diagnose_common(args)
-    nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
-    grid = TorusGrid(modes)
-
-    def datum_on(g: TorusGrid) -> WaveState:
-        u = random_rough_field(
-            RoughDataSpec(theta=theta, seed=seed, amplitude=amplitude), g
-        )
-        v = random_rough_field(
-            RoughDataSpec(theta=max(theta - 1.0, 0.0), seed=seed + V_SEED_OFFSET,
-                          amplitude=amplitude), g
-        )
-        return WaveState(u, v)
-
-    base = datum_on(grid)
-
-    def value_on(state, n_out, step):
-        problem = WaveProblem(nl, state, t_end)
-        states = wave_reference_solve(problem, n_out, step)
-        return nullform_norm(trajectory_of(states, 0.0, t_end, scheme="corrected_lie",
-                                           tau_ref=step, seed=seed))
-
-    value = value_on(base, samples, tau_ref)
-    print(f"nullform_norm {value!r}")
-    results = {"functional": "nullform_norm", "value": value, "seed": seed,
-               "modes": modes, "t_end": t_end, "samples": samples,
-               "nonlinearity": nl.tag}
-    if args.refine:
-        big = TorusGrid(2 * modes)
-        embedded = WaveState(regrid(base.u, big), regrid(base.v, big))
-        refined = value_on(embedded, 2 * samples, tau_ref)
-        change = abs(refined - value) / max(value, 1e-300)
-        print(f"nullform_norm_refined {refined!r}")
+        print(f"{functional}_refined {refined!r}")
         print(f"relative_change {change!r}")
         results.update({"refined_value": refined, "relative_change": change})
     if args.out:
@@ -786,13 +686,8 @@ def _cmd_diagnose_nullform(args) -> int:
 
 
 def _cmd_local_error_check(args) -> int:
-    equation = args.equation
-    modes = args.modes if args.modes is not None else 128
-    tau = args.tau if args.tau is not None else 2.0**-6
-    quad_order = args.quad_order if args.quad_order is not None else 64
-    seed = args.seed if args.seed is not None else 7
-    amplitude = args.amplitude if args.amplitude is not None else 0.5
-    grid = TorusGrid(modes)
+    equation, tau, quad_order = args.equation, args.tau, args.quad_order
+    grid = TorusGrid(args.modes)
     n_out = 4 * quad_order
     # The micro step must leave the reference far more accurate than either
     # quadrature so the refined discrepancy is not floored by reference error.
@@ -800,40 +695,23 @@ def _cmd_local_error_check(args) -> int:
     tau_micro = tau / (micro_per * n_out)
 
     if equation == "nls":
-        datum = random_rough_field(smooth_data_spec(seed, amplitude=amplitude), grid)
+        datum = random_rough_field(smooth_data_spec(args.seed, amplitude=args.amplitude), grid)
         states = nls_reference_solve(NlsProblem(1, datum, tau), n_out, tau_micro)
-        traj = trajectory_of(states, 0.0, tau)
-        pairs = [
-            nls_local_error_oracle(traj, tau, 1, q)
-            for q in (quad_order, 4 * quad_order)
-        ]
-        scale = sobolev_norm(pairs[0][0], 0.0)
-        discrepancies = [
-            sobolev_norm(_diff(direct, integral), 0.0) / max(scale, 1e-300)
-            for direct, integral in pairs
-        ]
+        oracle = functools.partial(nls_local_error_oracle, tau=tau, mu=1)
     else:
         nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
-        u = random_rough_field(
-            smooth_data_spec(seed, amplitude=amplitude, real_valued=True), grid
-        )
-        v = random_rough_field(
-            smooth_data_spec(seed + V_SEED_OFFSET, amplitude=amplitude,
-                             real_valued=True), grid
-        )
-        states = wave_reference_solve(
-            WaveProblem(nl, WaveState(u, v), tau), n_out, tau_micro
-        )
-        traj = trajectory_of(states, 0.0, tau)
-        pairs = [
-            wave_local_error_oracle(traj, tau, nl, q)
-            for q in (quad_order, 4 * quad_order)
-        ]
-        scale = wave_state_norm(pairs[0][0])
-        discrepancies = [
-            wave_state_norm(_diff(direct, integral)) / max(scale, 1e-300)
-            for direct, integral in pairs
-        ]
+        spec = smooth_data_spec(args.seed, amplitude=args.amplitude, real_valued=True)
+        datum = rough_wave_state(spec, grid, v_theta=spec.theta)
+        states = wave_reference_solve(WaveProblem(nl, datum, tau), n_out, tau_micro)
+        oracle = functools.partial(wave_local_error_oracle, tau=tau, nl=nl)
+    traj = trajectory_of(states, 0.0, tau)
+    pairs = [oracle(traj, quad_order=q) for q in (quad_order, 4 * quad_order)]
+    norm_fn = _norm_fn(equation)
+    scale = norm_fn(pairs[0][0])
+    discrepancies = [
+        norm_fn(difference(direct, integral)) / max(scale, 1e-300)
+        for direct, integral in pairs
+    ]
 
     improvement = discrepancies[0] / max(discrepancies[1], 1e-300)
     print(f"relative_discrepancy {discrepancies[0]!r}")
@@ -870,12 +748,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=lambda a: _cmd_converge(a, "wave"))
 
     def add_diag_flags(p):
-        p.add_argument("--theta", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--amplitude", type=float)
-        p.add_argument("--modes", type=int)
-        p.add_argument("--t-end", type=float)
-        p.add_argument("--samples", type=int, help="trajectory snapshot count")
+        p.add_argument("--theta", type=float, default=1.0)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--amplitude", type=float, default=0.5)
+        p.add_argument("--modes", type=int, default=512)
+        p.add_argument("--t-end", type=float, default=1.0)
+        p.add_argument("--samples", type=int, default=128, help="trajectory snapshot count")
         p.add_argument("--tau-ref", type=float, help="reference step size")
         p.add_argument("--refine", action="store_true",
                        help="also report the value after doubling N and samples")
@@ -884,23 +762,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose-strichartz",
                        help="space-time L4 functional on a Schrödinger trajectory")
     add_diag_flags(p)
-    p.add_argument("--mu", type=int, choices=(-1, 1))
-    p.set_defaults(handler=_cmd_diagnose_strichartz)
+    p.add_argument("--mu", type=int, choices=(-1, 1), default=1)
+    p.set_defaults(handler=lambda a: _cmd_diagnose(a, "strichartz_l4"))
 
     p = sub.add_parser("diagnose-nullform",
                        help="space-time L2 null-form functional on a wave trajectory")
     add_diag_flags(p)
     p.add_argument("--nonlinearity")
-    p.set_defaults(handler=_cmd_diagnose_nullform)
+    p.set_defaults(handler=lambda a: _cmd_diagnose(a, "nullform_norm"))
 
     p = sub.add_parser("local-error-check",
                        help="compare a one-step error against its integral representation")
     p.add_argument("--equation", choices=("nls", "wave"), required=True)
-    p.add_argument("--modes", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--quad-order", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--amplitude", type=float)
+    p.add_argument("--modes", type=int, default=128)
+    p.add_argument("--tau", type=float, default=2.0**-6)
+    p.add_argument("--quad-order", type=int, default=64)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--amplitude", type=float, default=0.5)
     p.add_argument("--nonlinearity")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_local_error_check)

@@ -16,7 +16,7 @@ kept in FFT order.  The analysis conventions used throughout:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +25,70 @@ TWO_PI = 2.0 * np.pi
 HERMITIAN_TOL = 1e-12
 
 
+# Streams for the velocity component of wave data are split off the user
+# seed by a fixed documented offset so (u, v) draws never collide.
+V_SEED_OFFSET = 1_000_003
+
+
 class BlowUpError(RuntimeError):
     """Raised when an evolved state exceeds the configured growth guard."""
+
+
+def sin_over(y: np.ndarray) -> np.ndarray:
+    """sin(y)/y, with the cubic Taylor polynomial below |y| < 1e-4."""
+    y = np.asarray(y, dtype=np.float64)
+    small = np.abs(y) < 1e-4
+    safe = np.where(small, 1.0, y)
+    return np.where(small, 1.0 - y * y / 6.0, np.sin(safe) / safe)
+
+
+def series_mask(y: np.ndarray, branch: str | None, radius: float) -> np.ndarray:
+    """Where a Taylor branch replaces a closed form: |y| < radius by default;
+    ``branch`` forces "series" or "closed" everywhere for switchover tests."""
+    if branch is None:
+        return np.abs(y) < radius
+    if branch == "series":
+        return np.ones(y.shape, dtype=bool)
+    if branch == "closed":
+        return np.zeros(y.shape, dtype=bool)
+    raise ValueError(f"unknown branch {branch!r}")
+
+
+def steps_for(span: float, tau: float) -> int:
+    """Number of steps of size tau in span; tau must divide span."""
+    n = span / tau
+    if abs(n - round(n)) > 1e-9 * max(1.0, n):
+        raise ValueError(f"step size {tau} does not divide the horizon {span}")
+    return round(n)
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a.view(np.float64))) for a in arrays):
+        raise BlowUpError("non-finite coefficients in stepper input")
+
+
+def evolve(state, step, size, guard, n_steps, record_every, wrap) -> list:
+    """Advance a tuple of coefficient arrays n_steps times under a growth guard.
+
+    ``step(*state)`` returns the next tuple and ``size(*state)`` measures it;
+    a non-finite size or one above ``guard`` raises ``BlowUpError``.  Guarding
+    every step (not just snapshots) keeps divergence from ever reaching
+    floating overflow.  ``wrap(*state)`` makes the snapshots: the initial
+    state and every ``record_every``-th one, or just the terminal state when
+    ``record_every`` is unset.
+    """
+    _require_finite(*state)
+    out = [wrap(*state)] if record_every else []
+    for j in range(1, n_steps + 1):
+        state = step(*state)
+        s = size(*state)
+        if not np.isfinite(s) or s > guard:
+            raise BlowUpError(f"norm guard tripped at step {j}")
+        if record_every and j % record_every == 0:
+            out.append(wrap(*state))
+    if not record_every:
+        out.append(wrap(*state))
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,6 +217,23 @@ def field_like(f: SpectralField, coeffs: np.ndarray, is_real: bool | None = None
     return SpectralField(f.grid, coeffs, is_real)
 
 
+def _pair(grid: TorusGrid, uc: np.ndarray, vc: np.ndarray) -> WaveState:
+    # Multiplier tables are only even in k up to the last bit, and roundoff
+    # asymmetry amplified by k can dominate a small component, as can that
+    # of a difference of two nearly equal real fields; project back.
+    return WaveState(
+        SpectralField(grid, hermitian_part(uc), True),
+        SpectralField(grid, hermitian_part(vc), True),
+    )
+
+
+def difference(a, b):
+    """a - b for two fields or two wave states on one grid."""
+    if isinstance(a, WaveState):
+        return _pair(a.grid, a.u.coeffs - b.u.coeffs, a.v.coeffs - b.v.coeffs)
+    return SpectralField(a.grid, a.coeffs - b.coeffs, False)
+
+
 def pad_coeffs(c: np.ndarray, m: int) -> np.ndarray:
     """Embed FFT-order coefficients into a length-m FFT-order array (m >= len)."""
     n = c.size
@@ -183,6 +262,18 @@ def truncate_coeffs(c: np.ndarray, n: int) -> np.ndarray:
     out[h:] = c[m - h :]
     out[h] += c[h]
     return out
+
+
+def padded_values(c: np.ndarray) -> np.ndarray:
+    """Values of N coefficients at the 2N nodes of the padded grid."""
+    m = 2 * c.size
+    return np.fft.ifft(pad_coeffs(c, m)) * m
+
+
+def padded_coeffs(values: np.ndarray) -> np.ndarray:
+    """N retained coefficients of 2N padded-grid values; inverse of ``padded_values``."""
+    m = values.size
+    return truncate_coeffs(np.fft.fft(values) / m, m // 2)
 
 
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
@@ -235,15 +326,12 @@ def derivative(f: SpectralField, order: int) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * symbol, f.is_real)
 
 
-def dealiased_product_coeffs(
-    coeff_arrays: Sequence[np.ndarray], n: int
-) -> np.ndarray:
+def dealiased_product_coeffs(coeff_arrays: Sequence[np.ndarray]) -> np.ndarray:
     """Pointwise product of 2 or 3 coefficient arrays via a 2x padded grid."""
-    m = 2 * n
-    phys = np.fft.ifft(pad_coeffs(coeff_arrays[0], m)) * m
+    phys = padded_values(coeff_arrays[0])
     for c in coeff_arrays[1:]:
-        phys = phys * (np.fft.ifft(pad_coeffs(c, m)) * m)
-    return truncate_coeffs(np.fft.fft(phys) / m, n)
+        phys = phys * padded_values(c)
+    return padded_coeffs(phys)
 
 
 def dealiased_product(
@@ -269,7 +357,7 @@ def dealiased_product(
         conjugate(f).coeffs if flag else f.coeffs
         for f, flag in zip(factors, conjugate_flags)
     ]
-    coeffs = dealiased_product_coeffs(arrays, grid.n_modes)
+    coeffs = dealiased_product_coeffs(arrays)
     return SpectralField(grid, coeffs, all(f.is_real for f in factors))
 
 
@@ -370,13 +458,27 @@ def random_rough_field(spec: RoughDataSpec, grid: TorusGrid) -> SpectralField:
     return SpectralField(grid, coeffs, True)
 
 
-def regrid(f: SpectralField, grid: TorusGrid) -> SpectralField:
-    """Re-express a field on a finer or coarser grid.
+def rough_wave_state(
+    spec: RoughDataSpec, grid: TorusGrid, v_theta: float | None = None
+) -> WaveState:
+    """Seeded wave datum: u drawn from ``spec``, v from the same law at
+    ``v_theta`` (default one exponent lower, floored at 0) on the seed
+    ``spec.seed + V_SEED_OFFSET``."""
+    if v_theta is None:
+        v_theta = max(spec.theta - 1.0, 0.0)
+    v_spec = dataclasses.replace(spec, theta=v_theta, seed=spec.seed + V_SEED_OFFSET)
+    return WaveState(random_rough_field(spec, grid), random_rough_field(v_spec, grid))
+
+
+def regrid(f: SpectralField | WaveState, grid: TorusGrid):
+    """Re-express a field, or both fields of a wave state, on another grid.
 
     Embedding splits a real field's Nyquist coefficient evenly over the +-N/2
     pair of the finer grid so Hermitian symmetry survives; coarsening folds
     the pair back.  Grid values at shared nodes are preserved exactly.
     """
+    if isinstance(f, WaveState):
+        return WaveState(regrid(f.u, grid), regrid(f.v, grid))
     n_old, n_new = f.grid.n_modes, grid.n_modes
     if n_new == n_old:
         return SpectralField(grid, f.coeffs, f.is_real)
@@ -426,14 +528,31 @@ def wave_state_from_lines(lines: Iterator[str]) -> WaveState:
     return WaveState(field_from_lines(lines), field_from_lines(lines))
 
 
+def _parse_file(path, parse: Callable[[Iterator[str]], object]):
+    """Apply ``parse`` to an iterator over the lines of a text file.
+
+    A record that ends early or a line that does not parse raises a
+    ValueError naming the file and the line where reading stopped.
+    """
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    rest = iter(lines)
+    try:
+        return parse(rest)
+    except StopIteration:
+        raise ValueError(f"{path}, line {len(lines) + 1}: unexpected end of file") from None
+    except (ValueError, IndexError) as exc:
+        at = len(lines) - sum(1 for _ in rest)
+        raise ValueError(f"{path}, line {at}: {exc}") from exc
+
+
 def write_field(f: SpectralField, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(field_to_lines(f)) + "\n")
 
 
 def read_field(path) -> SpectralField:
-    with open(path, encoding="ascii") as fh:
-        return field_from_lines(iter(fh.read().splitlines()))
+    return _parse_file(path, field_from_lines)
 
 
 def write_wave_state(w: WaveState, path) -> None:
@@ -442,5 +561,4 @@ def write_wave_state(w: WaveState, path) -> None:
 
 
 def read_wave_state(path) -> WaveState:
-    with open(path, encoding="ascii") as fh:
-        return wave_state_from_lines(iter(fh.read().splitlines()))
+    return _parse_file(path, wave_state_from_lines)

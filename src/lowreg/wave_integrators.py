@@ -20,14 +20,18 @@ from typing import Callable
 import numpy as np
 
 from .torus_spectral import (
-    BlowUpError,
-    SpectralField,
     TorusGrid,
     WaveState,
-    hermitian_part,
-    pad_coeffs,
+    _pair,
+    _require_finite,
+    derivative,
+    evolve,
+    padded_coeffs,
+    padded_values,
+    series_mask,
+    sin_over,
     sobolev_norm,
-    truncate_coeffs,
+    steps_for,
 )
 
 BLOWUP_FACTOR = 1e6
@@ -100,21 +104,13 @@ class WaveProblem:
             raise ValueError("t_end must be >= 0")
 
 
-def _sin_over(y: np.ndarray) -> np.ndarray:
-    """sin(y)/y, with the cubic Taylor polynomial below |y| < 1e-4."""
-    y = np.asarray(y, dtype=np.float64)
-    small = np.abs(y) < 1e-4
-    safe = np.where(small, 1.0, y)
-    return np.where(small, 1.0 - y * y / 6.0, np.sin(safe) / safe)
-
-
 def _flow_entries(grid: TorusGrid, t: float):
     """Entries (cos kt, sin(kt)/k, -k sin kt) of e^{tA} per mode; k = 0 gives
     the shear [[1, t], [0, 1]]."""
     k = grid.freqs.astype(np.float64)
     kt = k * t
     cos = np.cos(kt)
-    sin_over_k = t * _sin_over(kt)
+    sin_over_k = t * sin_over(kt)
     minus_k_sin = -k * np.sin(kt)
     return cos, sin_over_k, minus_k_sin
 
@@ -126,7 +122,7 @@ def phi2_entry_r(y: np.ndarray, branch: str | None = None) -> np.ndarray:
     Taylor polynomial takes over below |y| < 0.04.
     """
     y = np.asarray(y, dtype=np.float64)
-    use_series = _phi2_branch_mask(y, branch)
+    use_series = series_mask(y, branch, 0.04)
     y2 = y * y
     series = 0.5 - y2 / 24.0 + y2 * y2 / 720.0 - y2 * y2 * y2 / 40320.0
     safe = np.where(use_series, 1.0, y)
@@ -142,7 +138,7 @@ def phi2_entry_q(y: np.ndarray, branch: str | None = None) -> np.ndarray:
     accurate to ~1e-12 relative.
     """
     y = np.asarray(y, dtype=np.float64)
-    use_series = _phi2_branch_mask(y, branch)
+    use_series = series_mask(y, branch, 0.04)
     y2 = y * y
     series = (
         1.0 / 6.0 - y2 / 120.0 + y2 * y2 / 5040.0 - y2 * y2 * y2 / 362880.0
@@ -150,16 +146,6 @@ def phi2_entry_q(y: np.ndarray, branch: str | None = None) -> np.ndarray:
     safe = np.where(use_series, 1.0, y)
     closed = (safe - np.sin(safe)) / (safe**3)
     return np.where(use_series, series, closed)
-
-
-def _phi2_branch_mask(y: np.ndarray, branch: str | None) -> np.ndarray:
-    if branch is None:
-        return np.abs(y) < 0.04
-    if branch == "series":
-        return np.ones(y.shape, dtype=bool)
-    if branch == "closed":
-        return np.zeros(y.shape, dtype=bool)
-    raise ValueError(f"unknown branch {branch!r}")
 
 
 def _phi2_entries(grid: TorusGrid, tau: float):
@@ -201,30 +187,20 @@ class _WaveWork:
     def __init__(self, grid: TorusGrid, tau: float, nl: Nonlinearity, corrected: bool):
         if tau <= 0:
             raise ValueError("tau must be > 0")
-        self.grid = grid
         self.tau = tau
         self.nl = nl
         self.corrected = corrected
-        self.n = grid.n_modes
-        self.m = 2 * self.n
         self.flow = _flow_entries(grid, tau)
         self.phi2 = _phi2_entries(grid, tau)
 
-    def _phys(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft(pad_coeffs(coeffs, self.m))) * self.m
-
-    def _coeffs(self, values: np.ndarray) -> np.ndarray:
-        return truncate_coeffs(np.fft.fft(values) / self.m, self.n)
-
     def step(self, uc: np.ndarray, vc: np.ndarray):
         tau = self.tau
-        u_phys = self._phys(uc)
-        g_phys = self.nl.g(u_phys)
-        g_hat = self._coeffs(g_phys)
+        u_phys = padded_values(uc).real
+        g_hat = padded_coeffs(self.nl.g(u_phys))
         au, av = uc, vc + tau * g_hat
         if self.corrected:
             h_u = -g_hat
-            h_v = self._coeffs(self.nl.g1(u_phys) * self._phys(vc))
+            h_v = padded_coeffs(self.nl.g1(u_phys) * padded_values(vc).real)
             p_u, p_v = _apply_block(*self.phi2, h_u, h_v)
             au = au + tau * tau * p_u
             av = av + tau * tau * p_v
@@ -233,26 +209,8 @@ class _WaveWork:
 
 def _nonlinear_coeffs(w: WaveState, values_fn) -> np.ndarray:
     """Evaluate a pointwise expression of (u, v, u_x) on the 2x grid."""
-    n = w.grid.n_modes
-    m = 2 * n
-
-    def phys(coeffs: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft(pad_coeffs(coeffs, m))) * m
-
-    k = w.grid.freqs.astype(np.complex128)
-    dsym = 1j * k
-    dsym[n // 2] = 0.0
-    values = values_fn(phys(w.u.coeffs), phys(w.v.coeffs), phys(dsym * w.u.coeffs))
-    return truncate_coeffs(np.fft.fft(values) / m, n)
-
-
-def _pair(grid: TorusGrid, uc: np.ndarray, vc: np.ndarray) -> WaveState:
-    # Multiplier tables are only even in k up to the last bit, and roundoff
-    # asymmetry amplified by k can dominate a small component; project back.
-    return WaveState(
-        SpectralField(grid, hermitian_part(uc), True),
-        SpectralField(grid, hermitian_part(vc), True),
-    )
+    u, v, ux = (padded_values(f.coeffs).real for f in (w.u, w.v, derivative(w.u, 1)))
+    return padded_coeffs(values_fn(u, v, ux))
 
 
 def a_apply(w: WaveState) -> WaveState:
@@ -282,12 +240,10 @@ def b_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     return _pair(w.grid, np.zeros_like(coeffs), coeffs)
 
 
-def _require_finite(w: WaveState) -> None:
-    if not (
-        np.all(np.isfinite(w.u.coeffs.view(np.float64)))
-        and np.all(np.isfinite(w.v.coeffs.view(np.float64)))
-    ):
-        raise BlowUpError("non-finite coefficients in stepper input")
+def _one_step(w_n: WaveState, tau: float, nl: Nonlinearity, corrected: bool) -> WaveState:
+    _require_finite(w_n.u.coeffs, w_n.v.coeffs)
+    work = _WaveWork(w_n.grid, tau, nl, corrected)
+    return _pair(w_n.grid, *work.step(w_n.u.coeffs, w_n.v.coeffs))
 
 
 def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
@@ -295,18 +251,12 @@ def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveStat
 
     U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n)) + tau^2 * phi2(-2 tau A)(-g(u_n), g'(u_n) v_n)].
     """
-    _require_finite(w_n)
-    work = _WaveWork(w_n.grid, tau, nl, corrected=True)
-    uc, vc = work.step(w_n.u.coeffs, w_n.v.coeffs)
-    return _pair(w_n.grid, uc, vc)
+    return _one_step(w_n, tau, nl, corrected=True)
 
 
 def lie_step_wave(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
     """One plain Lie splitting step: U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n))]."""
-    _require_finite(w_n)
-    work = _WaveWork(w_n.grid, tau, nl, corrected=False)
-    uc, vc = work.step(w_n.u.coeffs, w_n.v.coeffs)
-    return _pair(w_n.grid, uc, vc)
+    return _one_step(w_n, tau, nl, corrected=False)
 
 
 def wave_state_norm(w: WaveState) -> float:
@@ -328,28 +278,24 @@ def run_wave(
     Raises ``BlowUpError`` when a snapshot exceeds ``guard_factor`` times the
     initial combined norm or turns non-finite.
     """
-    _require_finite(w0)
     work = _WaveWork(w0.grid, tau, nl, corrected)
-    # Guarding every step keeps divergence from ever reaching floating
-    # overflow; the squared-norm check is a few vector ops per step.
     weights = 1.0 + w0.grid.freqs.astype(np.float64) ** 2
-    guard = guard_factor * max(wave_state_norm(w0), 1e-300)
-    uc, vc = w0.u.coeffs.copy(), w0.v.coeffs.copy()
-    out: list[WaveState] = []
-    if record_every:
-        out.append(_pair(w0.grid, uc, vc))
-    for j in range(1, n_steps + 1):
-        uc, vc = work.step(uc, vc)
+
+    def size(uc: np.ndarray, vc: np.ndarray) -> float:
         u_h1_sq = float(weights @ (uc.real**2 + uc.imag**2))
         v_l2_sq = float(vc.real @ vc.real + vc.imag @ vc.imag)
-        size = np.sqrt(u_h1_sq) + np.sqrt(v_l2_sq)
-        if not np.isfinite(size) or size > guard:
-            raise BlowUpError(f"norm guard tripped at step {j}")
-        if record_every and j % record_every == 0:
-            out.append(_pair(w0.grid, uc, vc))
-    if not record_every:
-        out.append(_pair(w0.grid, uc, vc))
-    return out
+        return np.sqrt(u_h1_sq) + np.sqrt(v_l2_sq)
+
+    guard = guard_factor * max(wave_state_norm(w0), 1e-300)
+    return evolve(
+        (w0.u.coeffs, w0.v.coeffs),
+        work.step,
+        size,
+        guard,
+        n_steps,
+        record_every,
+        lambda uc, vc: _pair(w0.grid, uc, vc),
+    )
 
 
 def wave_reference_solve(
@@ -364,11 +310,7 @@ def wave_reference_solve(
         raise ValueError("n_out must be >= 1")
     if problem.t_end == 0:
         return [problem.initial]
-    spacing = problem.t_end / n_out
-    per = spacing / tau_ref
-    if abs(per - round(per)) > 1e-9 * max(1.0, per):
-        raise ValueError("tau_ref must divide t_end / n_out")
-    per = round(per)
+    per = steps_for(problem.t_end / n_out, tau_ref)
     return run_wave(
         problem.initial,
         tau_ref,

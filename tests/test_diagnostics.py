@@ -371,6 +371,15 @@ def test_scalar_trajectory_file_round_trip(tmp_path):
     for ours, theirs in zip(traj.states, back.states):
         assert np.array_equal(ours.coeffs, theirs.coeffs)
 
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-3]) + "\n")
+    with pytest.raises(ValueError, match=rf"traj\.txt, line {len(lines) - 2}: unexpected end"):
+        read_trajectory(path)
+    lines[2] = "samples five"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"traj\.txt, line 3: "):
+        read_trajectory(path)
+
 
 def test_wave_trajectory_file_round_trip(tmp_path):
     grid = TorusGrid(16)
@@ -385,6 +394,27 @@ def test_wave_trajectory_file_round_trip(tmp_path):
     for ours, theirs in zip(traj.states, back.states):
         assert np.array_equal(ours.u.coeffs, theirs.u.coeffs)
         assert np.array_equal(ours.v.coeffs, theirs.v.coeffs)
+
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:20]) + "\n")
+    with pytest.raises(ValueError, match=r"wave_traj\.txt, line 21: unexpected end"):
+        read_trajectory(path)
+    lines[1] = "kind"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"wave_traj\.txt, line 2: "):
+        read_trajectory(path)
+
+
+@pytest.mark.parametrize(
+    "meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"two words": 1}, {"": 1}]
+)
+def test_write_trajectory_refuses_meta_it_cannot_read_back(tmp_path, meta):
+    grid = TorusGrid(16)
+    traj = trajectory_of([zero_field(grid)] * 3, 0.0, 1.0, **meta)
+    path = tmp_path / "traj.txt"
+    with pytest.raises(ValueError, match="cannot be written"):
+        write_trajectory(traj, path)
+    assert not path.exists()
 
 
 def test_read_trajectory_rejects_other_files(tmp_path):

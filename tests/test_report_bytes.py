@@ -1,0 +1,51 @@
+"""Report-bytes regression: pins the SHA-256 of the CSV and JSON reports.
+
+The study reports are byte-deterministic, so a change that leaves the
+numerics alone must leave these hashes alone too.  A change that does move
+report bytes (a different transform, a reordered sum) must update the hashes
+here and say where and why the bytes moved.
+"""
+
+import hashlib
+
+import pytest
+
+from lowreg import StudyConfig, emit_report, run_convergence_study
+
+CONFIGS = {
+    "nls": dict(
+        equation="nls",
+        tau_list=(2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5),
+        n_modes=32,
+        seed=5,
+        ref_factor=16,
+        cross_val_tol=1.0,
+        spatial_check=True,
+    ),
+    "wave": dict(
+        equation="wave",
+        tau_list=(2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5),
+        n_modes=64,
+        seed=4,
+        ref_factor=16,
+        cross_val_tol=0.1,
+        spatial_check=True,
+    ),
+}
+
+EXPECTED = {
+    ("nls", "csv"): "f3961f374d293431ccb2059710272791fe9899938019c1b02fe72045198a801b",
+    ("nls", "json"): "93b3e08d5fd1ffab6fdcac1ef3a4b466c38364e22f6d7c7edcb0a983845b8563",
+    ("wave", "csv"): "28fc63896b711c6153abc92e296ebb8bf3cdbd606a7cb29ce30e1276f373457c",
+    ("wave", "json"): "53b5a8073409f76eda0e96be07c54db266c8ca9988f7ad99253caaf9584e86f0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_bytes_are_pinned(name, tmp_path):
+    report = run_convergence_study(StudyConfig(output_path=None, **CONFIGS[name]))
+    for fmt in ("csv", "json"):
+        path = emit_report(report, fmt, str(tmp_path / f"{name}.{fmt}"))
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == EXPECTED[name, fmt], f"{name} {fmt} report bytes changed"

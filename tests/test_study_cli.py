@@ -382,7 +382,9 @@ def test_cli_signals_blowup(capsys):
         "--nonlinearity", "quadratic",
     ])
     assert code == 3
-    assert "blow-up" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "blow-up" in err
+    assert "reference run (corrected_lie)" in err
 
 
 def test_cli_diagnose_strichartz(tmp_path, capsys):

@@ -400,6 +400,15 @@ def test_field_file_round_trip(tmp_path, grid32):
     assert g.is_real == f.is_real
     assert np.array_equal(g.coeffs, f.coeffs)
 
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:10]) + "\n")
+    with pytest.raises(ValueError, match=r"field\.txt, line 11: unexpected end of file"):
+        read_field(path)
+    lines[5] = "0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"field\.txt, line 6: "):
+        read_field(path)
+
 
 def test_wave_state_file_round_trip(tmp_path, grid32):
     w = WaveState(
@@ -411,6 +420,15 @@ def test_wave_state_file_round_trip(tmp_path, grid32):
     back = read_wave_state(path)
     assert np.array_equal(back.u.coeffs, w.u.coeffs)
     assert np.array_equal(back.v.coeffs, w.v.coeffs)
+
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:40]) + "\n")
+    with pytest.raises(ValueError, match=r"state\.txt, line 41: unexpected end of file"):
+        read_wave_state(path)
+    lines[35] = "1.0 2.0 3.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"state\.txt, line 36: "):
+        read_wave_state(path)
 
 
 def test_field_like_autodetects_realness(grid16):
