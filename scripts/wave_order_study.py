@@ -46,11 +46,15 @@ def run(extra):
         cfg = StudyConfig(scheme=scheme, **settings)
         reports[scheme] = run_convergence_study(cfg)
         rep = reports[scheme]
-        print(f"{scheme}: order {rep.fitted_order:.3f} (r2 {rep.r_squared:.4f})")
+        if rep.fitted_order is None:  # fewer than 4 usable errors
+            print(f"{scheme}: order n/a")
+        else:
+            print(f"{scheme}: order {rep.fitted_order:.3f} (r2 {rep.r_squared:.4f})")
         for tau, err in zip(rep.taus, rep.errors):
             print(f"  tau {tau:.6e}  error {err:.6e}")
-    gap = reports["corrected_lie"].fitted_order - reports["lie"].fitted_order
-    print(f"order gap {gap:.3f}")
+    corrected, plain = (reports[s].fitted_order for s in ("corrected_lie", "lie"))
+    if corrected is not None and plain is not None:
+        print(f"order gap {corrected - plain:.3f}")
     return 0
 
 

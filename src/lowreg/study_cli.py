@@ -12,6 +12,7 @@ failure, 3 blow-up, 4 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -480,6 +481,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@contextlib.contextmanager
+def _input_errors():
+    """Report a TypeError or ValueError raised while inputs are built from the
+    command line as the ConfigError it is (exit 4)."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_taus(text: str) -> tuple[float, ...]:
     """Parse '2^-4..2^-10', a single '2^-6', or a comma list of floats."""
     text = text.strip()
@@ -615,12 +628,7 @@ def _study_config_from_args(args, equation: str) -> StudyConfig:
         kwargs["nonlinearity"] = pick(
             getattr(args, "nonlinearity", None), "nonlinearity", "quadratic"
         )
-    try:
-        return StudyConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return StudyConfig(**kwargs)
 
 
 def _print_report(report: ConvergenceReport) -> None:
@@ -638,7 +646,8 @@ def _print_report(report: ConvergenceReport) -> None:
 
 
 def _cmd_converge(args, equation: str) -> int:
-    config = _study_config_from_args(args, equation)
+    with _input_errors():
+        config = _study_config_from_args(args, equation)
     report = run_convergence_study(config)
     _print_report(report)
     return 0
@@ -650,25 +659,32 @@ def _cmd_diagnose(args, functional: str) -> int:
     tau_ref = args.tau_ref if args.tau_ref is not None else t_end / 4096
     results = {"functional": functional, "seed": seed, "modes": modes,
                "t_end": t_end, "samples": samples}
-    if functional == "strichartz_l4":
-        spec = RoughDataSpec(theta=args.theta, seed=seed, real_valued=False,
-                             amplitude=args.amplitude)
-        datum = random_rough_field(spec, TorusGrid(modes))
+    with _input_errors():
+        if t_end <= 0 or tau_ref <= 0:
+            raise ConfigError("--t-end and --tau-ref must be > 0")
+        if samples < 2:
+            raise ConfigError("--samples must be >= 2")
+        steps_for(t_end / (2 * samples if args.refine else samples), tau_ref)
+        if functional == "strichartz_l4":
+            spec = RoughDataSpec(theta=args.theta, seed=seed, real_valued=False,
+                                 amplitude=args.amplitude)
+            datum = random_rough_field(spec, TorusGrid(modes))
 
-        def value_on(state, n_out, step):
-            states = nls_reference_solve(NlsProblem(args.mu, state, t_end), n_out, step)
-            return strichartz_l4(trajectory_of(states, 0.0, t_end, scheme="lri",
-                                               tau_ref=step, seed=seed))
-    else:
-        nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
-        results["nonlinearity"] = nl.tag
-        spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
-        datum = rough_wave_state(spec, TorusGrid(modes))
+            def value_on(state, n_out, step):
+                states = nls_reference_solve(NlsProblem(args.mu, state, t_end), n_out, step)
+                return strichartz_l4(trajectory_of(states, 0.0, t_end, scheme="lri",
+                                                   tau_ref=step, seed=seed))
+        else:
+            nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
+            results["nonlinearity"] = nl.tag
+            spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
+            datum = rough_wave_state(spec, TorusGrid(modes))
 
-        def value_on(state, n_out, step):
-            states = wave_reference_solve(WaveProblem(nl, state, t_end), n_out, step)
-            return nullform_norm(trajectory_of(states, 0.0, t_end, scheme="corrected_lie",
-                                               tau_ref=step, seed=seed))
+            def value_on(state, n_out, step):
+                states = wave_reference_solve(WaveProblem(nl, state, t_end), n_out, step)
+                return nullform_norm(trajectory_of(states, 0.0, t_end,
+                                                   scheme="corrected_lie",
+                                                   tau_ref=step, seed=seed))
 
     value = value_on(datum, samples, tau_ref)
     print(f"{functional} {value!r}")
@@ -687,7 +703,20 @@ def _cmd_diagnose(args, functional: str) -> int:
 
 def _cmd_local_error_check(args) -> int:
     equation, tau, quad_order = args.equation, args.tau, args.quad_order
-    grid = TorusGrid(args.modes)
+    with _input_errors():
+        if tau <= 0:
+            raise ConfigError("--tau must be > 0")
+        if quad_order < 2:
+            raise ConfigError("--quad-order must be >= 2")
+        grid = TorusGrid(args.modes)
+        if equation == "nls":
+            datum = random_rough_field(
+                smooth_data_spec(args.seed, amplitude=args.amplitude), grid
+            )
+        else:
+            nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
+            spec = smooth_data_spec(args.seed, amplitude=args.amplitude, real_valued=True)
+            datum = rough_wave_state(spec, grid, v_theta=spec.theta)
     n_out = 4 * quad_order
     # The micro step must leave the reference far more accurate than either
     # quadrature so the refined discrepancy is not floored by reference error.
@@ -695,13 +724,9 @@ def _cmd_local_error_check(args) -> int:
     tau_micro = tau / (micro_per * n_out)
 
     if equation == "nls":
-        datum = random_rough_field(smooth_data_spec(args.seed, amplitude=args.amplitude), grid)
         states = nls_reference_solve(NlsProblem(1, datum, tau), n_out, tau_micro)
         oracle = functools.partial(nls_local_error_oracle, tau=tau, mu=1)
     else:
-        nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
-        spec = smooth_data_spec(args.seed, amplitude=args.amplitude, real_valued=True)
-        datum = rough_wave_state(spec, grid, v_theta=spec.theta)
         states = wave_reference_solve(WaveProblem(nl, datum, tau), n_out, tau_micro)
         oracle = functools.partial(wave_local_error_oracle, tau=tau, nl=nl)
     traj = trajectory_of(states, 0.0, tau)

@@ -276,6 +276,49 @@ def padded_coeffs(values: np.ndarray) -> np.ndarray:
     return truncate_coeffs(np.fft.fft(values) / m, m // 2)
 
 
+# Real fields travel through repeated steps as half-spectra: the N/2 + 1
+# coefficients at k = 0 .. N/2, with the Nyquist entry halved so that it is
+# the +N/2 member of the conjugate pair that irfft implies on the 2N grid.
+
+
+def half_spectrum(c: np.ndarray) -> np.ndarray:
+    """Hermitian part of FFT-order coefficients at k = 0..N/2, Nyquist halved.
+
+    On an exactly Hermitian array this is a plain slice, bit for bit.
+    """
+    h = c.size // 2
+    out = hermitian_part(c)[: h + 1]
+    out[h] *= 0.5
+    return out
+
+
+def full_spectrum(x: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian FFT-order array from a half-spectrum; inverse of ``half_spectrum``."""
+    h = x.size - 1
+    out = np.empty(2 * h, dtype=np.complex128)
+    out[0] = x[0].real
+    out[1:h] = x[1:h]
+    out[h] = 2.0 * x[h].real
+    out[h + 1 :] = np.conj(x[h - 1 : 0 : -1])
+    return out
+
+
+def padded_real_values(x: np.ndarray) -> np.ndarray:
+    """Values of a half-spectrum at the 2N nodes of the padded grid."""
+    return np.fft.irfft(x, 4 * (x.size - 1), norm="forward")
+
+
+def padded_real_coeffs(values: np.ndarray) -> np.ndarray:
+    """Half-spectrum of real 2N padded-grid values; inverse of ``padded_real_values``.
+
+    The retained +-N/2 pair folds into the halved Nyquist entry as Re F[N/2],
+    as ``truncate_coeffs`` folds it for the full spectrum.
+    """
+    f = np.fft.rfft(values, norm="forward")[: values.size // 4 + 1]
+    f[-1] = f[-1].real
+    return f
+
+
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
     """Evaluate the trigonometric polynomial at oversample*N equispaced nodes."""
     if oversample not in (1, 2, 4):

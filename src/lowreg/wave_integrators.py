@@ -10,6 +10,13 @@ block [[0, 1], [-k^2, 0]].  Provided maps:
   (0, g''(u)[v^2 - u_x^2] + g'(u)g(u)),
 * ``corrected_lie_step``  Lie splitting plus the tau^2 phi2 correction,
 * ``lie_step_wave``  plain Lie splitting.
+
+The fields are real, so the steppers and the nonlinear maps work on real
+half-spectra (k = 0..N/2, see ``torus_spectral.half_spectrum``) through the
+``rfft``/``irfft`` padded pair.  ``run_wave`` converts the state once on entry
+and back to full spectra only for its snapshots; its growth guard weighs
+each half-spectrum entry by the number of full coefficients it stands for,
+so it still measures ``H^1 x L^2``.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from .torus_spectral import (
     _require_finite,
     derivative,
     evolve,
-    padded_coeffs,
-    padded_values,
+    full_spectrum,
+    half_spectrum,
+    padded_real_coeffs,
+    padded_real_values,
     series_mask,
     sin_over,
     sobolev_norm,
@@ -182,7 +191,12 @@ def phi2_apply(w: WaveState, tau: float) -> WaveState:
 
 
 class _WaveWork:
-    """Precomputed tables for repeated wave steps at fixed (grid, tau, nl)."""
+    """Precomputed tables for repeated wave steps at fixed (grid, tau, nl).
+
+    ``step`` advances half-spectra (k = 0..N/2, see ``half_spectrum``); the
+    flow and phi2 tables are even in k, so their first N/2 + 1 entries act on
+    them exactly as the full tables act on Hermitian spectra.
+    """
 
     def __init__(self, grid: TorusGrid, tau: float, nl: Nonlinearity, corrected: bool):
         if tau <= 0:
@@ -190,27 +204,47 @@ class _WaveWork:
         self.tau = tau
         self.nl = nl
         self.corrected = corrected
-        self.flow = _flow_entries(grid, tau)
-        self.phi2 = _phi2_entries(grid, tau)
+        half = grid.nyquist_index + 1
+        self.flow = tuple(t[:half] for t in _flow_entries(grid, tau))
+        self.phi2 = tuple(t[:half] for t in _phi2_entries(grid, tau))
+        # A half-spectrum entry stands for 1 coefficient at k = 0, for the
+        # +-k pair inside, and for the Nyquist coefficient at twice its size.
+        k = np.arange(half, dtype=np.float64)
+        self.count = np.full(half, 2.0)
+        self.count[0], self.count[-1] = 1.0, 4.0
+        self.u_weights = self.count * (1.0 + k * k)
 
-    def step(self, uc: np.ndarray, vc: np.ndarray):
+    def size(self, uh: np.ndarray, vh: np.ndarray) -> float:
+        """H^1 x L^2 size of a half-spectrum pair, as ``wave_state_norm``."""
+        u_h1_sq = float(self.u_weights @ (uh.real**2 + uh.imag**2))
+        v_l2_sq = float(self.count @ (vh.real**2 + vh.imag**2))
+        return np.sqrt(u_h1_sq) + np.sqrt(v_l2_sq)
+
+    def step(self, uh: np.ndarray, vh: np.ndarray):
         tau = self.tau
-        u_phys = padded_values(uc).real
-        g_hat = padded_coeffs(self.nl.g(u_phys))
-        au, av = uc, vc + tau * g_hat
+        u_phys = padded_real_values(uh)
+        g_hat = padded_real_coeffs(self.nl.g(u_phys))
+        au, av = uh, vh + tau * g_hat
         if self.corrected:
             h_u = -g_hat
-            h_v = padded_coeffs(self.nl.g1(u_phys) * padded_values(vc).real)
+            h_v = padded_real_coeffs(self.nl.g1(u_phys) * padded_real_values(vh))
             p_u, p_v = _apply_block(*self.phi2, h_u, h_v)
             au = au + tau * tau * p_u
             av = av + tau * tau * p_v
         return _apply_block(*self.flow, au, av)
 
 
+def _full_pair(grid: TorusGrid, uh: np.ndarray, vh: np.ndarray) -> WaveState:
+    return _pair(grid, full_spectrum(uh), full_spectrum(vh))
+
+
 def _nonlinear_coeffs(w: WaveState, values_fn) -> np.ndarray:
     """Evaluate a pointwise expression of (u, v, u_x) on the 2x grid."""
-    u, v, ux = (padded_values(f.coeffs).real for f in (w.u, w.v, derivative(w.u, 1)))
-    return padded_coeffs(values_fn(u, v, ux))
+    u, v, ux = (
+        padded_real_values(half_spectrum(f.coeffs))
+        for f in (w.u, w.v, derivative(w.u, 1))
+    )
+    return full_spectrum(padded_real_coeffs(values_fn(u, v, ux)))
 
 
 def a_apply(w: WaveState) -> WaveState:
@@ -243,7 +277,8 @@ def b_map(w: WaveState, nl: Nonlinearity) -> WaveState:
 def _one_step(w_n: WaveState, tau: float, nl: Nonlinearity, corrected: bool) -> WaveState:
     _require_finite(w_n.u.coeffs, w_n.v.coeffs)
     work = _WaveWork(w_n.grid, tau, nl, corrected)
-    return _pair(w_n.grid, *work.step(w_n.u.coeffs, w_n.v.coeffs))
+    uh, vh = work.step(half_spectrum(w_n.u.coeffs), half_spectrum(w_n.v.coeffs))
+    return _full_pair(w_n.grid, uh, vh)
 
 
 def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
@@ -279,22 +314,15 @@ def run_wave(
     initial combined norm or turns non-finite.
     """
     work = _WaveWork(w0.grid, tau, nl, corrected)
-    weights = 1.0 + w0.grid.freqs.astype(np.float64) ** 2
-
-    def size(uc: np.ndarray, vc: np.ndarray) -> float:
-        u_h1_sq = float(weights @ (uc.real**2 + uc.imag**2))
-        v_l2_sq = float(vc.real @ vc.real + vc.imag @ vc.imag)
-        return np.sqrt(u_h1_sq) + np.sqrt(v_l2_sq)
-
     guard = guard_factor * max(wave_state_norm(w0), 1e-300)
     return evolve(
-        (w0.u.coeffs, w0.v.coeffs),
+        (half_spectrum(w0.u.coeffs), half_spectrum(w0.v.coeffs)),
         work.step,
-        size,
+        work.size,
         guard,
         n_steps,
         record_every,
-        lambda uc, vc: _pair(w0.grid, uc, vc),
+        lambda uh, vh: _full_pair(w0.grid, uh, vh),
     )
 
 

@@ -70,3 +70,15 @@ def banded_coeffs(n: int, bandwidth: int):
         return c
 
     return parts.map(build)
+
+
+def hermitian_coeffs(n: int):
+    """Strategy: exactly Hermitian ``banded_coeffs`` over all n modes, with a
+    nonzero (real) Nyquist coefficient."""
+
+    def build(c):
+        c = 0.5 * (c + np.conj(c[(-np.arange(n)) % n]))
+        c[n // 2] = 0.5 + abs(c[n // 2].real)
+        return c
+
+    return banded_coeffs(n, n // 2).map(build)

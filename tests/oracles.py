@@ -245,6 +245,73 @@ def lie_zero_mode(u: float, v: float, tau: float, g):
     return u + tau * av, av
 
 
+# --- full-spectrum wave splitting --------------------------------------------
+
+
+def _phi2_q(y: np.ndarray) -> np.ndarray:
+    """(y - sin y)/y^3: a 12-term Taylor sum below |y| < 1, closed form above."""
+    y = np.asarray(y, dtype=np.float64)
+    small = np.abs(y) < 1.0
+    series = np.zeros_like(y)
+    term = np.full_like(y, 1.0 / 6.0)
+    for j in range(12):
+        series += term
+        term = -term * y * y / ((2 * j + 4) * (2 * j + 5))
+    safe = np.where(small, 1.0, y)
+    return np.where(small, series, (safe - np.sin(safe)) / safe**3)
+
+
+def _phi2_r(y: np.ndarray) -> np.ndarray:
+    """(1 - cos y)/y^2 as 2 sin^2(y/2)/y^2, with 1/2 at y = 0."""
+    y = np.asarray(y, dtype=np.float64)
+    safe = np.where(y == 0.0, 1.0, y)
+    return np.where(y == 0.0, 0.5, 2.0 * np.sin(0.5 * safe) ** 2 / safe**2)
+
+
+def full_spectrum_wave_steps(uc, vc, freqs, tau, g, g1, corrected, n_steps):
+    """n_steps of the corrected (or plain) Lie splitting on full N-mode spectra.
+
+    Every transform is a complex ifft/fft of length 2N whose real part feeds
+    the nonlinearity, and every multiplier acts on all N complex
+    coefficients; the Hermitian half of that work is redundant, which makes
+    this an independent check of a step on real half-spectra.  Returns the
+    terminal (u, v) coefficients, projected onto Hermitian symmetry.
+    """
+    n = freqs.size
+    m = 2 * n
+    k = freqs.astype(np.float64)
+    kt = k * tau
+    sin_over_k = np.where(k == 0.0, tau, np.sin(kt) / np.where(k == 0.0, 1.0, k))
+    flow = (np.cos(kt), sin_over_k, -k * np.sin(kt))
+    q = _phi2_q(2.0 * k * tau)
+    r = _phi2_r(2.0 * k * tau)
+    phi2 = (r, -2.0 * tau * q, 2.0 * k * k * tau * q)
+
+    def block(table, a, b):
+        diag, upper, lower = table
+        return diag * a + upper * b, lower * a + diag * b
+
+    def values(c):
+        return (np.fft.ifft(_pad(c, m)) * m).real
+
+    def coeffs(vals):
+        return _fold(np.fft.fft(vals) / m, n)
+
+    uc = np.asarray(uc, dtype=np.complex128)
+    vc = np.asarray(vc, dtype=np.complex128)
+    for _ in range(n_steps):
+        u_phys = values(uc)
+        g_hat = coeffs(g(u_phys))
+        au, av = uc, vc + tau * g_hat
+        if corrected:
+            p_u, p_v = block(phi2, -g_hat, coeffs(g1(u_phys) * values(vc)))
+            au = au + tau * tau * p_u
+            av = av + tau * tau * p_v
+        uc, vc = block(flow, au, av)
+    conj = (-np.arange(n)) % n
+    return 0.5 * (uc + np.conj(uc[conj])), 0.5 * (vc + np.conj(vc[conj]))
+
+
 # --- closed forms ------------------------------------------------------------
 
 

@@ -36,8 +36,8 @@ CONFIGS = {
 EXPECTED = {
     ("nls", "csv"): "f3961f374d293431ccb2059710272791fe9899938019c1b02fe72045198a801b",
     ("nls", "json"): "93b3e08d5fd1ffab6fdcac1ef3a4b466c38364e22f6d7c7edcb0a983845b8563",
-    ("wave", "csv"): "28fc63896b711c6153abc92e296ebb8bf3cdbd606a7cb29ce30e1276f373457c",
-    ("wave", "json"): "53b5a8073409f76eda0e96be07c54db266c8ca9988f7ad99253caaf9584e86f0",
+    ("wave", "csv"): "223f30cdf194043bc4f4af62538a9e6ed5d5b32be206b2e756f376257de85081",
+    ("wave", "json"): "780cc60cdb47debb5502d3b1556566c55b2626a08d4cc307f4acc7a73379a862",
 }
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lowreg
 from lowreg import (
     ConfigError,
     ConvergenceReport,
@@ -362,6 +366,32 @@ def test_cli_rejects_bad_configuration(capsys):
     code = main(["nls-converge", "--taus", "2^-5..2^-2", "--modes", "64"])
     assert code == 4
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "nls-converge --taus abc",
+        "diagnose-nullform --nonlinearity bogus",
+        "diagnose-strichartz --tau-ref 0.3 --modes 16",
+        "diagnose-strichartz --samples 0 --modes 16",
+        "local-error-check --equation wave --nonlinearity bogus",
+        "local-error-check --equation nls --tau 0",
+        "local-error-check --equation wave --quad-order 0",
+    ],
+)
+def test_cli_bad_input_exits_4_without_a_traceback(argv):
+    src = os.path.dirname(os.path.dirname(lowreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "from lowreg.study_cli import console_entry; console_entry()",
+         *argv.split()],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("configuration error: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_cli_signals_validation_failure(capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import banded_coeffs, rough_field_on, seeds
+from conftest import banded_coeffs, hermitian_coeffs, rough_field_on, seeds
 from lowreg import (
     RoughDataSpec,
     SpectralField,
@@ -27,7 +27,16 @@ from lowreg import (
     write_wave_state,
     zero_field,
 )
-from lowreg.torus_spectral import field_like, unit_uniform
+from lowreg.torus_spectral import (
+    field_like,
+    full_spectrum,
+    half_spectrum,
+    padded_coeffs,
+    padded_real_coeffs,
+    padded_real_values,
+    padded_values,
+    unit_uniform,
+)
 from oracles import convolution_project, decay_norm_sq
 
 TWO_PI = 2.0 * np.pi
@@ -134,6 +143,38 @@ def test_translate_shifts_the_argument(grid32):
     shifted = translate(f, 0.7)
     expected = np.cos(grid32.points + 0.7) + 0.25 * np.sin(3 * (grid32.points + 0.7))
     assert np.allclose(to_physical(shifted).real, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@given(data=st.data())
+def test_half_spectrum_round_trip_is_exact(n, data):
+    c = data.draw(hermitian_coeffs(n))
+    half = half_spectrum(c)
+    assert half.shape == (n // 2 + 1,)
+    assert half[n // 2] == 0.5 * c[n // 2]
+    back = full_spectrum(half)
+    assert np.array_equal(back, c)
+    assert hermitian_defect(back) == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@given(data=st.data())
+def test_padded_real_values_match_the_complex_pair(n, data):
+    c = data.draw(hermitian_coeffs(n))
+    expected = padded_values(c).real
+    got = padded_real_values(half_spectrum(c))
+    assert got.shape == (2 * n,)
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@given(data=st.data())
+def test_padded_real_coeffs_match_the_complex_pair(n, data):
+    # Real samples on the 2n grid with content at every wavenumber there.
+    values = np.fft.ifft(data.draw(banded_coeffs(2 * n, n))).real * (2 * n)
+    expected = padded_coeffs(values)
+    got = full_spectrum(padded_real_coeffs(values))
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 # --- derivative ----------------------------------------------------------------

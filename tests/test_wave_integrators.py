@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rough_wave_state_on, seeds
+from conftest import hermitian_coeffs, rough_wave_state_on, seeds
 from lowreg import (
     BlowUpError,
     Nonlinearity,
@@ -30,8 +30,11 @@ from lowreg import (
     wave_state_norm,
     zero_field,
 )
+from lowreg.torus_spectral import half_spectrum
+from lowreg.wave_integrators import _WaveWork
 from oracles import (
     corrected_lie_zero_mode,
+    full_spectrum_wave_steps,
     lie_zero_mode,
     matexp_series,
     phi2_block_quadrature,
@@ -363,6 +366,34 @@ def test_run_wave_snapshot_layout(grid16):
     terminal = run_wave(w, 0.01, 6, QUADRATIC)
     assert len(terminal) == 1
     assert state_gap(terminal[0], states[-1]) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [16, 128, 1024])
+@pytest.mark.parametrize("name", ["quadratic", "cubic_minus", "sine"])
+@pytest.mark.parametrize("corrected", [True, False])
+def test_run_wave_matches_the_full_spectrum_oracle(n, name, corrected):
+    grid = TorusGrid(n)
+    nl = Nonlinearity.preset(name)
+    w = rough_wave_state_on(grid, 3)
+    tau = 2.0**-6
+    got = run_wave(w, tau, 50, nl, corrected=corrected)[-1]
+    uc, vc = full_spectrum_wave_steps(
+        w.u.coeffs, w.v.coeffs, grid.freqs, tau, nl.g, nl.g1, corrected, 50
+    )
+    expected = WaveState(SpectralField(grid, uc, True), SpectralField(grid, vc, True))
+    assert state_gap(got, expected) <= 1e-13 * wave_state_norm(expected)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@given(data=st.data())
+def test_half_spectrum_guard_size_is_the_state_norm(n, data):
+    grid = TorusGrid(n)
+    u = SpectralField(grid, data.draw(hermitian_coeffs(n)), True)
+    v = SpectralField(grid, data.draw(hermitian_coeffs(n)), True)
+    work = _WaveWork(grid, 0.1, QUADRATIC, True)
+    size = work.size(half_spectrum(u.coeffs), half_spectrum(v.coeffs))
+    expected = wave_state_norm(WaveState(u, v))
+    assert abs(size - expected) <= 1e-13 * expected
 
 
 def test_run_wave_guard_stops_focusing_blowup():
