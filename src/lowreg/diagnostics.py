@@ -16,13 +16,13 @@ import numpy as np
 
 from .nls_integrators import lri_step
 from .torus_spectral import (
+    PaddedPair,
     SpectralField,
     TorusGrid,
     WaveState,
     _pair,
     _parse_file,
     conjugate,
-    dealiased_product_coeffs,
     derivative,
     difference,
     field_from_lines,
@@ -104,10 +104,9 @@ def null_form_field(w: WaveState) -> SpectralField:
     The difference of two squares can cancel to roundoff (single movers), so
     the result is projected back onto exact Hermitian symmetry.
     """
-    ux = derivative(w.u, 1)
-    coeffs = dealiased_product_coeffs(
-        [w.v.coeffs, w.v.coeffs]
-    ) - dealiased_product_coeffs([ux.coeffs, ux.coeffs])
+    values = padded_values(np.stack([w.v.coeffs, derivative(w.u, 1).coeffs]))
+    squares = padded_coeffs(values * values)
+    coeffs = squares[0] - squares[1]
     return SpectralField(w.grid, hermitian_part(coeffs), True)
 
 
@@ -174,20 +173,20 @@ def nls_local_error_oracle(
     n = grid.n_modes
     k2 = grid.freqs.astype(np.float64) ** 2
     nodes = traj.states[::stride]
-    fac_a: list[np.ndarray] = []  # coefficient arrays of |u|^2 conj(u)
-    fac_c: list[np.ndarray] = []  # coefficients of conj(u)
-    fac_e: list[np.ndarray] = []  # coefficients of conj(u_x)
+    # Rows: coefficients of |u|^2 conj(u), of conj(u) and of conj(u_x).
+    fac: list[np.ndarray] = []
     mul_a: list[np.ndarray] = []  # physical factor mu * u^2
     mul_c: list[np.ndarray] = []  # physical factor -2*(mu*u^2*|u|^2 + u_x^2)
     mul_e: list[np.ndarray] = []  # physical factor -4 * u * u_x
     for node in nodes:
         ux = derivative(node, 1)
-        up = padded_values(node.coeffs)
-        uxp = padded_values(ux.coeffs)
+        up, uxp = padded_values(np.stack([node.coeffs, ux.coeffs]))
         absu2 = np.abs(up) ** 2
-        fac_a.append(padded_coeffs(absu2 * np.conj(up)))
-        fac_c.append(conjugate(node).coeffs)
-        fac_e.append(conjugate(ux).coeffs)
+        fac.append(np.stack([
+            padded_coeffs(absu2 * np.conj(up)),
+            conjugate(node).coeffs,
+            conjugate(ux).coeffs,
+        ]))
         mul_a.append(mu * up * up)
         mul_c.append(-2.0 * (mu * up * up * absu2 + uxp * uxp))
         mul_e.append(-4.0 * up * uxp)
@@ -197,15 +196,13 @@ def nls_local_error_oracle(
     shift = [np.exp(2j * (d * h) * k2) for d in range(quad_order + 1)]
     prop = [np.exp(-1j * (tau - j * h) * k2) for j in range(quad_order + 1)]
 
+    pair = PaddedPair(n, rows=3)
     total = np.zeros(n, dtype=np.complex128)
     for l in range(1, quad_order + 1):
         inner = np.zeros(n, dtype=np.complex128)
         for j in range(l + 1):
-            d = l - j
-            pa = padded_values(shift[d] * fac_a[j])
-            pc = padded_values(shift[d] * fac_c[j])
-            pe = padded_values(shift[d] * fac_e[j])
-            integrand = padded_coeffs(mul_a[j] * pa + mul_c[j] * pc + mul_e[j] * pe)
+            pa, pc, pe = pair.values(*(shift[l - j] * fac[j]))
+            integrand = pair.coeffs(mul_a[j] * pa + mul_c[j] * pc + mul_e[j] * pe)
             w_in = 0.5 * h if j in (0, l) else h
             inner += w_in * (prop[j] * integrand)
         w_out = 0.5 * h if l == quad_order else h
@@ -282,13 +279,13 @@ def write_trajectory(traj: Trajectory, path) -> None:
                 "must be one word, values one line, both ASCII"
             )
         lines.append(f"{key_text} {value_text}")
-    for state in traj.states:
-        if traj.is_wave:
-            lines.extend(wave_state_to_lines(state))
-        else:
-            lines.extend(field_to_lines(state))
+    to_lines = wave_state_to_lines if traj.is_wave else field_to_lines
     with open(path, "w", encoding="ascii") as fh:
+        # One record at a time: the whole file as a list of lines would be
+        # the largest transient allocation of a trajectory round trip.
         fh.write("\n".join(lines) + "\n")
+        for state in traj.states:
+            fh.write("\n".join(to_lines(state)) + "\n")
 
 
 def _trajectory_from_lines(lines: Iterator[str]) -> Trajectory:

@@ -15,13 +15,12 @@ import enum
 import numpy as np
 
 from .torus_spectral import (
+    PaddedPair,
     SpectralField,
     TorusGrid,
     _conj_perm,
     _require_finite,
     evolve,
-    padded_coeffs,
-    padded_values,
     series_mask,
     sin_over,
     sobolev_norm,
@@ -92,7 +91,8 @@ def phi1_apply(f: SpectralField, tau: float) -> SpectralField:
 
 
 class _Stepper:
-    """Precomputed multiplier tables for repeated steps at fixed (grid, tau, mu)."""
+    """Precomputed multiplier tables and one padded-transform workspace for
+    repeated steps at fixed (grid, tau, mu)."""
 
     def __init__(self, grid: TorusGrid, tau: float, mu: float, kind: NlsStepperKind):
         if tau <= 0:
@@ -103,16 +103,21 @@ class _Stepper:
         self.free = _free_multiplier(grid, tau)
         self.phi1 = _phi1_multiplier(grid, tau)
         self.rev = _conj_perm(grid.n_modes)
+        self.pair = PaddedPair(grid.n_modes, rows=2)
 
     def step(self, c: np.ndarray) -> np.ndarray:
         if self.kind is NlsStepperKind.LOW_REGULARITY:
             filtered = self.phi1 * np.conj(c[self.rev])
-            u_phys = padded_values(c)
-            cubic = padded_coeffs(u_phys * u_phys * padded_values(filtered))
+            u_phys, f_phys = self.pair.values(c, filtered)
+            u_phys *= u_phys
+            u_phys *= f_phys
+            cubic = self.pair.coeffs(u_phys)
             return self.free * (c - 1j * self.tau * self.mu * cubic)
-        u_phys = padded_values(c)
-        rotated = u_phys * np.exp(-1j * self.tau * self.mu * np.abs(u_phys) ** 2)
-        return self.free * padded_coeffs(rotated)
+        (u_phys,) = self.pair.values(c)
+        # cos(x) - i*sin(x) is exp(-i*x) bit for bit, without the complex exp.
+        x = self.tau * self.mu * np.abs(u_phys) ** 2
+        u_phys *= np.cos(x) - 1j * np.sin(x)
+        return self.free * self.pair.coeffs(u_phys)
 
 
 def _one_step(u_n: SpectralField, tau: float, mu: float, kind: NlsStepperKind) -> SpectralField:

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -493,20 +494,38 @@ def _input_errors():
         raise ConfigError(str(exc)) from exc
 
 
+def _require_out_dir(path: str | None) -> None:
+    """Refuse an output path whose directory is missing before any solve runs."""
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ConfigError(f"output directory of {path} does not exist")
+
+
+def parse_step(text: str) -> float:
+    """Parse one step size, '2^-6' or a float; it must be finite and > 0."""
+    text = text.strip()
+    m = re.fullmatch(r"2\^(-?\d+)", text)
+    try:
+        tau = 2.0 ** int(m.group(1)) if m else float(text)
+    except OverflowError:
+        raise ValueError(f"step size {text} overflows a float") from None
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"step size {text} is not finite and > 0")
+    return tau
+
+
 def parse_taus(text: str) -> tuple[float, ...]:
-    """Parse '2^-4..2^-10', a single '2^-6', or a comma list of floats."""
+    """Parse '2^-4..2^-10', a single '2^-6', or a comma list of step sizes."""
     text = text.strip()
     m = re.fullmatch(r"2\^(-?\d+)\.\.2\^(-?\d+)", text)
     if m:
         a, b = int(m.group(1)), int(m.group(2))
+        # Check both endpoints before the range is built, so that an exponent
+        # that overflows or underflows never expands into a huge span.
+        parse_step(f"2^{a}")
+        parse_step(f"2^{b}")
         step = -1 if b < a else 1
         return tuple(2.0**e for e in range(a, b + step, step))
-    taus = []
-    for token in text.split(","):
-        token = token.strip()
-        m = re.fullmatch(r"2\^(-?\d+)", token)
-        taus.append(2.0 ** int(m.group(1)) if m else float(token))
-    return tuple(taus)
+    return tuple(parse_step(token) for token in text.split(","))
 
 
 def parse_norm(text: str) -> tuple[str, float | None]:
@@ -648,6 +667,7 @@ def _print_report(report: ConvergenceReport) -> None:
 def _cmd_converge(args, equation: str) -> int:
     with _input_errors():
         config = _study_config_from_args(args, equation)
+        _require_out_dir(config.output_path)
     report = run_convergence_study(config)
     _print_report(report)
     return 0
@@ -660,8 +680,9 @@ def _cmd_diagnose(args, functional: str) -> int:
     results = {"functional": functional, "seed": seed, "modes": modes,
                "t_end": t_end, "samples": samples}
     with _input_errors():
-        if t_end <= 0 or tau_ref <= 0:
-            raise ConfigError("--t-end and --tau-ref must be > 0")
+        _require_out_dir(args.out)
+        if t_end <= 0:
+            raise ConfigError("--t-end must be > 0")
         if samples < 2:
             raise ConfigError("--samples must be >= 2")
         steps_for(t_end / (2 * samples if args.refine else samples), tau_ref)
@@ -704,8 +725,7 @@ def _cmd_diagnose(args, functional: str) -> int:
 def _cmd_local_error_check(args) -> int:
     equation, tau, quad_order = args.equation, args.tau, args.quad_order
     with _input_errors():
-        if tau <= 0:
-            raise ConfigError("--tau must be > 0")
+        _require_out_dir(args.out)
         if quad_order < 2:
             raise ConfigError("--quad-order must be >= 2")
         grid = TorusGrid(args.modes)
@@ -779,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modes", type=int, default=512)
         p.add_argument("--t-end", type=float, default=1.0)
         p.add_argument("--samples", type=int, default=128, help="trajectory snapshot count")
-        p.add_argument("--tau-ref", type=float, help="reference step size")
+        p.add_argument("--tau-ref", type=parse_step, help="reference step size")
         p.add_argument("--refine", action="store_true",
                        help="also report the value after doubling N and samples")
         p.add_argument("--out", help="write a JSON record here")
@@ -800,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare a one-step error against its integral representation")
     p.add_argument("--equation", choices=("nls", "wave"), required=True)
     p.add_argument("--modes", type=int, default=128)
-    p.add_argument("--tau", type=float, default=2.0**-6)
+    p.add_argument("--tau", type=parse_step, default=2.0**-6)
     p.add_argument("--quad-order", type=int, default=64)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--amplitude", type=float, default=0.5)

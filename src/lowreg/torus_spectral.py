@@ -247,33 +247,74 @@ def pad_coeffs(c: np.ndarray, m: int) -> np.ndarray:
 
 
 def truncate_coeffs(c: np.ndarray, n: int) -> np.ndarray:
-    """Restrict FFT-order coefficients to n modes, folding the +-N/2 pair.
+    """Restrict FFT-order coefficients (along the last axis) to n modes,
+    folding the +-N/2 pair.
 
     Folding reproduces exactly what sampling the underlying function on the
     n-point grid does to the two Nyquist-conjugate modes, so truncation of a
     Hermitian array stays Hermitian.
     """
-    m = c.size
+    m = c.shape[-1]
     if m == n:
         return np.array(c, dtype=np.complex128)
     h = n // 2
-    out = np.empty(n, dtype=np.complex128)
-    out[:h] = c[:h]
-    out[h:] = c[m - h :]
-    out[h] += c[h]
+    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = c[..., :h]
+    out[..., h:] = c[..., m - h :]
+    out[..., h] += c[..., h]
     return out
 
 
+class PaddedPair:
+    """Reusable buffers for the complex padded transform pair at N modes.
+
+    ``values`` zero-pads up to ``rows`` coefficient arrays to 2N and returns
+    their 2N nodal values from one inverse transform; ``coeffs`` returns the
+    N retained coefficients of 2N nodal values from one forward transform.
+    Both use ``norm="forward"``, which differs from the unnormalised pair by
+    exact power-of-two scalings, and a batched call matches row-by-row calls
+    bit for bit.  The array ``values`` returns is a view of this workspace
+    and stays valid only until its next call; ``coeffs`` returns a fresh one.
+    """
+
+    def __init__(self, n: int, rows: int = 1):
+        m = 2 * n
+        self.n = n
+        self._padded = np.zeros((rows, m), dtype=np.complex128)
+        self._values = np.empty((rows, m), dtype=np.complex128)
+        self._spectrum = np.empty(rows * m, dtype=np.complex128)
+
+    def values(self, *coeff_rows: np.ndarray) -> np.ndarray:
+        """(len(coeff_rows), 2N) nodal values of the given N-coefficient rows."""
+        h = self.n // 2
+        padded = self._padded[: len(coeff_rows)]
+        for row, c in zip(padded, coeff_rows):
+            row[:h] = c[:h]
+            row[-h:] = c[h:]
+        return np.fft.ifft(padded, norm="forward", out=self._values[: len(coeff_rows)])
+
+    def coeffs(self, values: np.ndarray) -> np.ndarray:
+        """N retained coefficients of 2N nodal values, along the last axis."""
+        spectrum = self._spectrum[: values.size].reshape(values.shape)
+        return truncate_coeffs(np.fft.fft(values, norm="forward", out=spectrum), self.n)
+
+
 def padded_values(c: np.ndarray) -> np.ndarray:
-    """Values of N coefficients at the 2N nodes of the padded grid."""
-    m = 2 * c.size
-    return np.fft.ifft(pad_coeffs(c, m)) * m
+    """Values of N coefficients at the 2N nodes of the padded grid.
+
+    Leading batch axes are transformed row by row in one call.
+    """
+    c = np.asarray(c)
+    n = c.shape[-1]
+    rows = c.reshape(-1, n)
+    return PaddedPair(n, len(rows)).values(*rows).reshape(c.shape[:-1] + (2 * n,))
 
 
 def padded_coeffs(values: np.ndarray) -> np.ndarray:
     """N retained coefficients of 2N padded-grid values; inverse of ``padded_values``."""
-    m = values.size
-    return truncate_coeffs(np.fft.fft(values) / m, m // 2)
+    values = np.asarray(values)
+    m = values.shape[-1]
+    return PaddedPair(m // 2, values.size // m).coeffs(values)
 
 
 # Real fields travel through repeated steps as half-spectra: the N/2 + 1
@@ -369,14 +410,6 @@ def derivative(f: SpectralField, order: int) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * symbol, f.is_real)
 
 
-def dealiased_product_coeffs(coeff_arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Pointwise product of 2 or 3 coefficient arrays via a 2x padded grid."""
-    phys = padded_values(coeff_arrays[0])
-    for c in coeff_arrays[1:]:
-        phys = phys * padded_values(c)
-    return padded_coeffs(phys)
-
-
 def dealiased_product(
     factors: Sequence[SpectralField],
     conjugate_flags: Sequence[bool] | None = None,
@@ -400,8 +433,10 @@ def dealiased_product(
         conjugate(f).coeffs if flag else f.coeffs
         for f, flag in zip(factors, conjugate_flags)
     ]
-    coeffs = dealiased_product_coeffs(arrays)
-    return SpectralField(grid, coeffs, all(f.is_real for f in factors))
+    product, *rest = padded_values(np.stack(arrays))
+    for values in rest:
+        product = product * values
+    return SpectralField(grid, padded_coeffs(product), all(f.is_real for f in factors))
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:
@@ -574,19 +609,25 @@ def wave_state_from_lines(lines: Iterator[str]) -> WaveState:
 def _parse_file(path, parse: Callable[[Iterator[str]], object]):
     """Apply ``parse`` to an iterator over the lines of a text file.
 
-    A record that ends early or a line that does not parse raises a
-    ValueError naming the file and the line where reading stopped.
+    The file is read a line at a time, so a large file never sits in memory
+    as a whole.  A record that ends early or a line that does not parse
+    raises a ValueError naming the file and the line where reading stopped.
     """
+    read = 0
+
+    def lines(fh):
+        nonlocal read
+        for line in fh:
+            read += 1
+            yield line.rstrip("\n")
+
     with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    rest = iter(lines)
-    try:
-        return parse(rest)
-    except StopIteration:
-        raise ValueError(f"{path}, line {len(lines) + 1}: unexpected end of file") from None
-    except (ValueError, IndexError) as exc:
-        at = len(lines) - sum(1 for _ in rest)
-        raise ValueError(f"{path}, line {at}: {exc}") from exc
+        try:
+            return parse(lines(fh))
+        except StopIteration:
+            raise ValueError(f"{path}, line {read + 1}: unexpected end of file") from None
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}, line {read}: {exc}") from exc
 
 
 def write_field(f: SpectralField, path) -> None:

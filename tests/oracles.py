@@ -160,6 +160,37 @@ def _fold(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def plain_nls_steps(c0, free, phi1, tau, mu, lri, n_steps):
+    """States after 0..n_steps plain steps of LRI (``lri``) or Lie-NLS splitting.
+
+    Every product is formed plainly: pad to 2N, ``ifft(...) * 2N``, multiply,
+    then ``fft(...) / 2N`` and fold back to N modes; the Lie phase is
+    ``exp(-i*tau*mu*|u|^2)``.  The free-flow and phi1 multiplier tables are
+    passed in, so only the step's structure is rebuilt here.
+    """
+    n = c0.size
+    m = 2 * n
+    rev = (-np.arange(n)) % n
+
+    def values(c):
+        return np.fft.ifft(_pad(c, m)) * m
+
+    def coeffs(vals):
+        return _fold(np.fft.fft(vals) / m, n)
+
+    c = np.asarray(c0, dtype=np.complex128)
+    states = [c]
+    for _ in range(n_steps):
+        u = values(c)
+        if lri:
+            cubic = coeffs(u * u * values(phi1 * np.conj(c[rev])))
+            c = free * (c - 1j * tau * mu * cubic)
+        else:
+            c = free * coeffs(u * np.exp(-1j * tau * mu * np.abs(u) ** 2))
+        states.append(c)
+    return states
+
+
 def semidiscrete_nls_states(
     c0: np.ndarray,
     freqs: np.ndarray,

@@ -7,6 +7,7 @@ from conftest import rough_field_on, seeds
 from lowreg import (
     BlowUpError,
     NlsProblem,
+    NlsStepperKind,
     RoughDataSpec,
     SpectralField,
     TorusGrid,
@@ -26,6 +27,7 @@ from oracles import (
     nls_plane_wave_coefficient,
     phi1_multiplier_quadrature,
     phi1_multiplier_rectangle,
+    plain_nls_steps,
 )
 
 
@@ -207,6 +209,34 @@ def test_run_nls_guard_converts_divergence_into_an_error(grid16):
     huge = mode_field(grid16, 0, 10.0)
     with pytest.raises(BlowUpError):
         run_nls(huge, 0.25, 64, 1)
+
+
+@pytest.mark.parametrize("kind", list(NlsStepperKind))
+@pytest.mark.parametrize("n", [16, 128, 1024])
+def test_run_nls_matches_plain_steps_bit_for_bit(n, kind):
+    grid, tau, mu = TorusGrid(n), 2.0**-7, -1
+    f = rough_field_on(grid, 11, amplitude=1.0)
+    states = run_nls(f, tau, 50, mu, kind, record_every=1)
+    expected = plain_nls_steps(
+        f.coeffs,
+        multiplier_of(lambda g: free_flow(g, tau), grid),
+        multiplier_of(lambda g: phi1_apply(g, tau), grid),
+        tau, mu, kind is NlsStepperKind.LOW_REGULARITY, 50,
+    )
+    assert len(states) == len(expected) == 51
+    for got, want in zip(states, expected):
+        assert np.array_equal(got.coeffs, want)
+
+
+@pytest.mark.parametrize("kind", list(NlsStepperKind))
+def test_recorded_snapshots_are_distinct_arrays(grid16, kind):
+    f = rough_field_on(grid16, 12, amplitude=1.0)
+    states = run_nls(f, 0.01, 6, 1, kind, record_every=1)
+    assert len(states) == 7
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            assert not np.shares_memory(a.coeffs, b.coeffs)
+            assert not np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_reference_solve_tracks_the_plane_wave():

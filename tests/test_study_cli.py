@@ -182,6 +182,31 @@ def test_parse_taus_forms():
     assert parse_taus("2^-3, 0.0625") == (0.125, 0.0625)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2^5000", "2^-1075", "2^-4..2^5000", "2^-3..2^-5000", "2^1030..2^1020",
+     "0", "-0.1", "inf", "nan", "0.1,1e999"],
+)
+def test_parse_taus_rejects_steps_that_are_not_finite_and_positive(text):
+    with pytest.raises(ValueError):
+        parse_taus(text)
+
+
+def test_parse_taus_keeps_the_extreme_finite_powers():
+    assert parse_taus("2^-1074") == (2.0**-1074,)
+    assert parse_taus("2^1023..2^1021") == (2.0**1023, 2.0**1022, 2.0**1021)
+
+
+def test_readme_commands_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        commands = [line.split()[1:] for line in fh if line.startswith("lowreg ")]
+    assert len(commands) == 5
+    parsed = {argv[0]: build_parser().parse_args(argv) for argv in commands}
+    assert parsed["local-error-check"].tau == 2.0**-6
+    assert parse_taus(parsed["nls-converge"].taus)[-1] == 2.0**-10
+
+
 def test_parse_norm_forms():
     assert parse_norm("Hr:0.75") == ("Hr", 0.75)
     assert parse_norm("L2") == ("L2", None)
@@ -377,6 +402,10 @@ def test_cli_rejects_bad_configuration(capsys):
         "diagnose-strichartz --samples 0 --modes 16",
         "local-error-check --equation wave --nonlinearity bogus",
         "local-error-check --equation nls --tau 0",
+        "local-error-check --equation wave --tau 2^5000",
+        "diagnose-strichartz --tau-ref 2^-5000 --modes 16",
+        "nls-converge --taus 2^5000",
+        "nls-converge --taus 2^-3..2^-5000",
         "local-error-check --equation wave --quad-order 0",
     ],
 )
@@ -392,6 +421,30 @@ def test_cli_bad_input_exits_4_without_a_traceback(argv):
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("configuration error: ")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "nls-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --no-spatial-check",
+        "diagnose-strichartz --modes 16 --samples 4 --tau-ref 2^-6",
+        "local-error-check --equation nls --modes 16 --quad-order 2",
+    ],
+)
+def test_cli_missing_output_directory_exits_4_before_solving(argv, tmp_path):
+    src = os.path.dirname(os.path.dirname(lowreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "missing" / "report"
+    done = subprocess.run(
+        [sys.executable, "-c", "from lowreg.study_cli import console_entry; console_entry()",
+         *argv.split(), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("configuration error: output directory")
+    assert done.stdout == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_signals_validation_failure(capsys):

@@ -28,6 +28,7 @@ from lowreg import (
     zero_field,
 )
 from lowreg.torus_spectral import (
+    PaddedPair,
     field_like,
     full_spectrum,
     half_spectrum,
@@ -175,6 +176,35 @@ def test_padded_real_coeffs_match_the_complex_pair(n, data):
     expected = padded_coeffs(values)
     got = full_spectrum(padded_real_coeffs(values))
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_batched_padded_pair_matches_row_by_row_calls(n):
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    values = padded_values(c)
+    assert values.shape == (2, 3, 2 * n)
+    back = padded_coeffs(values)
+    assert back.shape == c.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(values[i, j], padded_values(c[i, j]))
+            assert np.array_equal(back[i, j], padded_coeffs(values[i, j]))
+
+
+def test_padded_pair_workspace_is_reusable():
+    rng = np.random.default_rng(5)
+    a, b, c = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+    pair = PaddedPair(32, rows=2)
+    u, v = pair.values(a, b)
+    assert np.array_equal(u, padded_values(a))
+    assert np.array_equal(v, padded_values(b))
+    (w,) = pair.values(c)
+    assert np.array_equal(w, padded_values(c))
+    coeffs = pair.coeffs(w)
+    assert np.array_equal(coeffs, padded_coeffs(padded_values(c)))
+    pair.values(a, b)
+    assert np.array_equal(coeffs, padded_coeffs(padded_values(c)))
 
 
 # --- derivative ----------------------------------------------------------------
