@@ -163,12 +163,13 @@ def run_nls(
     or turns non-finite.
     """
     stepper = _Stepper(u0.grid, tau, mu, kind)
-    weights = 1.0 + u0.grid.freqs.astype(np.float64) ** 2
+    # Each H^1 weight twice, for the real and the imaginary part of c.
+    weights = np.repeat(1.0 + u0.grid.freqs.astype(np.float64) ** 2, 2)
     guard_sq = (guard_factor * max(sobolev_norm(u0, 1.0), 1e-300)) ** 2
     return evolve(
         (u0.coeffs,),
         lambda c: (stepper.step(c),),
-        lambda c: float(weights @ (c.real**2 + c.imag**2)),
+        lambda c: float(weights @ np.square(c.view(np.float64))),
         guard_sq,
         n_steps,
         record_every,

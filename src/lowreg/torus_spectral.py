@@ -16,6 +16,8 @@ kept in FFT order.  The analysis conventions used throughout:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -275,14 +277,24 @@ class PaddedPair:
     exact power-of-two scalings, and a batched call matches row-by-row calls
     bit for bit.  The array ``values`` returns is a view of this workspace
     and stays valid only until its next call; ``coeffs`` returns a fresh one.
+    Each direction allocates its buffers on first use.
     """
 
     def __init__(self, n: int, rows: int = 1):
-        m = 2 * n
         self.n = n
-        self._padded = np.zeros((rows, m), dtype=np.complex128)
-        self._values = np.empty((rows, m), dtype=np.complex128)
-        self._spectrum = np.empty(rows * m, dtype=np.complex128)
+        self.rows = rows
+
+    @functools.cached_property
+    def _padded(self) -> np.ndarray:
+        return np.zeros((self.rows, 2 * self.n), dtype=np.complex128)
+
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        return np.empty((self.rows, 2 * self.n), dtype=np.complex128)
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.empty(self.rows * 2 * self.n, dtype=np.complex128)
 
     def values(self, *coeff_rows: np.ndarray) -> np.ndarray:
         """(len(coeff_rows), 2N) nodal values of the given N-coefficient rows."""
@@ -344,20 +356,63 @@ def full_spectrum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class RealPaddedPair:
+    """Reusable buffers for the real padded transform pair at N modes.
+
+    ``values`` returns the 2N nodal values of half-spectra (last axis
+    N/2 + 1) from one ``irfft`` (its ``n`` argument does the zero padding);
+    ``coeffs`` returns the half-spectra of real 2N nodal values from one
+    ``rfft``, kept at k = 0..N/2 with the retained +-N/2 pair folded into the
+    halved Nyquist entry as Re F[N/2], as ``truncate_coeffs`` folds it for
+    the full spectrum.  Leading axes of up to ``rows`` rows in all are
+    transformed in one call, bit for bit as row by row.  Both directions use
+    ``norm="forward"`` and write into this workspace: each result is a view
+    that stays valid only until the next call of the same method.  Each
+    direction allocates its buffer on first use.
+    """
+
+    def __init__(self, n: int, rows: int = 1):
+        self.n = n
+        self.rows = rows
+
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        return np.empty(self.rows * 2 * self.n)
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        return np.empty(self.rows * (self.n + 1), dtype=np.complex128)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Nodal values at the 2N padded-grid points, along the last axis."""
+        shape = x.shape[:-1] + (2 * self.n,)
+        out = self._values[: math.prod(shape)].reshape(shape)
+        return np.fft.irfft(x, 2 * self.n, norm="forward", out=out)
+
+    def coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Half-spectra of real 2N padded-grid values, along the last axis."""
+        shape = values.shape[:-1] + (self.n + 1,)
+        spectrum = self._spectrum[: math.prod(shape)].reshape(shape)
+        f = np.fft.rfft(values, norm="forward", out=spectrum)[..., : self.n // 2 + 1]
+        f[..., -1] = f[..., -1].real
+        return f
+
+
 def padded_real_values(x: np.ndarray) -> np.ndarray:
-    """Values of a half-spectrum at the 2N nodes of the padded grid."""
-    return np.fft.irfft(x, 4 * (x.size - 1), norm="forward")
+    """Values of half-spectra at the 2N nodes of the padded grid.
+
+    Leading batch axes are transformed row by row in one call.
+    """
+    x = np.asarray(x)
+    h = x.shape[-1]
+    return RealPaddedPair(2 * (h - 1), x.size // h).values(x)
 
 
 def padded_real_coeffs(values: np.ndarray) -> np.ndarray:
-    """Half-spectrum of real 2N padded-grid values; inverse of ``padded_real_values``.
-
-    The retained +-N/2 pair folds into the halved Nyquist entry as Re F[N/2],
-    as ``truncate_coeffs`` folds it for the full spectrum.
-    """
-    f = np.fft.rfft(values, norm="forward")[: values.size // 4 + 1]
-    f[-1] = f[-1].real
-    return f
+    """Half-spectra of real 2N padded-grid values; inverse of ``padded_real_values``."""
+    values = np.asarray(values)
+    m = values.shape[-1]
+    return RealPaddedPair(m // 2, values.size // m).coeffs(values)
 
 
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:

@@ -13,10 +13,15 @@ block [[0, 1], [-k^2, 0]].  Provided maps:
 
 The fields are real, so the steppers and the nonlinear maps work on real
 half-spectra (k = 0..N/2, see ``torus_spectral.half_spectrum``) through the
-``rfft``/``irfft`` padded pair.  ``run_wave`` converts the state once on entry
-and back to full spectra only for its snapshots; its growth guard weighs
-each half-spectrum entry by the number of full coefficients it stands for,
-so it still measures ``H^1 x L^2``.
+``rfft``/``irfft`` padded pair, ``torus_spectral.RealPaddedPair``.  A stepped
+state is one stacked (2, N/2 + 1) array with rows u and v: a corrected step
+makes one 2-row synthesis of (u, v) and one 2-row analysis of
+(g(u), g'(u) v), a plain step one single-row call each way, and each 2x2
+block acts on the stack as diag*S + off*S[::-1].  The nonlinear maps make
+one 3-row synthesis of (u, v, u_x) and one analysis per map.  ``run_wave``
+converts the state once on entry and back to full spectra only for its
+snapshots; its growth guard weighs each half-spectrum entry by the number
+of full coefficients it stands for, so it still measures ``H^1 x L^2``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .torus_spectral import (
+    RealPaddedPair,
     TorusGrid,
     WaveState,
     _pair,
@@ -190,12 +196,27 @@ def phi2_apply(w: WaveState, tau: float) -> WaveState:
     return _pair(w.grid, uc, vc)
 
 
-class _WaveWork:
-    """Precomputed tables for repeated wave steps at fixed (grid, tau, nl).
+def _stacked(entries, half: int):
+    """A block's (diag, upper, lower) entries at k = 0..N/2 as tables
+    (diag, off), off of shape (2, N/2 + 1), that act on a stacked pair S as
+    diag*S + off*S[::-1]."""
+    diag, upper, lower = (t[:half] for t in entries)
+    return diag, np.stack([upper, lower])
 
-    ``step`` advances half-spectra (k = 0..N/2, see ``half_spectrum``); the
-    flow and phi2 tables are even in k, so their first N/2 + 1 entries act on
-    them exactly as the full tables act on Hermitian spectra.
+
+def _apply_stacked(table, s: np.ndarray) -> np.ndarray:
+    diag, off = table
+    return diag * s + off * s[::-1]
+
+
+class _WaveWork:
+    """Precomputed tables and a real padded-transform workspace for repeated
+    wave steps at fixed (grid, tau, nl).
+
+    ``step`` advances a stacked (2, N/2 + 1) array whose rows are the
+    half-spectra of u and v (k = 0..N/2, see ``half_spectrum``); the flow and
+    phi2 tables are even in k, so their first N/2 + 1 entries act on them
+    exactly as the full tables act on Hermitian spectra.
     """
 
     def __init__(self, grid: TorusGrid, tau: float, nl: Nonlinearity, corrected: bool):
@@ -205,46 +226,53 @@ class _WaveWork:
         self.nl = nl
         self.corrected = corrected
         half = grid.nyquist_index + 1
-        self.flow = tuple(t[:half] for t in _flow_entries(grid, tau))
-        self.phi2 = tuple(t[:half] for t in _phi2_entries(grid, tau))
+        self.flow = _stacked(_flow_entries(grid, tau), half)
+        self.phi2 = _stacked(_phi2_entries(grid, tau), half)
+        self.pair = RealPaddedPair(grid.n_modes, rows=2)
         # A half-spectrum entry stands for 1 coefficient at k = 0, for the
         # +-k pair inside, and for the Nyquist coefficient at twice its size.
+        # Each weight appears twice, for the real and the imaginary part.
         k = np.arange(half, dtype=np.float64)
-        self.count = np.full(half, 2.0)
-        self.count[0], self.count[-1] = 1.0, 4.0
-        self.u_weights = self.count * (1.0 + k * k)
+        count = np.full(half, 2.0)
+        count[0], count[-1] = 1.0, 4.0
+        self.weights = np.repeat(np.stack([count * (1.0 + k * k), count]), 2, axis=1)
 
-    def size(self, uh: np.ndarray, vh: np.ndarray) -> float:
-        """H^1 x L^2 size of a half-spectrum pair, as ``wave_state_norm``."""
-        u_h1_sq = float(self.u_weights @ (uh.real**2 + uh.imag**2))
-        v_l2_sq = float(self.count @ (vh.real**2 + vh.imag**2))
+    def size(self, s: np.ndarray) -> float:
+        """H^1 x L^2 size of a stacked half-spectrum pair, as ``wave_state_norm``."""
+        u_h1_sq, v_l2_sq = np.vecdot(self.weights, np.square(s.view(np.float64)))
         return np.sqrt(u_h1_sq) + np.sqrt(v_l2_sq)
 
-    def step(self, uh: np.ndarray, vh: np.ndarray):
+    def step(self, s: np.ndarray) -> np.ndarray:
         tau = self.tau
-        u_phys = padded_real_values(uh)
-        g_hat = padded_real_coeffs(self.nl.g(u_phys))
-        au, av = uh, vh + tau * g_hat
+        # Rows u (and v) become g(u) (and g'(u) * v) in the workspace.
+        values = self.pair.values(s[: 2 if self.corrected else 1])
         if self.corrected:
-            h_u = -g_hat
-            h_v = padded_real_coeffs(self.nl.g1(u_phys) * padded_real_values(vh))
-            p_u, p_v = _apply_block(*self.phi2, h_u, h_v)
-            au = au + tau * tau * p_u
-            av = av + tau * tau * p_v
-        return _apply_block(*self.flow, au, av)
+            values[1] *= self.nl.g1(values[0])
+        values[0] = self.nl.g(values[0])
+        f = self.pair.coeffs(values)
+        a = s.copy()
+        a[1] += tau * f[0]
+        if self.corrected:
+            np.negative(f[0], out=f[0])
+            a += (tau * tau) * _apply_stacked(self.phi2, f)
+        return _apply_stacked(self.flow, a)
 
 
-def _full_pair(grid: TorusGrid, uh: np.ndarray, vh: np.ndarray) -> WaveState:
-    return _pair(grid, full_spectrum(uh), full_spectrum(vh))
+def _half_pair(w: WaveState) -> np.ndarray:
+    return np.stack([half_spectrum(w.u.coeffs), half_spectrum(w.v.coeffs)])
 
 
-def _nonlinear_coeffs(w: WaveState, values_fn) -> np.ndarray:
-    """Evaluate a pointwise expression of (u, v, u_x) on the 2x grid."""
-    u, v, ux = (
-        padded_real_values(half_spectrum(f.coeffs))
-        for f in (w.u, w.v, derivative(w.u, 1))
-    )
-    return full_spectrum(padded_real_coeffs(values_fn(u, v, ux)))
+def _full_pair(grid: TorusGrid, s: np.ndarray) -> WaveState:
+    return _pair(grid, full_spectrum(s[0]), full_spectrum(s[1]))
+
+
+def _nonlinear_coeffs(w: WaveState, *exprs) -> list[np.ndarray]:
+    """Full spectra of pointwise expressions of (u, v, u_x) on the 2x grid,
+    from one 3-row synthesis and one analysis of all the expressions."""
+    fields = (w.u, w.v, derivative(w.u, 1))
+    u, v, ux = padded_real_values(np.stack([half_spectrum(f.coeffs) for f in fields]))
+    spectra = padded_real_coeffs(np.stack([expr(u, v, ux) for expr in exprs]))
+    return [full_spectrum(x) for x in spectra]
 
 
 def a_apply(w: WaveState) -> WaveState:
@@ -255,20 +283,21 @@ def a_apply(w: WaveState) -> WaveState:
 
 def g_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     """(0, g(u)), evaluated pointwise on the 2x grid and truncated."""
-    coeffs = _nonlinear_coeffs(w, lambda u, v, ux: nl.g(u))
+    (coeffs,) = _nonlinear_coeffs(w, lambda u, v, ux: nl.g(u))
     return _pair(w.grid, np.zeros_like(coeffs), coeffs)
 
 
 def h_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     """(-g(u), g'(u) * v), products dealiased as in ``g_map``."""
-    gu = _nonlinear_coeffs(w, lambda u, v, ux: nl.g(u))
-    g1v = _nonlinear_coeffs(w, lambda u, v, ux: nl.g1(u) * v)
+    gu, g1v = _nonlinear_coeffs(
+        w, lambda u, v, ux: nl.g(u), lambda u, v, ux: nl.g1(u) * v
+    )
     return _pair(w.grid, -gu, g1v)
 
 
 def b_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     """(0, g''(u) * [v^2 - u_x^2] + g'(u) * g(u)), all products dealiased."""
-    coeffs = _nonlinear_coeffs(
+    (coeffs,) = _nonlinear_coeffs(
         w, lambda u, v, ux: nl.g2(u) * (v * v - ux * ux) + nl.g1(u) * nl.g(u)
     )
     return _pair(w.grid, np.zeros_like(coeffs), coeffs)
@@ -277,8 +306,7 @@ def b_map(w: WaveState, nl: Nonlinearity) -> WaveState:
 def _one_step(w_n: WaveState, tau: float, nl: Nonlinearity, corrected: bool) -> WaveState:
     _require_finite(w_n.u.coeffs, w_n.v.coeffs)
     work = _WaveWork(w_n.grid, tau, nl, corrected)
-    uh, vh = work.step(half_spectrum(w_n.u.coeffs), half_spectrum(w_n.v.coeffs))
-    return _full_pair(w_n.grid, uh, vh)
+    return _full_pair(w_n.grid, work.step(_half_pair(w_n)))
 
 
 def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
@@ -316,13 +344,13 @@ def run_wave(
     work = _WaveWork(w0.grid, tau, nl, corrected)
     guard = guard_factor * max(wave_state_norm(w0), 1e-300)
     return evolve(
-        (half_spectrum(w0.u.coeffs), half_spectrum(w0.v.coeffs)),
-        work.step,
+        (_half_pair(w0),),
+        lambda s: (work.step(s),),
         work.size,
         guard,
         n_steps,
         record_every,
-        lambda uh, vh: _full_pair(w0.grid, uh, vh),
+        lambda s: _full_pair(w0.grid, s),
     )
 
 

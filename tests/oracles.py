@@ -343,6 +343,45 @@ def full_spectrum_wave_steps(uc, vc, freqs, tau, g, g1, corrected, n_steps):
     return 0.5 * (uc + np.conj(uc[conj])), 0.5 * (vc + np.conj(vc[conj]))
 
 
+def two_array_wave_steps(uh, vh, flow, phi2, tau, g, g1, corrected, n_steps):
+    """States (uh, vh) after 0..n_steps corrected (or plain) Lie steps on
+    real half-spectra, u and v held as two separate arrays.
+
+    Every transform is a single-row ``irfft(x, 2N, norm="forward")`` or
+    ``rfft(values, norm="forward")`` kept at k = 0..N/2 with the Nyquist
+    entry's imaginary part dropped, and each 2x2 block is applied to u and v
+    separately.  The (diag, upper, lower) flow and phi2 tables at
+    k = 0..N/2 are passed in, so only the step's structure is rebuilt here.
+    """
+    h = uh.size - 1
+
+    def values(x):
+        return np.fft.irfft(x, 4 * h, norm="forward")
+
+    def coeffs(vals):
+        f = np.fft.rfft(vals, norm="forward")[: h + 1]
+        f[-1] = f[-1].real
+        return f
+
+    def block(table, a, b):
+        diag, upper, lower = table
+        return diag * a + upper * b, lower * a + diag * b
+
+    states = [(uh, vh)]
+    for _ in range(n_steps):
+        u_phys = values(uh)
+        g_hat = coeffs(g(u_phys))
+        au, av = uh, vh + tau * g_hat
+        if corrected:
+            h_v = coeffs(g1(u_phys) * values(vh))
+            p_u, p_v = block(phi2, -g_hat, h_v)
+            au = au + tau * tau * p_u
+            av = av + tau * tau * p_v
+        uh, vh = block(flow, au, av)
+        states.append((uh, vh))
+    return states
+
+
 # --- closed forms ------------------------------------------------------------
 
 

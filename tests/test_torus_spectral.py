@@ -29,6 +29,7 @@ from lowreg import (
 )
 from lowreg.torus_spectral import (
     PaddedPair,
+    RealPaddedPair,
     field_like,
     full_spectrum,
     half_spectrum,
@@ -205,6 +206,58 @@ def test_padded_pair_workspace_is_reusable():
     assert np.array_equal(coeffs, padded_coeffs(padded_values(c)))
     pair.values(a, b)
     assert np.array_equal(coeffs, padded_coeffs(padded_values(c)))
+
+
+def test_padded_pair_allocates_each_direction_on_first_use():
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    forward, backward = PaddedPair(32), PaddedPair(32)
+    values = forward.values(c)
+    assert "_spectrum" not in vars(forward)
+    backward.coeffs(values)
+    assert not {"_padded", "_values"} & set(vars(backward))
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_batched_real_pair_matches_row_by_row_calls(n, rows):
+    rng = np.random.default_rng(10 * n + rows)
+    x = rng.standard_normal((rows, n // 2 + 1)) + 1j * rng.standard_normal((rows, n // 2 + 1))
+    pair = RealPaddedPair(n, rows)
+    values = pair.values(x)
+    assert values.shape == (rows, 2 * n)
+    back = pair.coeffs(values)
+    assert back.shape == x.shape
+    for i in range(rows):
+        single = padded_real_values(x[i])
+        assert np.array_equal(values[i], single)
+        assert np.array_equal(single, np.fft.irfft(x[i], 2 * n, norm="forward"))
+        plain = np.fft.rfft(values[i], norm="forward")[: n // 2 + 1]
+        plain[-1] = plain[-1].real
+        assert np.array_equal(back[i], padded_real_coeffs(values[i]))
+        assert np.array_equal(back[i], plain)
+
+
+def test_real_padded_pair_workspace_is_reusable():
+    rng = np.random.default_rng(7)
+    a, b, c = rng.standard_normal((3, 17)) + 1j * rng.standard_normal((3, 17))
+    pair = RealPaddedPair(32, rows=2)
+    u, v = pair.values(np.stack([a, b]))
+    assert np.array_equal(u, padded_real_values(a))
+    assert np.array_equal(v, padded_real_values(b))
+    assert "_spectrum" not in vars(pair)
+    w = pair.values(c)
+    assert w.shape == (64,)
+    assert np.shares_memory(w, u)
+    assert np.array_equal(w, padded_real_values(c))
+    coeffs = pair.coeffs(w)
+    expected = padded_real_coeffs(padded_real_values(c))
+    assert np.array_equal(coeffs, expected)
+    pair.values(np.stack([a, b]))
+    assert np.array_equal(coeffs, expected)
+    both = pair.coeffs(pair.values(np.stack([b, c])))
+    assert np.array_equal(both[0], padded_real_coeffs(padded_real_values(b)))
+    assert np.array_equal(both[1], expected)
 
 
 # --- derivative ----------------------------------------------------------------

@@ -31,7 +31,7 @@ from lowreg import (
     zero_field,
 )
 from lowreg.torus_spectral import half_spectrum
-from lowreg.wave_integrators import _WaveWork
+from lowreg.wave_integrators import _WaveWork, _flow_entries, _phi2_entries
 from oracles import (
     corrected_lie_zero_mode,
     full_spectrum_wave_steps,
@@ -40,6 +40,7 @@ from oracles import (
     phi2_block_quadrature,
     phi2_zero_mode_rectangle,
     scalar_second_order_ode,
+    two_array_wave_steps,
 )
 
 QUADRATIC = Nonlinearity.preset("quadratic")
@@ -384,6 +385,30 @@ def test_run_wave_matches_the_full_spectrum_oracle(n, name, corrected):
     assert state_gap(got, expected) <= 1e-13 * wave_state_norm(expected)
 
 
+@pytest.mark.parametrize("n", [16, 128, 1024])
+@pytest.mark.parametrize("name", ["quadratic", "cubic_minus", "sine"])
+@pytest.mark.parametrize("corrected", [True, False])
+def test_run_wave_matches_two_array_steps_bit_for_bit(n, name, corrected):
+    grid = TorusGrid(n)
+    nl = Nonlinearity.preset(name)
+    w = rough_wave_state_on(grid, 3)
+    # Not a power of two, so that every product with tau rounds.
+    tau = 0.015
+    states = run_wave(w, tau, 50, nl, corrected=corrected, record_every=1)
+    half = n // 2 + 1
+    expected = two_array_wave_steps(
+        half_spectrum(w.u.coeffs),
+        half_spectrum(w.v.coeffs),
+        [t[:half] for t in _flow_entries(grid, tau)],
+        [t[:half] for t in _phi2_entries(grid, tau)],
+        tau, nl.g, nl.g1, corrected, 50,
+    )
+    assert len(states) == len(expected) == 51
+    for got, (uh, vh) in zip(states, expected):
+        assert np.array_equal(half_spectrum(got.u.coeffs), uh)
+        assert np.array_equal(half_spectrum(got.v.coeffs), vh)
+
+
 @pytest.mark.parametrize("n", [8, 16, 64])
 @given(data=st.data())
 def test_half_spectrum_guard_size_is_the_state_norm(n, data):
@@ -391,7 +416,7 @@ def test_half_spectrum_guard_size_is_the_state_norm(n, data):
     u = SpectralField(grid, data.draw(hermitian_coeffs(n)), True)
     v = SpectralField(grid, data.draw(hermitian_coeffs(n)), True)
     work = _WaveWork(grid, 0.1, QUADRATIC, True)
-    size = work.size(half_spectrum(u.coeffs), half_spectrum(v.coeffs))
+    size = work.size(np.stack([half_spectrum(u.coeffs), half_spectrum(v.coeffs)]))
     expected = wave_state_norm(WaveState(u, v))
     assert abs(size - expected) <= 1e-13 * expected
 
