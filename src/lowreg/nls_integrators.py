@@ -2,9 +2,9 @@
 
 Two one-step maps are provided: an exponential-type integrator whose
 nonlinear term is filtered by a phi1 Fourier multiplier, and a classical
-exponential Lie splitting used as a structurally independent comparator.
-Both advance Fourier coefficient vectors; nonlinear products are dealiased
-on a 2x grid.
+exponential Lie splitting; conjugated by half a free flow, the Lie run is
+the Strang comparator of the study driver.  Both advance Fourier
+coefficient vectors; nonlinear products are dealiased on a 2x grid.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def nls_reference_solve(
     """Fine-step trajectory with n_out+1 equispaced snapshots on [0, t_end].
 
     Uses the exponential-type integrator at step tau_ref; accept the result
-    only after cross-validating against the Lie comparator (see the study
+    only after cross-validating against the Strang comparator (see the study
     driver).  tau_ref must divide the snapshot spacing t_end/n_out.
     """
     if n_out < 1:

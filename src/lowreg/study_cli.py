@@ -37,6 +37,7 @@ from .diagnostics import (
 from .nls_integrators import (
     NlsProblem,
     NlsStepperKind,
+    free_flow,
     nls_reference_solve,
     run_nls,
 )
@@ -56,6 +57,7 @@ from .wave_integrators import (
     Nonlinearity,
     WaveProblem,
     run_wave,
+    wave_flow,
     wave_reference_solve,
     wave_state_norm,
 )
@@ -272,22 +274,38 @@ def _norm_fn(equation: str, r: float = 0.0) -> Callable:
 
 def _run_scheme(phase, initial, equation, scheme, nl, mu, tau, n_steps,
                 record_every=None):
-    """Run one scheme; a blow-up names the study phase and the scheme."""
+    """Run one scheme; a blow-up names the study phase and the scheme.
+
+    ``strang`` is the ``lie`` run conjugated by half a linear flow,
+    F(-tau/2) (F(tau) K)^n F(tau/2): second-order Strang splitting with no
+    stepper of its own.  Its snapshots after the first get the -tau/2 flow
+    too; the first is ``initial`` itself.
+    """
+    strang = scheme == "strang"
+    flow = free_flow if equation == "nls" else wave_flow
+    start = flow(initial, 0.5 * tau) if strang else initial
+    kind = "lie" if strang else scheme
     try:
         if equation == "nls":
-            return run_nls(
-                initial, tau, n_steps, mu, NlsStepperKind(scheme), record_every=record_every
+            states = run_nls(
+                start, tau, n_steps, mu, NlsStepperKind(kind), record_every=record_every
             )
-        return run_wave(
-            initial, tau, n_steps, nl,
-            corrected=(scheme != "lie"), record_every=record_every,
-        )
+        else:
+            states = run_wave(
+                start, tau, n_steps, nl,
+                corrected=(kind != "lie"), record_every=record_every,
+            )
     except BlowUpError as exc:
         raise BlowUpError(f"{phase} run ({scheme}): {exc}") from exc
+    if strang:
+        first = [initial] if record_every else []
+        states = first + [flow(s, -0.5 * tau) for s in states[len(first):]]
+    return states
 
 
 def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: float | None = None) -> dict:
-    """Run the designated reference scheme and its comparator at tau_ref.
+    """Run the designated reference scheme at tau_ref and check it against
+    the Strang comparator (see ``_reference_run``).
 
     Returns a validation record with the terminal-state distance; raises
     ``ValidationError`` if the distance exceeds ``tol`` (an absolute
@@ -308,25 +326,32 @@ def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: floa
 
 
 def _reference_run(equation, initial, nl, mu, t_end, tau_ref, norm_fn, tol, record_every=None):
-    """Reference run at tau_ref, cross-validated against the comparator.
+    """Reference run at tau_ref, cross-validated against Strang splitting.
 
-    Returns the reference snapshots and the validation record; raises
-    ``ValidationError`` if the terminal distance exceeds the absolute ``tol``.
+    The comparator is second order and shares neither the phi1 filter nor
+    the phi2 correction with the reference, so it runs at factor * tau_ref
+    with factor = gcd(n_steps, 4): a quarter of the reference's steps
+    whenever 4 divides them.  Returns the reference snapshots and the
+    validation record; raises ``ValidationError`` if the terminal distance
+    exceeds the absolute ``tol``.
     """
-    canonical, comparator = _NLS_SCHEMES if equation == "nls" else _WAVE_SCHEMES
+    canonical = (_NLS_SCHEMES if equation == "nls" else _WAVE_SCHEMES)[0]
     n_steps = steps_for(t_end, tau_ref)
     ref_states = _run_scheme(
         "reference", initial, equation, canonical, nl, mu, tau_ref, n_steps,
         record_every=record_every,
     )
+    factor = math.gcd(n_steps, 4)
     comp = _run_scheme(
-        "comparator", initial, equation, comparator, nl, mu, tau_ref, n_steps
+        "comparator", initial, equation, "strang", nl, mu, factor * tau_ref,
+        n_steps // factor,
     )[-1]
     distance = norm_fn(difference(ref_states[-1], comp))
     record = {
         "tau_ref": tau_ref,
         "reference_scheme": canonical,
-        "comparator_scheme": comparator,
+        "comparator_scheme": "strang",
+        "comparator_tau": factor * tau_ref,
         "distance": distance,
         "initial_norm": norm_fn(initial),
         "tolerance": tol,
@@ -404,6 +429,8 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
         config.ref_factor if config.max_over_steps else None,
     )
     errors = _sweep_errors(config, initial, nl, ref_states, norm_fn)
+    distance = validation["distance"]
+    validation["certification_margin"] = min(errors) / distance if distance else None
 
     pairs = list(zip(config.tau_list, errors))
     fitted_order = r_squared = None
@@ -656,6 +683,7 @@ def _print_report(report: ConvergenceReport) -> None:
     print(f"fitted_order {report.fitted_order}")
     print(f"r_squared {report.r_squared}")
     print(f"cross_validation_distance {report.validation['distance']!r}")
+    print(f"certification_margin {report.validation['certification_margin']!r}")
     if report.spatially_resolved is not None:
         label = "yes" if report.spatially_resolved else "NO (spatially under-resolved)"
         print(f"spatially_resolved {label} (change {report.spatial_change:.3e})")
@@ -744,7 +772,9 @@ def _cmd_local_error_check(args) -> int:
     tau_micro = tau / (micro_per * n_out)
 
     if equation == "nls":
-        states = nls_reference_solve(NlsProblem(1, datum, tau), n_out, tau_micro)
+        # Second-order Strang: the first-order LRI error floored the discrepancy.
+        states = _run_scheme("local-error reference", datum, "nls", "strang", None, 1,
+                             tau_micro, n_out * micro_per, record_every=micro_per)
         oracle = functools.partial(nls_local_error_oracle, tau=tau, mu=1)
     else:
         states = wave_reference_solve(WaveProblem(nl, datum, tau), n_out, tau_micro)

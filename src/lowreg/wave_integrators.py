@@ -360,7 +360,7 @@ def wave_reference_solve(
     """Fine-step trajectory with n_out+1 equispaced snapshots on [0, t_end].
 
     Uses the corrected Lie splitting at step tau_ref; accept only after
-    cross-validation against the plain Lie comparator (see the study driver).
+    cross-validation against the Strang comparator (see the study driver).
     """
     if n_out < 1:
         raise ValueError("n_out must be >= 1")

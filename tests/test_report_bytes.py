@@ -35,9 +35,9 @@ CONFIGS = {
 
 EXPECTED = {
     ("nls", "csv"): "f3961f374d293431ccb2059710272791fe9899938019c1b02fe72045198a801b",
-    ("nls", "json"): "93b3e08d5fd1ffab6fdcac1ef3a4b466c38364e22f6d7c7edcb0a983845b8563",
+    ("nls", "json"): "9fd31dac522a9f08a812d2906f3a82fd727ead1a560dc3132fb5d5ef363e2bce",
     ("wave", "csv"): "223f30cdf194043bc4f4af62538a9e6ed5d5b32be206b2e756f376257de85081",
-    ("wave", "json"): "780cc60cdb47debb5502d3b1556566c55b2626a08d4cc307f4acc7a73379a862",
+    ("wave", "json"): "6e7ded8522c0e94fc00774cb3f8bc5a9d60eb2f8e5b010dd36ecd0af965a5f7c",
 }
 
 

@@ -12,6 +12,7 @@ from lowreg import (
     ConvergenceReport,
     NlsProblem,
     Nonlinearity,
+    RoughDataSpec,
     SpectralField,
     StudyConfig,
     TorusGrid,
@@ -21,14 +22,19 @@ from lowreg import (
     cross_validate_reference,
     emit_report,
     fit_rate,
+    free_flow,
     main,
     random_rough_field,
     report_from_json,
     run_convergence_study,
     sobolev_norm,
+    wave_flow,
+    wave_state_norm,
     zero_field,
 )
+from lowreg import study_cli
 from lowreg.study_cli import (
+    _run_scheme,
     build_parser,
     parse_norm,
     parse_taus,
@@ -36,6 +42,7 @@ from lowreg.study_cli import (
     smooth_data_spec,
     _study_config_from_args,
 )
+from lowreg.torus_spectral import difference, rough_wave_state
 from oracles import nls_plane_wave_coefficient
 
 
@@ -274,7 +281,8 @@ def test_cross_validation_passes_on_the_linear_wave():
     assert record["passed"]
     assert record["distance"] <= 1e-12
     assert record["reference_scheme"] == "corrected_lie"
-    assert record["comparator_scheme"] == "lie"
+    assert record["comparator_scheme"] == "strang"
+    assert record["comparator_tau"] == 4 * 2.0**-6
 
 
 def test_cross_validation_passes_on_the_plane_wave():
@@ -309,6 +317,96 @@ def test_cross_validation_failure_carries_its_record():
     record = exc.value.record
     assert record["passed"] is False
     assert record["distance"] > record["tolerance"]
+
+
+# --- the Strang comparator -----------------------------------------------------------
+
+
+def smooth_datum(equation, grid, seed=3):
+    if equation == "nls":
+        return random_rough_field(smooth_data_spec(seed, amplitude=0.5), grid)
+    spec = smooth_data_spec(seed, amplitude=0.5, real_valued=True)
+    return rough_wave_state(spec, grid, v_theta=spec.theta)
+
+
+def strang(equation, initial, tau, n_steps, record_every=None):
+    nl = Nonlinearity.preset("quadratic") if equation == "wave" else None
+    return _run_scheme("test", initial, equation, "strang", nl, 1, tau, n_steps,
+                       record_every=record_every)
+
+
+def distance(a, b):
+    d = difference(a, b)
+    return wave_state_norm(d) if isinstance(d, WaveState) else sobolev_norm(d, 0.0)
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_strang_comparator_without_nonlinearity_is_the_free_flow(equation):
+    grid = TorusGrid(64)
+    tau, n_steps = 2.0**-5, 40
+    if equation == "nls":
+        initial = random_rough_field(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
+        # mu = 0 leaves the Lie step only its free flow.
+        out = _run_scheme("test", initial, "nls", "strang", None, 0, tau, n_steps)[-1]
+        exact = free_flow(initial, n_steps * tau)
+    else:
+        initial = rough_wave_state(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
+        out = _run_scheme("test", initial, "wave", "strang", Nonlinearity.preset("zero"),
+                          1, tau, n_steps)[-1]
+        exact = wave_flow(initial, n_steps * tau)
+    assert distance(out, exact) <= 1e-13
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_strang_comparator_is_second_order_on_smooth_data(equation):
+    initial = smooth_datum(equation, TorusGrid(64))
+    fine = strang(equation, initial, 2.0**-11, 2**11)[-1]
+    gaps = [distance(strang(equation, initial, 2.0**-e, 2**e)[-1], fine) for e in (3, 4, 5, 6)]
+    assert all(a >= 3.0 * b for a, b in zip(gaps, gaps[1:])), gaps
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_recorded_strang_snapshots_are_the_terminal_states_of_shorter_runs(equation):
+    initial = smooth_datum(equation, TorusGrid(32))
+    tau, every = 2.0**-4, 2
+    snapshots = strang(equation, initial, tau, 3 * every, record_every=every)
+    assert len(snapshots) == 4 and snapshots[0] is initial
+    for j in (1, 2, 3):
+        terminal = strang(equation, initial, tau, j * every)[-1]
+        assert distance(snapshots[j], terminal) == 0.0
+
+
+@pytest.mark.parametrize("ref_factor, factor", [(17, 1), (18, 2), (20, 4)])
+def test_comparator_step_follows_the_gcd_rule(ref_factor, factor):
+    # t_end / tau_ref = 3 * ref_factor: 51 reference steps are odd, so the
+    # comparator falls back to tau_ref; 54 allow 2 * tau_ref, 60 allow 4.
+    config = tiny_nls_config(t_end=0.75, tau_list=(0.75, 0.25), n_modes=16,
+                             ref_factor=ref_factor)
+    record = run_convergence_study(config).validation
+    tau_ref = 0.25 / ref_factor
+    assert record["tau_ref"] == tau_ref
+    assert record["comparator_tau"] == factor * tau_ref
+    assert record["comparator_scheme"] == "strang"
+
+
+def test_certification_margin_is_the_smallest_error_over_the_distance(tmp_path):
+    report = run_convergence_study(tiny_nls_config())
+    validation = report.validation
+    assert validation["certification_margin"] == min(report.errors) / validation["distance"]
+    path = emit_report(report, "json", str(tmp_path / "study.json"))
+    assert report_from_json(path).validation == validation
+
+
+def test_certification_margin_is_null_when_the_distance_is_zero(monkeypatch):
+    real = study_cli._reference_run
+
+    def exact_comparator(*args, **kwargs):
+        states, record = real(*args, **kwargs)
+        return states, dict(record, distance=0.0)
+
+    monkeypatch.setattr(study_cli, "_reference_run", exact_comparator)
+    report = run_convergence_study(tiny_nls_config())
+    assert report.validation["certification_margin"] is None
 
 
 # --- study runs and reports -----------------------------------------------------------
@@ -381,6 +479,7 @@ def test_cli_study_happy_path(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "fitted_order" in out
+    assert "certification_margin" in out
     assert (tmp_path / "study.csv").exists()
     report = report_from_json(str(tmp_path / "study.json"))
     assert report.seed == 3
@@ -514,4 +613,5 @@ def test_cli_local_error_check(equation, capsys):
     assert float(lines["relative_discrepancy_refined"]) <= float(
         lines["relative_discrepancy"]
     )
-    assert float(lines["improvement_factor"]) >= 1.0
+    # Both trajectories are second order, so refining q to 4q gains about 16x.
+    assert float(lines["improvement_factor"]) >= 4.0
