@@ -20,7 +20,6 @@ from .torus_spectral import (
     SpectralField,
     TorusGrid,
     WaveState,
-    _pair,
     _parse_file,
     conjugate,
     derivative,
@@ -36,8 +35,10 @@ from .torus_spectral import (
 )
 from .wave_integrators import (
     Nonlinearity,
-    _apply_block,
-    _flow_entries,
+    _apply_stacked,
+    _flow_table,
+    _full_pair,
+    _half_pair,
     b_map,
     corrected_lie_step,
 )
@@ -228,26 +229,18 @@ def wave_local_error_oracle(
     stride, h = _quadrature_layout(traj, tau, quad_order)
     grid = traj.grid
 
-    nodes = traj.states[::stride]
-    pushed: list[tuple[np.ndarray, np.ndarray]] = []
-    for j, node in enumerate(nodes):
-        bu = b_map(node, nl)
-        flowed = _apply_block(*_flow_entries(grid, j * h), bu.u.coeffs, bu.v.coeffs)
-        pushed.append(flowed)
-
-    zeros = np.zeros(grid.n_modes, dtype=np.complex128)
-    inner_u, inner_v = zeros.copy(), zeros.copy()
-    total_u, total_v = zeros.copy(), zeros.copy()
+    pushed = [
+        _apply_stacked(_flow_table(grid, j * h), _half_pair(b_map(node, nl)))
+        for j, node in enumerate(traj.states[::stride])
+    ]
+    inner = total = np.zeros_like(pushed[0])
     for l in range(1, quad_order + 1):
-        inner_u = inner_u + 0.5 * h * (pushed[l - 1][0] + pushed[l][0])
-        inner_v = inner_v + 0.5 * h * (pushed[l - 1][1] + pushed[l][1])
+        inner = inner + 0.5 * h * (pushed[l - 1] + pushed[l])
         s = l * h
         if l == quad_order:
             continue  # the (tau - s) weight vanishes at s = tau
-        back_u, back_v = _apply_block(*_flow_entries(grid, -2.0 * s), inner_u, inner_v)
-        total_u += h * (tau - s) * back_u
-        total_v += h * (tau - s) * back_v
-    integral = _pair(grid, *_apply_block(*_flow_entries(grid, tau), total_u, total_v))
+        total = total + h * (tau - s) * _apply_stacked(_flow_table(grid, -2.0 * s), inner)
+    integral = _full_pair(grid, _apply_stacked(_flow_table(grid, tau), total))
 
     direct = difference(traj.states[-1], corrected_lie_step(traj.states[0], tau, nl))
     return direct, integral

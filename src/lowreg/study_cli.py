@@ -132,6 +132,10 @@ class StudyConfig:
             raise ConfigError("mu must be +1 or -1")
         if self.nonlinearity and self.equation == "wave":
             Nonlinearity.preset(self.nonlinearity)
+        if not all(map(math.isfinite, (self.theta, self.delta, self.amplitude,
+                                       self.t_end, self.cross_val_tol, self.norm_r))):
+            raise ConfigError("theta, delta, amplitude, t_end, cross_val_tol and norm_r "
+                              "must be finite")
         if self.theta < 0 or self.delta <= 0 or self.amplitude <= 0:
             raise ConfigError("theta >= 0, delta > 0 and amplitude > 0 are required")
         if not _is_pow2(self.n_modes):
@@ -186,39 +190,17 @@ class ConvergenceReport:
     wall_time: float | None = dataclasses.field(default=None, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "equation": self.equation,
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "norm": self.norm_label,
-            "taus": list(self.taus),
-            "errors": list(self.errors),
-            "fitted_order": self.fitted_order,
-            "r_squared": self.r_squared,
-            "validation": self.validation,
-            "spatially_resolved": self.spatially_resolved,
-            "spatial_change": self.spatial_change,
-            "config": self.config,
-        }
+        """Every field but the volatile ``wall_time``; ``norm_label`` as ``norm``."""
+        data = dataclasses.asdict(self)
+        del data["wall_time"]
+        data["norm"] = data.pop("norm_label")
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "ConvergenceReport":
-        return ConvergenceReport(
-            equation=data["equation"],
-            scheme=data["scheme"],
-            seed=data["seed"],
-            norm_label=data["norm"],
-            taus=list(data["taus"]),
-            errors=list(data["errors"]),
-            fitted_order=data["fitted_order"],
-            r_squared=data["r_squared"],
-            validation=data["validation"],
-            config=data["config"],
-            version=data["version"],
-            spatially_resolved=data["spatially_resolved"],
-            spatial_change=data["spatial_change"],
-        )
+        fields = dict(data)
+        fields["norm_label"] = fields.pop("norm")
+        return ConvergenceReport(**fields)
 
 
 def fit_rate(pairs: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -256,14 +238,14 @@ def smooth_data_spec(seed: int, delta: float = 0.01, amplitude: float = 1.0,
     )
 
 
-def _initial_state(config: StudyConfig, grid: TorusGrid):
-    spec = RoughDataSpec(
-        theta=config.theta, seed=config.seed, delta=config.delta,
-        real_valued=config.equation == "wave", amplitude=config.amplitude,
-    )
-    if config.equation == "nls":
-        return random_rough_field(spec, grid)
-    return rough_wave_state(spec, grid)
+def _datum(equation: str, grid: TorusGrid, spec: RoughDataSpec,
+           v_theta: float | None = None):
+    """Seeded datum drawn from ``spec``: a complex field for NLS, a real
+    ``rough_wave_state`` with velocity exponent ``v_theta`` for the wave
+    equation.  The equation decides ``spec.real_valued``."""
+    if equation == "nls":
+        return random_rough_field(dataclasses.replace(spec, real_valued=False), grid)
+    return rough_wave_state(dataclasses.replace(spec, real_valued=True), grid, v_theta)
 
 
 def _norm_fn(equation: str, r: float = 0.0) -> Callable:
@@ -308,8 +290,9 @@ def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: floa
     the Strang comparator (see ``_reference_run``).
 
     Returns a validation record with the terminal-state distance; raises
-    ``ValidationError`` if the distance exceeds ``tol`` (an absolute
-    tolerance; the caller usually supplies rel_tol * initial_norm).
+    ``ValidationError`` unless the distance is at most ``tol`` (an absolute
+    tolerance; the caller usually supplies rel_tol * initial_norm), so a NaN
+    distance or tolerance never passes.
     """
     if tau_ref <= 0:
         raise ConfigError("tau_ref must be > 0")
@@ -332,8 +315,8 @@ def _reference_run(equation, initial, nl, mu, t_end, tau_ref, norm_fn, tol, reco
     the phi2 correction with the reference, so it runs at factor * tau_ref
     with factor = gcd(n_steps, 4): a quarter of the reference's steps
     whenever 4 divides them.  Returns the reference snapshots and the
-    validation record; raises ``ValidationError`` if the terminal distance
-    exceeds the absolute ``tol``.
+    validation record; raises ``ValidationError`` unless the terminal
+    distance is at most the absolute ``tol``.
     """
     canonical = (_NLS_SCHEMES if equation == "nls" else _WAVE_SCHEMES)[0]
     n_steps = steps_for(t_end, tau_ref)
@@ -357,7 +340,7 @@ def _reference_run(equation, initial, nl, mu, t_end, tau_ref, norm_fn, tol, reco
         "tolerance": tol,
         "passed": bool(distance <= tol),
     }
-    if distance > tol:
+    if not distance <= tol:
         raise ValidationError(
             f"reference cross-validation failed: two-scheme distance "
             f"{distance:.3e} exceeds tolerance {tol:.3e} at tau_ref={tau_ref:g}",
@@ -418,7 +401,10 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
     """Execute one full study; see the module docstring for the pipeline."""
     started = time.perf_counter()
     grid = TorusGrid(config.n_modes)
-    initial = _initial_state(config, grid)
+    initial = _datum(config.equation, grid, RoughDataSpec(
+        theta=config.theta, seed=config.seed, delta=config.delta,
+        amplitude=config.amplitude,
+    ))
     nl = Nonlinearity.preset(config.nonlinearity) if config.equation == "wave" else None
     norm_fn = _norm_fn(config.equation, config.norm_r if config.error_norm == "Hr" else 0.0)
     tau_ref = config.tau_list[-1] / config.ref_factor
@@ -561,6 +547,14 @@ def parse_norm(text: str) -> tuple[str, float | None]:
     return text, None
 
 
+def _parse_switch(text) -> bool:
+    """On or off, from a config-file word or from a switch flag's bool."""
+    return str(text).lower() in ("1", "true", "yes", "on")
+
+
+# Study settings by config-file key, which is also the flag's long name with
+# "_" for "-" (``spatial_check`` is switched off by ``--no-spatial-check``);
+# each parser reads a file value and a flag value alike.
 _CONFIG_KEYS = {
     "scheme": str,
     "mu": int,
@@ -572,13 +566,16 @@ _CONFIG_KEYS = {
     "modes": int,
     "t_end": float,
     "taus": parse_taus,
-    "norm": str,
+    "norm": parse_norm,
     "ref_factor": int,
     "cross_val_tol": float,
     "out": str,
-    "max_over_steps": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "spatial_check": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "max_over_steps": _parse_switch,
+    "spatial_check": _parse_switch,
 }
+
+# StudyConfig field names of the keys that do not share them.
+_FIELD_OF_KEY = {"modes": "n_modes", "taus": "tau_list", "out": "output_path"}
 
 
 def read_config_file(path: str) -> dict:
@@ -609,72 +606,47 @@ def read_config_file(path: str) -> dict:
 
 
 def _add_study_flags(p: argparse.ArgumentParser) -> None:
+    # No type= here: _study_config_from_args parses flag and file values alike.
     p.add_argument("--config", help="plain-text key/value file; flags override it")
     p.add_argument("--scheme", help="integrator under study")
-    p.add_argument("--theta", type=float, help="data regularity exponent")
-    p.add_argument("--delta", type=float, help="extra coefficient decay margin")
-    p.add_argument("--seed", type=int, help="64-bit data seed")
-    p.add_argument("--amplitude", type=float, help="data amplitude scale")
-    p.add_argument("--modes", type=int, help="number of Fourier modes")
-    p.add_argument("--t-end", type=float, help="final time")
+    p.add_argument("--theta", help="data regularity exponent")
+    p.add_argument("--delta", help="extra coefficient decay margin")
+    p.add_argument("--seed", help="64-bit data seed")
+    p.add_argument("--amplitude", help="data amplitude scale")
+    p.add_argument("--modes", help="number of Fourier modes")
+    p.add_argument("--t-end", help="final time")
     p.add_argument("--taus", help="step sizes, e.g. 2^-4..2^-10 or 0.1,0.05")
     p.add_argument("--norm", help="error norm: L2, H1xL2, or Hr:<r>")
-    p.add_argument("--ref-factor", type=int, help="tau_min / tau_ref ratio")
-    p.add_argument("--cross-val-tol", type=float,
-                   help="relative two-scheme agreement tolerance")
+    p.add_argument("--ref-factor", help="tau_min / tau_ref ratio")
+    p.add_argument("--cross-val-tol", help="relative two-scheme agreement tolerance")
     p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
     p.add_argument("--max-over-steps", action="store_true", default=None,
                    help="measure the maximum error over all steps, not just the end")
-    p.add_argument("--no-spatial-check", action="store_true", default=None,
-                   help="skip the 2N spatial-resolution certification")
+    p.add_argument("--no-spatial-check", dest="spatial_check", action="store_false",
+                   default=None, help="skip the 2N spatial-resolution certification")
 
 
 def _study_config_from_args(args, equation: str) -> StudyConfig:
-    file_values = read_config_file(args.config) if args.config else {}
-
-    def pick(cli_value, key, fallback):
-        if cli_value is not None:
-            return cli_value
-        if key in file_values:
-            return file_values[key]
-        return fallback
-
-    norm_text = pick(args.norm, "norm", None)
-    error_norm, norm_r = ("", None) if norm_text is None else parse_norm(norm_text)
-    taus = args.taus
-    if taus is not None:
-        taus = parse_taus(taus)
-    taus = pick(taus, "taus", parse_taus("2^-4..2^-10"))
-    kwargs = dict(
-        equation=equation,
-        tau_list=taus,
-        scheme=pick(args.scheme, "scheme", ""),
-        theta=pick(args.theta, "theta", 1.0),
-        delta=pick(args.delta, "delta", 0.01),
-        seed=pick(args.seed, "seed", 1),
-        amplitude=pick(args.amplitude, "amplitude", 0.5),
-        n_modes=pick(args.modes, "modes", 1024),
-        t_end=pick(getattr(args, "t_end"), "t_end", 1.0),
-        error_norm=error_norm,
-        ref_factor=pick(args.ref_factor, "ref_factor", 64),
-        cross_val_tol=pick(args.cross_val_tol, "cross_val_tol", 1e-6),
-        output_path=pick(args.out, "out", None),
-        max_over_steps=bool(pick(args.max_over_steps, "max_over_steps", False)),
-        spatial_check=(
-            False
-            if args.no_spatial_check
-            else bool(file_values.get("spatial_check", True))
-        ),
-    )
-    if norm_r is not None:
-        kwargs["norm_r"] = norm_r
-    if equation == "nls":
-        kwargs["mu"] = pick(getattr(args, "mu", None), "mu", 1)
-    else:
-        kwargs["nonlinearity"] = pick(
-            getattr(args, "nonlinearity", None), "nonlinearity", "quadratic"
-        )
-    return StudyConfig(**kwargs)
+    """The config file's values, overridden by each flag given; every
+    setting that neither names keeps its ``StudyConfig`` default.  The other
+    equation's key (``mu`` or ``nonlinearity``) of a shared file is ignored."""
+    values = read_config_file(args.config) if args.config else {}
+    for key, parse in _CONFIG_KEYS.items():
+        given = getattr(args, key, None)
+        if given is not None:
+            try:
+                values[key] = parse(given)
+            except ValueError as exc:
+                raise ConfigError(f"--{key.replace('_', '-')} {given}: {exc}") from exc
+    values.pop("nonlinearity" if equation == "nls" else "mu", None)
+    kwargs = {_FIELD_OF_KEY.get(key, key): value for key, value in values.items()}
+    if "norm" in kwargs:
+        kwargs["error_norm"], norm_r = kwargs.pop("norm")
+        if norm_r is not None:
+            kwargs["norm_r"] = norm_r
+    # tau_list is the one setting without a StudyConfig default.
+    kwargs.setdefault("tau_list", parse_taus("2^-4..2^-10"))
+    return StudyConfig(equation, **kwargs)
 
 
 def _print_report(report: ConvergenceReport) -> None:
@@ -704,6 +676,7 @@ def _cmd_converge(args, equation: str) -> int:
 def _cmd_diagnose(args, functional: str) -> int:
     """Strichartz or null-form functional on a reference trajectory."""
     seed, modes, t_end, samples = args.seed, args.modes, args.t_end, args.samples
+    equation = "nls" if functional == "strichartz_l4" else "wave"
     tau_ref = args.tau_ref if args.tau_ref is not None else t_end / 4096
     results = {"functional": functional, "seed": seed, "modes": modes,
                "t_end": t_end, "samples": samples}
@@ -714,11 +687,9 @@ def _cmd_diagnose(args, functional: str) -> int:
         if samples < 2:
             raise ConfigError("--samples must be >= 2")
         steps_for(t_end / (2 * samples if args.refine else samples), tau_ref)
-        if functional == "strichartz_l4":
-            spec = RoughDataSpec(theta=args.theta, seed=seed, real_valued=False,
-                                 amplitude=args.amplitude)
-            datum = random_rough_field(spec, TorusGrid(modes))
-
+        spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
+        datum = _datum(equation, TorusGrid(modes), spec)
+        if equation == "nls":
             def value_on(state, n_out, step):
                 states = nls_reference_solve(NlsProblem(args.mu, state, t_end), n_out, step)
                 return strichartz_l4(trajectory_of(states, 0.0, t_end, scheme="lri",
@@ -726,8 +697,6 @@ def _cmd_diagnose(args, functional: str) -> int:
         else:
             nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
             results["nonlinearity"] = nl.tag
-            spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
-            datum = rough_wave_state(spec, TorusGrid(modes))
 
             def value_on(state, n_out, step):
                 states = wave_reference_solve(WaveProblem(nl, state, t_end), n_out, step)
@@ -756,15 +725,10 @@ def _cmd_local_error_check(args) -> int:
         _require_out_dir(args.out)
         if quad_order < 2:
             raise ConfigError("--quad-order must be >= 2")
-        grid = TorusGrid(args.modes)
-        if equation == "nls":
-            datum = random_rough_field(
-                smooth_data_spec(args.seed, amplitude=args.amplitude), grid
-            )
-        else:
+        spec = smooth_data_spec(args.seed, amplitude=args.amplitude)
+        datum = _datum(equation, TorusGrid(args.modes), spec, v_theta=spec.theta)
+        if equation == "wave":
             nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
-            spec = smooth_data_spec(args.seed, amplitude=args.amplitude, real_valued=True)
-            datum = rough_wave_state(spec, grid, v_theta=spec.theta)
     n_out = 4 * quad_order
     # The micro step must leave the reference far more accurate than either
     # quadrature so the refined discrepancy is not floored by reference error.

@@ -59,6 +59,8 @@ def series_mask(y: np.ndarray, branch: str | None, radius: float) -> np.ndarray:
 def steps_for(span: float, tau: float) -> int:
     """Number of steps of size tau in span; tau must divide span."""
     n = span / tau
+    if not math.isfinite(n):
+        raise ValueError(f"{span} / {tau} is not a finite step count")
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"step size {tau} does not divide the horizon {span}")
     return round(n)
@@ -200,6 +202,8 @@ class RoughDataSpec:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.theta, self.delta, self.amplitude))):
+            raise ValueError("theta, delta and amplitude must be finite")
         if self.theta < 0:
             raise ValueError("theta must be >= 0")
         if self.delta <= 0:

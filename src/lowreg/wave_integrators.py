@@ -11,17 +11,20 @@ block [[0, 1], [-k^2, 0]].  Provided maps:
 * ``corrected_lie_step``  Lie splitting plus the tau^2 phi2 correction,
 * ``lie_step_wave``  plain Lie splitting.
 
-The fields are real, so the steppers and the nonlinear maps work on real
-half-spectra (k = 0..N/2, see ``torus_spectral.half_spectrum``) through the
-``rfft``/``irfft`` padded pair, ``torus_spectral.RealPaddedPair``.  A stepped
-state is one stacked (2, N/2 + 1) array with rows u and v: a corrected step
-makes one 2-row synthesis of (u, v) and one 2-row analysis of
-(g(u), g'(u) v), a plain step one single-row call each way, and each 2x2
-block acts on the stack as diag*S + off*S[::-1].  The nonlinear maps make
-one 3-row synthesis of (u, v, u_x) and one analysis per map.  ``run_wave``
-converts the state once on entry and back to full spectra only for its
-snapshots; its growth guard weighs each half-spectrum entry by the number
-of full coefficients it stands for, so it still measures ``H^1 x L^2``.
+The fields are real, so every map here works on real half-spectra
+(k = 0..N/2, see ``torus_spectral.half_spectrum``), stacked as one
+(2, N/2 + 1) array S with rows u and v.  Each 2x2 block, of the flow or of
+phi2, is one table (diag, off) over the N/2 + 1 slots that acts on the
+stack as diag*S + off*S[::-1]; ``wave_flow``, ``phi2_apply``, the steppers
+and ``diagnostics.wave_local_error_oracle`` all apply it so.  Products go
+through the ``rfft``/``irfft`` padded pair, ``torus_spectral.RealPaddedPair``:
+a corrected step makes one 2-row synthesis of (u, v) and one 2-row analysis
+of (g(u), g'(u) v), a plain step one single-row call each way, and the
+nonlinear maps one 3-row synthesis of (u, v, u_x) and one analysis per map.
+``run_wave`` converts the state once on entry and back to full spectra only
+for its snapshots; its growth guard weighs each half-spectrum entry by the
+number of full coefficients it stands for, so it still measures
+``H^1 x L^2``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from .torus_spectral import (
     RealPaddedPair,
+    SpectralField,
     TorusGrid,
     WaveState,
     _pair,
@@ -119,15 +123,13 @@ class WaveProblem:
             raise ValueError("t_end must be >= 0")
 
 
-def _flow_entries(grid: TorusGrid, t: float):
-    """Entries (cos kt, sin(kt)/k, -k sin kt) of e^{tA} per mode; k = 0 gives
-    the shear [[1, t], [0, 1]]."""
-    k = grid.freqs.astype(np.float64)
+def _flow_table(grid: TorusGrid, t: float):
+    """e^{tA} per half-spectrum slot as tables (diag, off): diag = cos kt and
+    off rows sin(kt)/k and -k sin kt; k = 0 gives the shear [[1, t], [0, 1]].
+    The Nyquist slot holds k = -N/2, as ``grid.freqs`` does."""
+    k = grid.freqs[: grid.nyquist_index + 1].astype(np.float64)
     kt = k * t
-    cos = np.cos(kt)
-    sin_over_k = t * sin_over(kt)
-    minus_k_sin = -k * np.sin(kt)
-    return cos, sin_over_k, minus_k_sin
+    return np.cos(kt), np.stack([t * sin_over(kt), -k * np.sin(kt)])
 
 
 def phi2_entry_r(y: np.ndarray, branch: str | None = None) -> np.ndarray:
@@ -163,50 +165,46 @@ def phi2_entry_q(y: np.ndarray, branch: str | None = None) -> np.ndarray:
     return np.where(use_series, series, closed)
 
 
-def _phi2_entries(grid: TorusGrid, tau: float):
-    """Entries (diag, upper, lower) of the phi2 block per mode.
+def _phi2_table(grid: TorusGrid, tau: float):
+    """The phi2 block per half-spectrum slot as tables (diag, off).
 
     With y = 2*k*tau the block is [[r(y), -2*tau*q(y)], [2*k^2*tau*q(y), r(y)]],
     which at k = 0 degenerates to [[1/2, -tau/3], [0, 1/2]].
     """
-    k = grid.freqs.astype(np.float64)
+    k = grid.freqs[: grid.nyquist_index + 1].astype(np.float64)
     y = 2.0 * k * tau
-    r = phi2_entry_r(y)
     q = phi2_entry_q(y)
-    return r, -2.0 * tau * q, 2.0 * k * k * tau * q
+    return phi2_entry_r(y), np.stack([-2.0 * tau * q, 2.0 * k * k * tau * q])
 
 
-def _apply_block(cos, upper, lower, uc: np.ndarray, vc: np.ndarray):
-    return cos * uc + upper * vc, lower * uc + cos * vc
+def _apply_stacked(table, s: np.ndarray) -> np.ndarray:
+    """A 2x2 block table (diag, off) applied to a stacked pair S of
+    half-spectra: diag*S + off*S[::-1].  The tables are even in k, so on
+    half-spectra they act exactly as the full tables act on Hermitian spectra."""
+    diag, off = table
+    return diag * s + off * s[::-1]
+
+
+def _half_pair(w: WaveState) -> np.ndarray:
+    return np.stack([half_spectrum(w.u.coeffs), half_spectrum(w.v.coeffs)])
+
+
+def _full_pair(grid: TorusGrid, s: np.ndarray) -> WaveState:
+    # full_spectrum is exactly Hermitian already; no projection is needed.
+    u, v = (SpectralField(grid, full_spectrum(x), True) for x in s)
+    return WaveState(u, v)
 
 
 def wave_flow(w: WaveState, t: float) -> WaveState:
     """Linear wave group e^{tA} applied mode by mode."""
-    cos, sin_over_k, minus_k_sin = _flow_entries(w.grid, t)
-    uc, vc = _apply_block(cos, sin_over_k, minus_k_sin, w.u.coeffs, w.v.coeffs)
-    return _pair(w.grid, uc, vc)
+    return _full_pair(w.grid, _apply_stacked(_flow_table(w.grid, t), _half_pair(w)))
 
 
 def phi2_apply(w: WaveState, tau: float) -> WaveState:
     """Weighted average of backward flows, applied mode by mode."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    diag, upper, lower = _phi2_entries(w.grid, tau)
-    uc, vc = _apply_block(diag, upper, lower, w.u.coeffs, w.v.coeffs)
-    return _pair(w.grid, uc, vc)
-
-
-def _stacked(entries, half: int):
-    """A block's (diag, upper, lower) entries at k = 0..N/2 as tables
-    (diag, off), off of shape (2, N/2 + 1), that act on a stacked pair S as
-    diag*S + off*S[::-1]."""
-    diag, upper, lower = (t[:half] for t in entries)
-    return diag, np.stack([upper, lower])
-
-
-def _apply_stacked(table, s: np.ndarray) -> np.ndarray:
-    diag, off = table
-    return diag * s + off * s[::-1]
+    return _full_pair(w.grid, _apply_stacked(_phi2_table(w.grid, tau), _half_pair(w)))
 
 
 class _WaveWork:
@@ -214,9 +212,7 @@ class _WaveWork:
     wave steps at fixed (grid, tau, nl).
 
     ``step`` advances a stacked (2, N/2 + 1) array whose rows are the
-    half-spectra of u and v (k = 0..N/2, see ``half_spectrum``); the flow and
-    phi2 tables are even in k, so their first N/2 + 1 entries act on them
-    exactly as the full tables act on Hermitian spectra.
+    half-spectra of u and v (k = 0..N/2, see ``half_spectrum``).
     """
 
     def __init__(self, grid: TorusGrid, tau: float, nl: Nonlinearity, corrected: bool):
@@ -226,8 +222,8 @@ class _WaveWork:
         self.nl = nl
         self.corrected = corrected
         half = grid.nyquist_index + 1
-        self.flow = _stacked(_flow_entries(grid, tau), half)
-        self.phi2 = _stacked(_phi2_entries(grid, tau), half)
+        self.flow = _flow_table(grid, tau)
+        self.phi2 = _phi2_table(grid, tau)
         self.pair = RealPaddedPair(grid.n_modes, rows=2)
         # A half-spectrum entry stands for 1 coefficient at k = 0, for the
         # +-k pair inside, and for the Nyquist coefficient at twice its size.
@@ -256,14 +252,6 @@ class _WaveWork:
             np.negative(f[0], out=f[0])
             a += (tau * tau) * _apply_stacked(self.phi2, f)
         return _apply_stacked(self.flow, a)
-
-
-def _half_pair(w: WaveState) -> np.ndarray:
-    return np.stack([half_spectrum(w.u.coeffs), half_spectrum(w.v.coeffs)])
-
-
-def _full_pair(grid: TorusGrid, s: np.ndarray) -> WaveState:
-    return _pair(grid, full_spectrum(s[0]), full_spectrum(s[1]))
 
 
 def _nonlinear_coeffs(w: WaveState, *exprs) -> list[np.ndarray]:

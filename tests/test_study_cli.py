@@ -1,10 +1,14 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lowreg
 from lowreg import (
@@ -268,6 +272,70 @@ def test_command_line_flags_override_config_file(tmp_path):
     assert config.tau_list == (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5)
 
 
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_command_line_defaults_are_the_study_config_defaults(equation):
+    args = build_parser().parse_args([f"{equation}-converge"])
+    assert _study_config_from_args(args, equation) == StudyConfig(
+        equation, tau_list=parse_taus("2^-4..2^-10")
+    )
+
+
+def test_a_shared_config_file_keeps_each_equation_key_to_its_equation(tmp_path):
+    path = tmp_path / "shared.cfg"
+    path.write_text("mu = -1\nnonlinearity = sine\n")
+    parser = build_parser()
+    taus = parse_taus("2^-4..2^-10")
+    nls = parser.parse_args(["nls-converge", "--config", str(path)])
+    assert _study_config_from_args(nls, "nls") == StudyConfig("nls", taus, mu=-1)
+    wave = parser.parse_args(["wave-converge", "--config", str(path)])
+    assert _study_config_from_args(wave, "wave") == StudyConfig(
+        "wave", taus, nonlinearity="sine"
+    )
+
+
+_SETTING_WORDS = st.one_of(
+    st.sampled_from([
+        "", "0", "1", "-1", "16", "64", "0.5", "1e-3", "1e999", "-0.0", "nan",
+        "inf", "-inf", "abc", "true", "off", "lie", "lri", "corrected_lie",
+        "sine", "bogus", "L2", "H1xL2", "Hr:0.5", "Hr:nan", "Hr:", "0.1,0.05",
+    ]),
+    st.integers(-3, 2048).map(str),
+    st.floats().map(repr),
+    # Exponent spans stay small: a span is expanded into one step per power.
+    st.tuples(st.integers(-12, 3), st.integers(-12, 3)).map(
+        lambda ab: "2^%d..2^%d" % ab
+    ),
+)
+_KEYS = st.sampled_from(sorted(study_cli._CONFIG_KEYS) + ["bogus", "t-end", "MODES"])
+_SWITCHES = ("--max-over-steps", "--no-spatial-check")
+
+
+@settings(max_examples=150)
+@given(
+    equation=st.sampled_from(["nls", "wave"]),
+    lines=st.lists(st.tuples(_KEYS, st.sampled_from([" = ", "=", " "]), _SETTING_WORDS),
+                   max_size=6),
+    flags=st.lists(st.tuples(_KEYS, _SETTING_WORDS), max_size=4),
+    switches=st.lists(st.sampled_from(_SWITCHES), max_size=2),
+)
+def test_config_files_and_flags_fail_only_as_config_or_value_errors(
+    equation, lines, flags, switches
+):
+    argv = [f"{equation}-converge", *switches]
+    for key, value in flags:
+        argv += [f"--{key.lower().replace('_', '-')}", value]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "study.cfg")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("".join(f"{key}{sep}{value}\n" for key, sep, value in lines))
+        try:
+            read_config_file(path)
+            args = build_parser().parse_args(argv + ["--config", path])
+            _study_config_from_args(args, equation)
+        except ValueError:  # ConfigError included
+            pass
+
+
 # --- reference cross-validation ------------------------------------------------------
 
 
@@ -317,6 +385,13 @@ def test_cross_validation_failure_carries_its_record():
     record = exc.value.record
     assert record["passed"] is False
     assert record["distance"] > record["tolerance"]
+
+
+def test_cross_validation_never_passes_a_nan_tolerance():
+    u0 = random_rough_field(smooth_data_spec(seed=3, amplitude=0.5), TorusGrid(32))
+    with pytest.raises(ValidationError) as exc:
+        cross_validate_reference(NlsProblem(1, u0, 1.0), 2.0**-4, tol=float("nan"))
+    assert exc.value.record["passed"] is False
 
 
 # --- the Strang comparator -----------------------------------------------------------
@@ -469,6 +544,21 @@ def test_reports_are_never_empty(tmp_path):
 # --- command line ------------------------------------------------------------------
 
 
+def test_wave_order_script_reports_the_orders_of_two_direct_studies(capsys):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "wave_order_study.py")
+    reports = runpy.run_path(script)["run"](["--modes", "32", "--ref-factor", "16"])
+    out = capsys.readouterr().out
+    for scheme in ("corrected_lie", "lie"):
+        direct = run_convergence_study(StudyConfig(
+            "wave", parse_taus("2^-4..2^-10"), scheme=scheme, n_modes=32,
+            ref_factor=16, cross_val_tol=1e-4, spatial_check=False,
+        ))
+        assert direct.fitted_order is not None
+        assert reports[scheme].fitted_order == direct.fitted_order
+        assert f"{scheme}: order {direct.fitted_order:.3f}" in out
+
+
 def test_cli_study_happy_path(tmp_path, capsys):
     stem = tmp_path / "study"
     code = main([
@@ -506,6 +596,19 @@ def test_cli_rejects_bad_configuration(capsys):
         "nls-converge --taus 2^5000",
         "nls-converge --taus 2^-3..2^-5000",
         "local-error-check --equation wave --quad-order 0",
+        "nls-converge --t-end inf",
+        "nls-converge --norm Hr:nan",
+        "nls-converge --norm Hr:inf",
+        "nls-converge --theta nan",
+        "nls-converge --delta nan",
+        "nls-converge --cross-val-tol nan",
+        "wave-converge --amplitude inf",
+        "diagnose-nullform --theta nan",
+        "diagnose-nullform --amplitude inf",
+        "diagnose-strichartz --t-end inf",
+        "local-error-check --equation nls --amplitude inf",
+        "local-error-check --equation wave --amplitude nan",
+        "nls-converge --modes 1.5",
     ],
 )
 def test_cli_bad_input_exits_4_without_a_traceback(argv):

@@ -169,14 +169,30 @@ def test_padded_real_values_match_the_complex_pair(n, data):
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
+def check_padded_real_coeffs(spectrum: np.ndarray) -> None:
+    """The real pair's truncation of the real samples of a 2n ``spectrum``
+    against the complex pair's.  FFT roundoff scales with the samples' whole
+    2n spectrum, not with the retained band, which may hold nothing."""
+    values = np.fft.ifft(spectrum).real * spectrum.size
+    expected = padded_coeffs(values)
+    got = full_spectrum(padded_real_coeffs(values))
+    scale = np.linalg.norm(np.fft.fft(values, norm="forward"))
+    assert np.linalg.norm(got - expected) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("n", [8, 16, 64])
 @given(data=st.data())
 def test_padded_real_coeffs_match_the_complex_pair(n, data):
     # Real samples on the 2n grid with content at every wavenumber there.
-    values = np.fft.ifft(data.draw(banded_coeffs(2 * n, n))).real * (2 * n)
-    expected = padded_coeffs(values)
-    got = full_spectrum(padded_real_coeffs(values))
-    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+    check_padded_real_coeffs(data.draw(banded_coeffs(2 * n, n)))
+
+
+def test_padded_real_coeffs_match_the_complex_pair_outside_the_band():
+    # A drawn case: one coefficient at k = -9 of the 32-point grid (N = 16),
+    # so the retained band holds roundoff only.
+    spectrum = np.zeros(32, dtype=np.complex128)
+    spectrum[-9] = 1.0
+    check_padded_real_coeffs(spectrum)
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])

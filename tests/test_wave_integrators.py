@@ -31,7 +31,7 @@ from lowreg import (
     zero_field,
 )
 from lowreg.torus_spectral import half_spectrum
-from lowreg.wave_integrators import _WaveWork, _flow_entries, _phi2_entries
+from lowreg.wave_integrators import _WaveWork, _flow_table, _phi2_table
 from oracles import (
     corrected_lie_zero_mode,
     full_spectrum_wave_steps,
@@ -395,12 +395,13 @@ def test_run_wave_matches_two_array_steps_bit_for_bit(n, name, corrected):
     # Not a power of two, so that every product with tau rounds.
     tau = 0.015
     states = run_wave(w, tau, 50, nl, corrected=corrected, record_every=1)
-    half = n // 2 + 1
+    flow_diag, flow_off = _flow_table(grid, tau)
+    phi2_diag, phi2_off = _phi2_table(grid, tau)
     expected = two_array_wave_steps(
         half_spectrum(w.u.coeffs),
         half_spectrum(w.v.coeffs),
-        [t[:half] for t in _flow_entries(grid, tau)],
-        [t[:half] for t in _phi2_entries(grid, tau)],
+        (flow_diag, *flow_off),
+        (phi2_diag, *phi2_off),
         tau, nl.g, nl.g1, corrected, 50,
     )
     assert len(states) == len(expected) == 51
