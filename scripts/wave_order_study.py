@@ -9,12 +9,21 @@ and any ``wave-converge`` flag given here overrides them for both runs
 (``--scheme`` excepted; ``--out`` stems get a ``-<scheme>`` suffix):
 
     python3 scripts/wave_order_study.py --nonlinearity sine --seed 3
+
+Bad input ends with the CLI's exit codes and one line on stderr.
 """
 
 import dataclasses
 import sys
 
-from lowreg.study_cli import _study_config_from_args, build_parser, run_convergence_study
+from lowreg.study_cli import (
+    _exit_code,
+    _input_errors,
+    _require_out_dir,
+    _study_config_from_args,
+    build_parser,
+    run_convergence_study,
+)
 
 
 def run(argv):
@@ -22,7 +31,9 @@ def run(argv):
     args = build_parser().parse_args(
         ["wave-converge", "--cross-val-tol", "1e-4", "--no-spatial-check", *argv]
     )
-    config = _study_config_from_args(args, "wave")
+    with _input_errors():
+        config = _study_config_from_args(args, "wave")
+        _require_out_dir(config.output_path)
     reports = {}
     for scheme in ("corrected_lie", "lie"):
         out = config.output_path and f"{config.output_path}-{scheme}"
@@ -42,4 +53,4 @@ def run(argv):
 
 
 if __name__ == "__main__":
-    run(sys.argv[1:])
+    sys.exit(_exit_code(lambda: run(sys.argv[1:])))

@@ -19,7 +19,6 @@ from .torus_spectral import (
     SpectralField,
     TorusGrid,
     _conj_perm,
-    _require_finite,
     evolve,
     series_mask,
     sin_over,
@@ -120,12 +119,6 @@ class _Stepper:
         return self.free * self.pair.coeffs(u_phys)
 
 
-def _one_step(u_n: SpectralField, tau: float, mu: float, kind: NlsStepperKind) -> SpectralField:
-    _require_finite(u_n.coeffs)
-    stepper = _Stepper(u_n.grid, tau, mu, kind)
-    return SpectralField(u_n.grid, stepper.step(u_n.coeffs), False)
-
-
 def lri_step(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
     """One step of the exponential-type integrator.
 
@@ -133,7 +126,7 @@ def lri_step(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
     with the cubic product dealiased and the conjugate taken in coefficient
     space.  ``mu = 0`` reduces the map to the free flow.
     """
-    return _one_step(u_n, tau, mu, NlsStepperKind.LOW_REGULARITY)
+    return run_nls(u_n, tau, 1, mu, NlsStepperKind.LOW_REGULARITY)[-1]
 
 
 def lie_step_nls(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
@@ -143,7 +136,7 @@ def lie_step_nls(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
     pointwise on the 2x grid (then truncates); the linear substep is the free
     flow.
     """
-    return _one_step(u_n, tau, mu, NlsStepperKind.LIE_SPLITTING)
+    return run_nls(u_n, tau, 1, mu, NlsStepperKind.LIE_SPLITTING)[-1]
 
 
 def run_nls(

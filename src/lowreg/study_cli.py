@@ -14,14 +14,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import os
 import re
 import sys
 import tempfile
-import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +36,6 @@ from .nls_integrators import (
     NlsProblem,
     NlsStepperKind,
     free_flow,
-    nls_reference_solve,
     run_nls,
 )
 from .torus_spectral import (
@@ -46,6 +43,7 @@ from .torus_spectral import (
     BlowUpError,
     RoughDataSpec,
     TorusGrid,
+    WaveState,
     difference,
     random_rough_field,
     regrid,
@@ -55,18 +53,21 @@ from .torus_spectral import (
 )
 from .wave_integrators import (
     Nonlinearity,
-    WaveProblem,
     run_wave,
     wave_flow,
-    wave_reference_solve,
     wave_state_norm,
 )
 
 FIT_FLOOR = 1e-11
 FIT_CEILING = 1.0
 
-_NLS_SCHEMES = ("lri", "lie")
-_WAVE_SCHEMES = ("corrected_lie", "lie")
+# Per equation: its schemes, the first of which computes the references; its
+# error norms, the first the default; and the config key of the other
+# equation, which a shared config file may set and the study ignores.
+_EQUATIONS = {
+    "nls": (("lri", "lie"), ("L2", "Hr"), "nonlinearity"),
+    "wave": (("corrected_lie", "lie"), ("H1xL2",), "mu"),
+}
 
 
 class ConfigError(ValueError):
@@ -109,20 +110,13 @@ class StudyConfig:
     spatial_check: bool = True
 
     def __post_init__(self) -> None:
-        if self.equation not in ("nls", "wave"):
+        if self.equation not in _EQUATIONS:
             raise ConfigError(f"equation must be 'nls' or 'wave', got {self.equation!r}")
-        if not self.scheme:
-            object.__setattr__(
-                self, "scheme", "lri" if self.equation == "nls" else "corrected_lie"
-            )
-        allowed = _NLS_SCHEMES if self.equation == "nls" else _WAVE_SCHEMES
-        if self.scheme not in allowed:
-            raise ConfigError(f"scheme for {self.equation} must be one of {allowed}")
-        if not self.error_norm:
-            object.__setattr__(
-                self, "error_norm", "L2" if self.equation == "nls" else "H1xL2"
-            )
-        norms = ("L2", "Hr") if self.equation == "nls" else ("H1xL2",)
+        schemes, norms, _ = _EQUATIONS[self.equation]
+        object.__setattr__(self, "scheme", self.scheme or schemes[0])
+        if self.scheme not in schemes:
+            raise ConfigError(f"scheme for {self.equation} must be one of {schemes}")
+        object.__setattr__(self, "error_norm", self.error_norm or norms[0])
         if self.error_norm not in norms:
             raise ConfigError(
                 f"error_norm for {self.equation} must be one of {norms}, "
@@ -187,12 +181,10 @@ class ConvergenceReport:
     version: str = __version__
     spatially_resolved: bool | None = None
     spatial_change: float | None = None
-    wall_time: float | None = dataclasses.field(default=None, compare=False)
 
     def to_dict(self) -> dict:
-        """Every field but the volatile ``wall_time``; ``norm_label`` as ``norm``."""
+        """Every field, with ``norm_label`` as ``norm``."""
         data = dataclasses.asdict(self)
-        del data["wall_time"]
         data["norm"] = data.pop("norm_label")
         return data
 
@@ -248,35 +240,39 @@ def _datum(equation: str, grid: TorusGrid, spec: RoughDataSpec,
     return rough_wave_state(dataclasses.replace(spec, real_valued=True), grid, v_theta)
 
 
-def _norm_fn(equation: str, r: float = 0.0) -> Callable:
-    if equation == "nls":
-        return lambda f: sobolev_norm(f, r)
-    return wave_state_norm
+def _norm_fn(initial, r: float = 0.0) -> Callable:
+    if isinstance(initial, WaveState):
+        return wave_state_norm
+    return lambda f: sobolev_norm(f, r)
 
 
-def _run_scheme(phase, initial, equation, scheme, nl, mu, tau, n_steps,
-                record_every=None):
-    """Run one scheme; a blow-up names the study phase and the scheme.
+def _reference_scheme(initial) -> str:
+    return _EQUATIONS["wave" if isinstance(initial, WaveState) else "nls"][0][0]
+
+
+def _run_scheme(phase, initial, scheme, term, tau, n_steps, record_every=None):
+    """Run one scheme; a blow-up names the phase and the scheme.
+
+    ``run_wave`` steps a ``WaveState`` and ``run_nls`` a field; ``term`` is
+    their nonlinear term: the sign mu for NLS, the ``Nonlinearity`` for waves.
 
     ``strang`` is the ``lie`` run conjugated by half a linear flow,
     F(-tau/2) (F(tau) K)^n F(tau/2): second-order Strang splitting with no
     stepper of its own.  Its snapshots after the first get the -tau/2 flow
     too; the first is ``initial`` itself.
     """
+    wave = isinstance(initial, WaveState)
     strang = scheme == "strang"
-    flow = free_flow if equation == "nls" else wave_flow
+    flow = wave_flow if wave else free_flow
     start = flow(initial, 0.5 * tau) if strang else initial
     kind = "lie" if strang else scheme
     try:
-        if equation == "nls":
-            states = run_nls(
-                start, tau, n_steps, mu, NlsStepperKind(kind), record_every=record_every
-            )
+        if wave:
+            states = run_wave(start, tau, n_steps, term, corrected=(kind != "lie"),
+                              record_every=record_every)
         else:
-            states = run_wave(
-                start, tau, n_steps, nl,
-                corrected=(kind != "lie"), record_every=record_every,
-            )
+            states = run_nls(start, tau, n_steps, term, NlsStepperKind(kind),
+                             record_every=record_every)
     except BlowUpError as exc:
         raise BlowUpError(f"{phase} run ({scheme}): {exc}") from exc
     if strang:
@@ -297,18 +293,16 @@ def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: floa
     if tau_ref <= 0:
         raise ConfigError("tau_ref must be > 0")
     if isinstance(problem, NlsProblem):
-        equation, nl, mu, initial = "nls", None, problem.mu, problem.u0
+        initial, term = problem.u0, problem.mu
     else:
-        equation, nl, mu, initial = "wave", problem.nonlinearity, 1, problem.initial
-    norm_fn = norm_fn or _norm_fn(equation)
+        initial, term = problem.initial, problem.nonlinearity
+    norm_fn = norm_fn or _norm_fn(initial)
     if tol is None:
         tol = 1e-6 * norm_fn(initial)
-    return _reference_run(
-        equation, initial, nl, mu, problem.t_end, tau_ref, norm_fn, tol
-    )[1]
+    return _reference_run(initial, term, problem.t_end, tau_ref, norm_fn, tol)[1]
 
 
-def _reference_run(equation, initial, nl, mu, t_end, tau_ref, norm_fn, tol, record_every=None):
+def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, record_every=None):
     """Reference run at tau_ref, cross-validated against Strang splitting.
 
     The comparator is second order and shares neither the phi1 filter nor
@@ -318,16 +312,14 @@ def _reference_run(equation, initial, nl, mu, t_end, tau_ref, norm_fn, tol, reco
     validation record; raises ``ValidationError`` unless the terminal
     distance is at most the absolute ``tol``.
     """
-    canonical = (_NLS_SCHEMES if equation == "nls" else _WAVE_SCHEMES)[0]
+    canonical = _reference_scheme(initial)
     n_steps = steps_for(t_end, tau_ref)
     ref_states = _run_scheme(
-        "reference", initial, equation, canonical, nl, mu, tau_ref, n_steps,
-        record_every=record_every,
+        "reference", initial, canonical, term, tau_ref, n_steps, record_every=record_every
     )
     factor = math.gcd(n_steps, 4)
     comp = _run_scheme(
-        "comparator", initial, equation, "strang", nl, mu, factor * tau_ref,
-        n_steps // factor,
+        "comparator", initial, "strang", term, factor * tau_ref, n_steps // factor
     )[-1]
     distance = norm_fn(difference(ref_states[-1], comp))
     record = {
@@ -349,13 +341,13 @@ def _reference_run(equation, initial, nl, mu, t_end, tau_ref, norm_fn, tol, reco
     return ref_states, record
 
 
-def _sweep_errors(config: StudyConfig, initial, nl, ref_states, norm_fn):
+def _sweep_errors(config: StudyConfig, initial, term, ref_states, norm_fn):
     errors = []
     for tau in config.tau_list:
         n_steps = steps_for(config.t_end, tau)
         states = _run_scheme(
-            f"sweep tau={tau:g}", initial, config.equation, config.scheme, nl,
-            config.mu, tau, n_steps, record_every=1 if config.max_over_steps else None,
+            f"sweep tau={tau:g}", initial, config.scheme, term, tau, n_steps,
+            record_every=1 if config.max_over_steps else None,
         )
         if config.max_over_steps:
             stride = steps_for(tau, config.tau_list[-1])
@@ -368,7 +360,7 @@ def _sweep_errors(config: StudyConfig, initial, nl, ref_states, norm_fn):
     return errors
 
 
-def _spatial_check(config: StudyConfig, initial, nl, norm_fn):
+def _spatial_check(config: StudyConfig, initial, term, norm_fn):
     """Error at the largest step, recomputed at N and 2N from the same datum.
 
     Both errors use a dedicated mini-reference at tau_max/max(ref_factor, 256)
@@ -377,18 +369,12 @@ def _spatial_check(config: StudyConfig, initial, nl, norm_fn):
     tau_c = config.tau_list[0]
     factor = max(config.ref_factor, 256)
     tau_mini = tau_c / factor
-    canonical = _NLS_SCHEMES[0] if config.equation == "nls" else _WAVE_SCHEMES[0]
 
     def error_on(state0):
         n_steps = steps_for(config.t_end, tau_c)
-        coarse = _run_scheme(
-            "spatial check", state0, config.equation, config.scheme, nl,
-            config.mu, tau_c, n_steps,
-        )[-1]
-        fine = _run_scheme(
-            "spatial check", state0, config.equation, canonical, nl, config.mu,
-            tau_mini, n_steps * factor,
-        )[-1]
+        coarse = _run_scheme("spatial check", state0, config.scheme, term, tau_c, n_steps)[-1]
+        fine = _run_scheme("spatial check", state0, _reference_scheme(state0), term,
+                           tau_mini, n_steps * factor)[-1]
         return norm_fn(difference(coarse, fine))
 
     e_base = error_on(initial)
@@ -399,22 +385,21 @@ def _spatial_check(config: StudyConfig, initial, nl, norm_fn):
 
 def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
     """Execute one full study; see the module docstring for the pipeline."""
-    started = time.perf_counter()
     grid = TorusGrid(config.n_modes)
     initial = _datum(config.equation, grid, RoughDataSpec(
         theta=config.theta, seed=config.seed, delta=config.delta,
         amplitude=config.amplitude,
     ))
-    nl = Nonlinearity.preset(config.nonlinearity) if config.equation == "wave" else None
-    norm_fn = _norm_fn(config.equation, config.norm_r if config.error_norm == "Hr" else 0.0)
+    term = Nonlinearity.preset(config.nonlinearity) if config.equation == "wave" else config.mu
+    norm_fn = _norm_fn(initial, config.norm_r if config.error_norm == "Hr" else 0.0)
     tau_ref = config.tau_list[-1] / config.ref_factor
 
     ref_states, validation = _reference_run(
-        config.equation, initial, nl, config.mu, config.t_end, tau_ref, norm_fn,
+        initial, term, config.t_end, tau_ref, norm_fn,
         config.cross_val_tol * norm_fn(initial),
         config.ref_factor if config.max_over_steps else None,
     )
-    errors = _sweep_errors(config, initial, nl, ref_states, norm_fn)
+    errors = _sweep_errors(config, initial, term, ref_states, norm_fn)
     distance = validation["distance"]
     validation["certification_margin"] = min(errors) / distance if distance else None
 
@@ -425,7 +410,7 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
 
     resolved = change = None
     if config.spatial_check:
-        resolved, change = _spatial_check(config, initial, nl, norm_fn)
+        resolved, change = _spatial_check(config, initial, term, norm_fn)
 
     config_echo = dataclasses.asdict(config)
     config_echo["tau_list"] = list(config.tau_list)
@@ -442,7 +427,6 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
         config=config_echo,
         spatially_resolved=resolved,
         spatial_change=change,
-        wall_time=time.perf_counter() - started,
     )
     if config.output_path:
         emit_report(report, "csv", config.output_path + ".csv")
@@ -638,7 +622,7 @@ def _study_config_from_args(args, equation: str) -> StudyConfig:
                 values[key] = parse(given)
             except ValueError as exc:
                 raise ConfigError(f"--{key.replace('_', '-')} {given}: {exc}") from exc
-    values.pop("nonlinearity" if equation == "nls" else "mu", None)
+    values.pop(_EQUATIONS[equation][2], None)
     kwargs = {_FIELD_OF_KEY.get(key, key): value for key, value in values.items()}
     if "norm" in kwargs:
         kwargs["error_norm"], norm_r = kwargs.pop("norm")
@@ -664,16 +648,14 @@ def _print_report(report: ConvergenceReport) -> None:
         print(f"wrote {report.config['output_path']}.json")
 
 
-def _cmd_converge(args, equation: str) -> int:
+def _cmd_converge(args, equation: str) -> None:
     with _input_errors():
         config = _study_config_from_args(args, equation)
         _require_out_dir(config.output_path)
-    report = run_convergence_study(config)
-    _print_report(report)
-    return 0
+    _print_report(run_convergence_study(config))
 
 
-def _cmd_diagnose(args, functional: str) -> int:
+def _cmd_diagnose(args, functional: str) -> None:
     """Strichartz or null-form functional on a reference trajectory."""
     seed, modes, t_end, samples = args.seed, args.modes, args.t_end, args.samples
     equation = "nls" if functional == "strichartz_l4" else "wave"
@@ -690,19 +672,19 @@ def _cmd_diagnose(args, functional: str) -> int:
         spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(modes), spec)
         if equation == "nls":
-            def value_on(state, n_out, step):
-                states = nls_reference_solve(NlsProblem(args.mu, state, t_end), n_out, step)
-                return strichartz_l4(trajectory_of(states, 0.0, t_end, scheme="lri",
-                                                   tau_ref=step, seed=seed))
+            term, measure = args.mu, strichartz_l4
         else:
-            nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
-            results["nonlinearity"] = nl.tag
+            term = Nonlinearity.preset(args.nonlinearity or "quadratic")
+            measure = nullform_norm
+            results["nonlinearity"] = term.tag
+    scheme = _reference_scheme(datum)
 
-            def value_on(state, n_out, step):
-                states = wave_reference_solve(WaveProblem(nl, state, t_end), n_out, step)
-                return nullform_norm(trajectory_of(states, 0.0, t_end,
-                                                   scheme="corrected_lie",
-                                                   tau_ref=step, seed=seed))
+    def value_on(state, n_out, step):
+        per = steps_for(t_end / n_out, step)
+        states = _run_scheme(f"{functional} reference", state, scheme, term, step,
+                             n_out * per, record_every=per)
+        return measure(trajectory_of(states, 0.0, t_end, scheme=scheme, tau_ref=step,
+                                     seed=seed))
 
     value = value_on(datum, samples, tau_ref)
     print(f"{functional} {value!r}")
@@ -716,10 +698,9 @@ def _cmd_diagnose(args, functional: str) -> int:
     if args.out:
         _atomic_write(args.out, json.dumps(results, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_local_error_check(args) -> int:
+def _cmd_local_error_check(args) -> None:
     equation, tau, quad_order = args.equation, args.tau, args.quad_order
     with _input_errors():
         _require_out_dir(args.out)
@@ -727,25 +708,20 @@ def _cmd_local_error_check(args) -> int:
             raise ConfigError("--quad-order must be >= 2")
         spec = smooth_data_spec(args.seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(args.modes), spec, v_theta=spec.theta)
-        if equation == "wave":
-            nl = Nonlinearity.preset(args.nonlinearity or "quadratic")
+        # The micro step must leave the reference far more accurate than either
+        # quadrature so the refined discrepancy is not floored by reference error.
+        if equation == "nls":
+            # Second-order Strang: the first-order LRI error floored the discrepancy.
+            term, scheme, micro_per, oracle = 1, "strang", 256, nls_local_error_oracle
+        else:
+            term = Nonlinearity.preset(args.nonlinearity or "quadratic")
+            scheme, micro_per, oracle = "corrected_lie", 16, wave_local_error_oracle
     n_out = 4 * quad_order
-    # The micro step must leave the reference far more accurate than either
-    # quadrature so the refined discrepancy is not floored by reference error.
-    micro_per = 256 if equation == "nls" else 16
-    tau_micro = tau / (micro_per * n_out)
-
-    if equation == "nls":
-        # Second-order Strang: the first-order LRI error floored the discrepancy.
-        states = _run_scheme("local-error reference", datum, "nls", "strang", None, 1,
-                             tau_micro, n_out * micro_per, record_every=micro_per)
-        oracle = functools.partial(nls_local_error_oracle, tau=tau, mu=1)
-    else:
-        states = wave_reference_solve(WaveProblem(nl, datum, tau), n_out, tau_micro)
-        oracle = functools.partial(wave_local_error_oracle, tau=tau, nl=nl)
+    states = _run_scheme("local-error reference", datum, scheme, term,
+                         tau / (micro_per * n_out), n_out * micro_per, record_every=micro_per)
     traj = trajectory_of(states, 0.0, tau)
-    pairs = [oracle(traj, quad_order=q) for q in (quad_order, 4 * quad_order)]
-    norm_fn = _norm_fn(equation)
+    pairs = [oracle(traj, tau, term, q) for q in (quad_order, 4 * quad_order)]
+    norm_fn = _norm_fn(datum)
     scale = norm_fn(pairs[0][0])
     discrepancies = [
         norm_fn(difference(direct, integral)) / max(scale, 1e-300)
@@ -765,7 +741,6 @@ def _cmd_local_error_check(args) -> int:
             "improvement_factor": improvement,
         }, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -825,11 +800,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+def _exit_code(action: Callable[[], object]) -> int:
+    """0 once ``action()`` returns; for a typed failure, one stderr line and its exit code."""
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        action()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
@@ -839,6 +813,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
+    return 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    def run():
+        args = build_parser().parse_args(argv)
+        args.handler(args)
+
+    return _exit_code(run)
 
 
 def console_entry() -> None:

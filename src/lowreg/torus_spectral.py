@@ -66,11 +66,6 @@ def steps_for(span: float, tau: float) -> int:
     return round(n)
 
 
-def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(a.view(np.float64))) for a in arrays):
-        raise BlowUpError("non-finite coefficients in stepper input")
-
-
 def evolve(state, step, size, guard, n_steps, record_every, wrap) -> list:
     """Advance a tuple of coefficient arrays n_steps times under a growth guard.
 
@@ -81,7 +76,8 @@ def evolve(state, step, size, guard, n_steps, record_every, wrap) -> list:
     state and every ``record_every``-th one, or just the terminal state when
     ``record_every`` is unset.
     """
-    _require_finite(*state)
+    if not all(np.all(np.isfinite(a.view(np.float64))) for a in state):
+        raise BlowUpError("non-finite coefficients in stepper input")
     out = [wrap(*state)] if record_every else []
     for j in range(1, n_steps + 1):
         state = step(*state)
@@ -647,11 +643,11 @@ def field_from_lines(lines: Iterator[str]) -> SpectralField:
     if len(header) != 3 or header[0] != "field":
         raise ValueError(f"malformed field header: {header}")
     n, is_real = int(header[1]), bool(int(header[2]))
-    shifted = np.empty(n, dtype=np.complex128)
-    for j in range(n):
+    shifted = []
+    for _ in range(n):
         re, im = next(lines).split()
-        shifted[j] = complex(float(re), float(im))
-    return SpectralField(TorusGrid(n), np.fft.ifftshift(shifted), is_real)
+        shifted.append(complex(float(re), float(im)))
+    return SpectralField(TorusGrid(n), np.fft.ifftshift(np.array(shifted)), is_real)
 
 
 def wave_state_to_lines(w: WaveState) -> list[str]:

@@ -40,7 +40,6 @@ from .torus_spectral import (
     TorusGrid,
     WaveState,
     _pair,
-    _require_finite,
     derivative,
     evolve,
     full_spectrum,
@@ -291,23 +290,17 @@ def b_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     return _pair(w.grid, np.zeros_like(coeffs), coeffs)
 
 
-def _one_step(w_n: WaveState, tau: float, nl: Nonlinearity, corrected: bool) -> WaveState:
-    _require_finite(w_n.u.coeffs, w_n.v.coeffs)
-    work = _WaveWork(w_n.grid, tau, nl, corrected)
-    return _full_pair(w_n.grid, work.step(_half_pair(w_n)))
-
-
 def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
     """One corrected Lie splitting step.
 
     U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n)) + tau^2 * phi2(-2 tau A)(-g(u_n), g'(u_n) v_n)].
     """
-    return _one_step(w_n, tau, nl, corrected=True)
+    return run_wave(w_n, tau, 1, nl, corrected=True)[-1]
 
 
 def lie_step_wave(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
     """One plain Lie splitting step: U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n))]."""
-    return _one_step(w_n, tau, nl, corrected=False)
+    return run_wave(w_n, tau, 1, nl, corrected=False)[-1]
 
 
 def wave_state_norm(w: WaveState) -> float:

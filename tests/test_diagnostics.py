@@ -1,5 +1,10 @@
+import contextlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rough_wave_state_on
 from lowreg import (
@@ -19,7 +24,9 @@ from lowreg import (
     null_form_field,
     regrid,
     nullform_norm,
+    read_field,
     read_trajectory,
+    read_wave_state,
     run_wave,
     sobolev_norm,
     strichartz_l4,
@@ -29,7 +36,9 @@ from lowreg import (
     wave_flow,
     wave_local_error_oracle,
     wave_state_norm,
+    write_field,
     write_trajectory,
+    write_wave_state,
     zero_field,
 )
 from oracles import scalar_second_order_ode, semidiscrete_nls_states
@@ -422,3 +431,61 @@ def test_read_trajectory_rejects_other_files(tmp_path):
     path.write_text("something else\n")
     with pytest.raises(ValueError):
         read_trajectory(path)
+
+
+def _written_lines(write, obj) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/record.txt"
+        write(obj, path)
+        with open(path, encoding="ascii") as fh:
+            return fh.read().splitlines()
+
+
+def _valid_records() -> list[list[str]]:
+    grid = TorusGrid(8)
+    w = rough_wave_state_on(grid, 3, amplitude=0.3)
+    return [
+        _written_lines(write_field, w.u),
+        _written_lines(write_wave_state, w),
+        _written_lines(write_trajectory, trajectory_of([w.u, w.v, w.u], 0.0, 1.0, seed=3)),
+        _written_lines(write_trajectory, trajectory_of([w, w, w], 0.0, 1.0)),
+    ]
+
+
+_COUNTS = st.sampled_from(["-1", "0", "1", "3", "8", "16", "1000000000000000", "1.5", "x"])
+_FLOATS = st.sampled_from(["0", "0.25", "-0.5", "nan", "inf", "-1e308", "1e308", "x"])
+_LINES = st.one_of(
+    st.builds("field {} {}".format, _COUNTS, st.sampled_from(["0", "1", "2", "x"])),
+    st.sampled_from(["", "field", "wavestate", "trajectory", "kind", "kind nls", "kind wave"]),
+    st.builds("{} {}".format, st.sampled_from(["samples", "t0", "dt", "meta"]),
+              st.one_of(_COUNTS, _FLOATS)),
+    st.builds("{} {}".format, _FLOATS, _FLOATS),
+    st.text(st.sampled_from("0123 .-e\tx\u00e9"), max_size=8),
+)
+
+
+def _spliced(base, cut, inserted, dropped):
+    return base[:cut] + inserted + base[cut + dropped:]
+
+
+# Small headers and records, alone or spliced into a valid record.
+_FILES = st.one_of(
+    st.lists(_LINES, max_size=12),
+    st.builds(_spliced, st.sampled_from(_valid_records()), st.integers(0, 80),
+              st.lists(_LINES, max_size=6), st.integers(0, 80)),
+)
+
+
+# Records of +-1e308 overflow the Hermitian-defect norm; that warning is expected.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400)
+@given(lines=_FILES)
+def test_readers_raise_only_value_errors_on_small_malformed_files(lines):
+    """Each reader either reads the file or raises a ValueError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/malformed.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for reader in (read_field, read_wave_state, read_trajectory):
+            with contextlib.suppress(ValueError):
+                reader(path)

@@ -405,8 +405,8 @@ def smooth_datum(equation, grid, seed=3):
 
 
 def strang(equation, initial, tau, n_steps, record_every=None):
-    nl = Nonlinearity.preset("quadratic") if equation == "wave" else None
-    return _run_scheme("test", initial, equation, "strang", nl, 1, tau, n_steps,
+    term = Nonlinearity.preset("quadratic") if equation == "wave" else 1
+    return _run_scheme("test", initial, "strang", term, tau, n_steps,
                        record_every=record_every)
 
 
@@ -422,12 +422,12 @@ def test_strang_comparator_without_nonlinearity_is_the_free_flow(equation):
     if equation == "nls":
         initial = random_rough_field(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
         # mu = 0 leaves the Lie step only its free flow.
-        out = _run_scheme("test", initial, "nls", "strang", None, 0, tau, n_steps)[-1]
+        out = _run_scheme("test", initial, "strang", 0, tau, n_steps)[-1]
         exact = free_flow(initial, n_steps * tau)
     else:
         initial = rough_wave_state(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
-        out = _run_scheme("test", initial, "wave", "strang", Nonlinearity.preset("zero"),
-                          1, tau, n_steps)[-1]
+        out = _run_scheme("test", initial, "strang", Nonlinearity.preset("zero"), tau,
+                          n_steps)[-1]
         exact = wave_flow(initial, n_steps * tau)
     assert distance(out, exact) <= 1e-13
 
@@ -559,6 +559,21 @@ def test_wave_order_script_reports_the_orders_of_two_direct_studies(capsys):
         assert f"{scheme}: order {direct.fitted_order:.3f}" in out
 
 
+@pytest.mark.parametrize("argv", ["--theta nan", "--nonlinearity bogus"])
+def test_wave_order_script_bad_input_exits_4_without_a_traceback(argv):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "wave_order_study.py")
+    src = os.path.dirname(os.path.dirname(lowreg.__file__))
+    done = subprocess.run(
+        [sys.executable, script, *argv.split()], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("configuration error: ")
+    assert done.stderr.count("\n") == 1
+
+
 def test_cli_study_happy_path(tmp_path, capsys):
     stem = tmp_path / "study"
     code = main([
@@ -659,17 +674,28 @@ def test_cli_signals_validation_failure(capsys):
     assert "validation failure" in capsys.readouterr().err
 
 
-def test_cli_signals_blowup(capsys):
-    code = main([
-        "wave-converge", "--modes", "64", "--taus", "2^-2..2^-5",
-        "--ref-factor", "16", "--cross-val-tol", "1e9",
-        "--no-spatial-check", "--amplitude", "50.0",
-        "--nonlinearity", "quadratic",
-    ])
-    assert code == 3
+@pytest.mark.parametrize(
+    "argv, phase",
+    [
+        pytest.param(
+            "wave-converge --modes 64 --taus 2^-2..2^-5 --ref-factor 16 --cross-val-tol 1e9 "
+            "--no-spatial-check --amplitude 50.0 --nonlinearity quadratic",
+            "reference run (corrected_lie)", id="study"),
+        pytest.param(
+            "local-error-check --equation wave --modes 32 --quad-order 4 --amplitude 400 "
+            "--tau 0.5", "local-error reference run (corrected_lie)", id="local-error-check"),
+        pytest.param(
+            "diagnose-nullform --modes 16 --samples 4 --amplitude 400 --tau-ref 2^-6",
+            "nullform_norm reference run (corrected_lie)", id="diagnose-nullform"),
+        pytest.param(
+            "diagnose-strichartz --modes 16 --samples 4 --amplitude 400 --tau-ref 2^-6",
+            "strichartz_l4 reference run (lri)", id="diagnose-strichartz"),
+    ],
+)
+def test_cli_signals_blowup(argv, phase, capsys):
+    assert main(argv.split()) == 3
     err = capsys.readouterr().err
-    assert "blow-up" in err
-    assert "reference run (corrected_lie)" in err
+    assert err.startswith(f"blow-up: {phase}: ")
 
 
 def test_cli_diagnose_strichartz(tmp_path, capsys):

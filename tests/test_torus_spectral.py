@@ -550,6 +550,14 @@ def test_field_file_round_trip(tmp_path, grid32):
         read_field(path)
 
 
+def test_field_reader_does_not_trust_the_header_size(tmp_path):
+    # Building the array from the header's N would ask for petabytes here.
+    path = tmp_path / "field.txt"
+    path.write_text("field 1000000000000000 0\n0.5 0.0\n")
+    with pytest.raises(ValueError, match=r"field\.txt, line 3: unexpected end of file"):
+        read_field(path)
+
+
 def test_wave_state_file_round_trip(tmp_path, grid32):
     w = WaveState(
         rough_field_on(grid32, 4, real_valued=True),
