@@ -82,10 +82,6 @@ class ValidationError(RuntimeError):
         self.record = record or {}
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 8 and n & (n - 1) == 0
-
-
 @dataclasses.dataclass(frozen=True)
 class StudyConfig:
     """Everything a convergence study needs; validated on construction."""
@@ -132,8 +128,10 @@ class StudyConfig:
                               "must be finite")
         if self.theta < 0 or self.delta <= 0 or self.amplitude <= 0:
             raise ConfigError("theta >= 0, delta > 0 and amplitude > 0 are required")
-        if not _is_pow2(self.n_modes):
-            raise ConfigError("n_modes must be a power of two >= 8")
+        try:
+            TorusGrid(self.n_modes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.t_end <= 0:
             raise ConfigError("t_end must be > 0")
         taus = tuple(float(t) for t in self.tau_list)

@@ -26,6 +26,9 @@ TWO_PI = 2.0 * np.pi
 
 HERMITIAN_TOL = 1e-12
 
+# A run stops once its state grows past this multiple of its initial size.
+BLOWUP_FACTOR = 1e6
+
 
 # Streams for the velocity component of wave data are split off the user
 # seed by a fixed documented offset so (u, v) draws never collide.
@@ -66,29 +69,41 @@ def steps_for(span: float, tau: float) -> int:
     return round(n)
 
 
-def evolve(state, step, size, guard, n_steps, record_every, wrap) -> list:
-    """Advance a tuple of coefficient arrays n_steps times under a growth guard.
+def evolve(state, step, size, n_steps, record_every, wrap) -> list:
+    """Advance a coefficient array n_steps times under a growth guard.
 
-    ``step(*state)`` returns the next tuple and ``size(*state)`` measures it;
-    a non-finite size or one above ``guard`` raises ``BlowUpError``.  Guarding
-    every step (not just snapshots) keeps divergence from ever reaching
-    floating overflow.  ``wrap(*state)`` makes the snapshots: the initial
-    state and every ``record_every``-th one, or just the terminal state when
-    ``record_every`` is unset.
+    ``step(state)`` returns the next array and ``size(state)`` measures it;
+    a non-finite size or one above ``BLOWUP_FACTOR`` times the initial size
+    raises ``BlowUpError``.  Guarding every step (not just snapshots) keeps
+    divergence from ever reaching floating overflow.  ``wrap(state)`` makes
+    the snapshots: the initial state and every ``record_every``-th one, or
+    just the terminal state when ``record_every`` is unset.
     """
-    if not all(np.all(np.isfinite(a.view(np.float64))) for a in state):
+    if not np.all(np.isfinite(state.view(np.float64))):
         raise BlowUpError("non-finite coefficients in stepper input")
-    out = [wrap(*state)] if record_every else []
+    guard = BLOWUP_FACTOR * max(size(state), 1e-300)
+    out = [wrap(state)] if record_every else []
     for j in range(1, n_steps + 1):
-        state = step(*state)
-        s = size(*state)
+        state = step(state)
+        s = size(state)
         if not np.isfinite(s) or s > guard:
             raise BlowUpError(f"norm guard tripped at step {j}")
         if record_every and j % record_every == 0:
-            out.append(wrap(*state))
+            out.append(wrap(state))
     if not record_every:
-        out.append(wrap(*state))
+        out.append(wrap(state))
     return out
+
+
+def _solve(run, initial, t_end: float, n_out: int, tau_ref: float, *args) -> list:
+    """Both reference solves: ``run`` from ``initial`` at step tau_ref, with
+    n_out+1 equispaced snapshots on [0, t_end]; tau_ref divides t_end/n_out."""
+    if n_out < 1:
+        raise ValueError("n_out must be >= 1")
+    if t_end == 0:
+        return [initial]
+    per = steps_for(t_end / n_out, tau_ref)
+    return run(initial, tau_ref, n_out * per, *args, record_every=per)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,8 +118,11 @@ class TorusGrid:
         n = self.n_modes
         if n < 8 or n & (n - 1):
             raise ValueError(f"n_modes must be a power of two >= 8, got {n}")
-        points = TWO_PI * np.arange(n) / n
-        freqs = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        try:
+            points = TWO_PI * np.arange(n) / n
+            freqs = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        except MemoryError:
+            raise ValueError(f"n_modes {n} is too large to allocate its grid") from None
         points.setflags(write=False)
         freqs.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -121,13 +139,16 @@ def _conj_perm(n: int) -> np.ndarray:
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Relative deviation of a coefficient array from Hermitian symmetry."""
-    c = np.asarray(coeffs)
-    scale = float(np.linalg.norm(c))
-    if scale == 0.0:
-        return 0.0
+    """Relative deviation of a coefficient array from Hermitian symmetry, NaN
+    if it is not finite; dividing by its largest part first keeps coefficients
+    near the float limit from overflowing the norms."""
+    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    peak = float(np.abs(c.view(np.float64)).max(initial=0.0))
+    if peak == 0.0 or not math.isfinite(peak):
+        return 0.0 if peak == 0.0 else math.nan
+    c = c / peak
     defect = float(np.linalg.norm(c - np.conj(c[_conj_perm(c.size)])))
-    return defect / scale
+    return defect / float(np.linalg.norm(c))
 
 
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from .torus_spectral import (
     TorusGrid,
     WaveState,
     _pair,
+    _solve,
     derivative,
     evolve,
     full_spectrum,
@@ -49,10 +50,7 @@ from .torus_spectral import (
     series_mask,
     sin_over,
     sobolev_norm,
-    steps_for,
 )
-
-BLOWUP_FACTOR = 1e6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,24 +313,15 @@ def run_wave(
     nl: Nonlinearity,
     corrected: bool = True,
     record_every: int | None = None,
-    guard_factor: float = BLOWUP_FACTOR,
 ) -> list[WaveState]:
     """Advance n_steps of size tau, recording every ``record_every`` steps.
 
-    Raises ``BlowUpError`` when a snapshot exceeds ``guard_factor`` times the
+    Raises ``BlowUpError`` when a state exceeds ``BLOWUP_FACTOR`` times the
     initial combined norm or turns non-finite.
     """
     work = _WaveWork(w0.grid, tau, nl, corrected)
-    guard = guard_factor * max(wave_state_norm(w0), 1e-300)
-    return evolve(
-        (_half_pair(w0),),
-        lambda s: (work.step(s),),
-        work.size,
-        guard,
-        n_steps,
-        record_every,
-        lambda s: _full_pair(w0.grid, s),
-    )
+    return evolve(_half_pair(w0), work.step, work.size, n_steps, record_every,
+                  lambda s: _full_pair(w0.grid, s))
 
 
 def wave_reference_solve(
@@ -343,16 +332,5 @@ def wave_reference_solve(
     Uses the corrected Lie splitting at step tau_ref; accept only after
     cross-validation against the Strang comparator (see the study driver).
     """
-    if n_out < 1:
-        raise ValueError("n_out must be >= 1")
-    if problem.t_end == 0:
-        return [problem.initial]
-    per = steps_for(problem.t_end / n_out, tau_ref)
-    return run_wave(
-        problem.initial,
-        tau_ref,
-        n_out * per,
-        problem.nonlinearity,
-        corrected=True,
-        record_every=per,
-    )
+    return _solve(run_wave, problem.initial, problem.t_end, n_out, tau_ref,
+                  problem.nonlinearity, True)

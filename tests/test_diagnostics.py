@@ -476,8 +476,6 @@ _FILES = st.one_of(
 )
 
 
-# Records of +-1e308 overflow the Hermitian-defect norm; that warning is expected.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400)
 @given(lines=_FILES)
 def test_readers_raise_only_value_errors_on_small_malformed_files(lines):

@@ -203,6 +203,16 @@ def test_parse_taus_rejects_steps_that_are_not_finite_and_positive(text):
         parse_taus(text)
 
 
+@given(text=st.text(alphabet="2^-.,0123456789e ", max_size=12))
+def test_parse_taus_returns_positive_finite_steps_or_raises_value_error(text):
+    try:
+        taus = parse_taus(text)
+    except ValueError:
+        return
+    assert taus
+    assert all(np.isfinite(t) and t > 0 for t in taus)
+
+
 def test_parse_taus_keeps_the_extreme_finite_powers():
     assert parse_taus("2^-1074") == (2.0**-1074,)
     assert parse_taus("2^1023..2^1021") == (2.0**1023, 2.0**1022, 2.0**1021)
@@ -298,6 +308,7 @@ _SETTING_WORDS = st.one_of(
         "", "0", "1", "-1", "16", "64", "0.5", "1e-3", "1e999", "-0.0", "nan",
         "inf", "-inf", "abc", "true", "off", "lie", "lri", "corrected_lie",
         "sine", "bogus", "L2", "H1xL2", "Hr:0.5", "Hr:nan", "Hr:", "0.1,0.05",
+        "1125899906842624",
     ]),
     st.integers(-3, 2048).map(str),
     st.floats().map(repr),
@@ -624,6 +635,10 @@ def test_cli_rejects_bad_configuration(capsys):
         "local-error-check --equation nls --amplitude inf",
         "local-error-check --equation wave --amplitude nan",
         "nls-converge --modes 1.5",
+        # 2^50 modes: numpy refuses the grid at once, without touching memory.
+        "nls-converge --modes 1125899906842624",
+        "diagnose-strichartz --modes 1125899906842624",
+        "local-error-check --equation nls --modes 1125899906842624",
     ],
 )
 def test_cli_bad_input_exits_4_without_a_traceback(argv):
@@ -675,27 +690,28 @@ def test_cli_signals_validation_failure(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, phase",
+    "argv, phase, step",
     [
         pytest.param(
             "wave-converge --modes 64 --taus 2^-2..2^-5 --ref-factor 16 --cross-val-tol 1e9 "
             "--no-spatial-check --amplitude 50.0 --nonlinearity quadratic",
-            "reference run (corrected_lie)", id="study"),
+            "reference run (corrected_lie)", 152, id="study"),
         pytest.param(
             "local-error-check --equation wave --modes 32 --quad-order 4 --amplitude 400 "
-            "--tau 0.5", "local-error reference run (corrected_lie)", id="local-error-check"),
+            "--tau 0.5", "local-error reference run (corrected_lie)", 129,
+            id="local-error-check"),
         pytest.param(
             "diagnose-nullform --modes 16 --samples 4 --amplitude 400 --tau-ref 2^-6",
-            "nullform_norm reference run (corrected_lie)", id="diagnose-nullform"),
+            "nullform_norm reference run (corrected_lie)", 13, id="diagnose-nullform"),
         pytest.param(
             "diagnose-strichartz --modes 16 --samples 4 --amplitude 400 --tau-ref 2^-6",
-            "strichartz_l4 reference run (lri)", id="diagnose-strichartz"),
+            "strichartz_l4 reference run (lri)", 2, id="diagnose-strichartz"),
     ],
 )
-def test_cli_signals_blowup(argv, phase, capsys):
+def test_cli_signals_blowup(argv, phase, step, capsys):
     assert main(argv.split()) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"blow-up: {phase}: ")
+    assert err == f"blow-up: {phase}: norm guard tripped at step {step}\n"
 
 
 def test_cli_diagnose_strichartz(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import banded_coeffs, hermitian_coeffs, rough_field_on, seeds
 from lowreg import (
+    BlowUpError,
+    Nonlinearity,
     RoughDataSpec,
     SpectralField,
     TorusGrid,
@@ -19,6 +24,8 @@ from lowreg import (
     read_field,
     read_wave_state,
     regrid,
+    run_nls,
+    run_wave,
     sobolev_norm,
     spacetime_norm,
     to_physical,
@@ -59,9 +66,11 @@ def test_grid_freqs_cover_symmetric_band_plus_nyquist(grid16):
     assert np.allclose(np.diff(grid16.points), TWO_PI / 16)
 
 
-@pytest.mark.parametrize("n", [4, 12, 20, 0, -16])
+# 2^50 modes is too large to allocate: numpy refuses it at once, without
+# touching memory.
+@pytest.mark.parametrize("n", [4, 12, 20, 0, -16, 2**50])
 def test_grid_rejects_bad_sizes(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"n_modes.* {n}"):
         TorusGrid(n)
 
 
@@ -72,6 +81,18 @@ def test_real_flag_requires_hermitian_coefficients(grid16):
         SpectralField(grid16, c, is_real=True)
     c[-1] = 1.0
     SpectralField(grid16, c, is_real=True)
+
+
+def test_real_flag_check_survives_coefficients_near_the_float_limit():
+    grid = TorusGrid(8)
+    c = np.zeros(8, dtype=np.complex128)
+    c[1], c[2] = 1e308, 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="relative defect 1.414e"):
+            SpectralField(grid, c, is_real=True)
+        c[2], c[-1] = 0.0, 1e308
+        assert SpectralField(grid, c, is_real=True).is_real
 
 
 def test_wave_state_requires_shared_grid_and_real_fields(grid16, grid32):
@@ -558,6 +579,15 @@ def test_field_reader_does_not_trust_the_header_size(tmp_path):
         read_field(path)
 
 
+def test_field_reader_refuses_an_overflowing_real_record(tmp_path):
+    # k = -4..3: 1e308 at k = 1 with no partner at k = -1, and i at k = 2.
+    records = ["0 0"] * 5 + ["1e308 0", "0 1", "0 0"]
+    path = tmp_path / "field.txt"
+    path.write_text("\n".join(["field 8 1", *records]) + "\n")
+    with pytest.raises(ValueError, match=r"field\.txt, line 9: .*Hermitian symmetry"):
+        read_field(path)
+
+
 def test_wave_state_file_round_trip(tmp_path, grid32):
     w = WaveState(
         rough_field_on(grid32, 4, real_valued=True),
@@ -586,3 +616,22 @@ def test_field_like_autodetects_realness(grid16):
     skew = np.zeros(16, dtype=np.complex128)
     skew[1] = 1.0
     assert not field_like(base, skew).is_real
+
+
+# --- the evolve loop -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("equation, step", [("nls", 3), ("wave", 23)], ids=["nls", "wave"])
+def test_runners_name_the_step_at_which_the_guard_trips(equation, step):
+    """Both runners guard at BLOWUP_FACTOR times the initial size as their
+    own stepper measures it."""
+    if equation == "nls":
+        run = functools.partial(run_nls, mode_field(TorusGrid(16), 0, 10.0), 0.25, 64, 1)
+    else:
+        grid = TorusGrid(8)
+        u = SpectralField(grid, mode_field(grid, 0, 5.0).coeffs, is_real=True)
+        run = functools.partial(run_wave, WaveState(u, zero_field(grid)), 2.0**-4, 256,
+                                Nonlinearity.preset("quadratic"))
+    with pytest.raises(BlowUpError, match=f"^norm guard tripped at step {step}$"):
+        run()
+

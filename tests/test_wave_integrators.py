@@ -422,12 +422,6 @@ def test_half_spectrum_guard_size_is_the_state_norm(n, data):
     assert abs(size - expected) <= 1e-13 * expected
 
 
-def test_run_wave_guard_stops_focusing_blowup():
-    grid = TorusGrid(8)
-    with pytest.raises(BlowUpError):
-        run_wave(constant_state(grid, 5.0, 0.0), 2.0**-4, 256, QUADRATIC)
-
-
 def test_zero_mode_trajectory_matches_the_scalar_ode():
     grid = TorusGrid(8)
     w = constant_state(grid, 0.3, 0.1)
@@ -458,6 +452,8 @@ def test_reference_solve_validations(grid16):
     problem = WaveProblem(QUADRATIC, w, 1.0)
     with pytest.raises(ValueError):
         wave_reference_solve(problem, 3, 1e-1)
+    with pytest.raises(ValueError, match="n_out must be >= 1"):
+        wave_reference_solve(problem, 0, 1e-3)
     degenerate = wave_reference_solve(WaveProblem(QUADRATIC, w, 0.0), 4, 1e-3)
     assert len(degenerate) == 1
     with pytest.raises(ValueError):
