@@ -79,7 +79,7 @@ def pair_case(kind, n, rows):
 def interleaved(cases):
     """Wall seconds of each case in each repeat, the cases in turn."""
     for run, _ in cases.values():
-        run()  # warm-up: plans, caches and lazy buffers
+        run()  # warm-up: FFT plans and caches
     times = {key: [] for key in cases}
     for _ in range(REPEATS):
         for key, (run, _) in cases.items():

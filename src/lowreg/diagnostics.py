@@ -27,8 +27,6 @@ from .torus_spectral import (
     field_from_lines,
     field_to_lines,
     hermitian_part,
-    padded_coeffs,
-    padded_values,
     spacetime_norm,
     wave_state_from_lines,
     wave_state_to_lines,
@@ -39,6 +37,7 @@ from .wave_integrators import (
     _flow_table,
     _full_pair,
     _half_pair,
+    _nonlinear_coeffs,
     b_map,
     corrected_lie_step,
 )
@@ -100,15 +99,9 @@ def strichartz_l4(traj: Trajectory) -> float:
 
 
 def null_form_field(w: WaveState) -> SpectralField:
-    """Pointwise v^2 - (u_x)^2, dealiased on the 2x grid.
-
-    The difference of two squares can cancel to roundoff (single movers), so
-    the result is projected back onto exact Hermitian symmetry.
-    """
-    values = padded_values(np.stack([w.v.coeffs, derivative(w.u, 1).coeffs]))
-    squares = padded_coeffs(values * values)
-    coeffs = squares[0] - squares[1]
-    return SpectralField(w.grid, hermitian_part(coeffs), True)
+    """Pointwise v^2 - (u_x)^2, dealiased on the 2x grid as ``b_map`` forms it."""
+    (coeffs,) = _nonlinear_coeffs(w, lambda u, v, ux: v * v - ux * ux)
+    return SpectralField(w.grid, coeffs, True)
 
 
 def nullform_norm(traj: Trajectory) -> float:
@@ -174,6 +167,7 @@ def nls_local_error_oracle(
     n = grid.n_modes
     k2 = grid.freqs.astype(np.float64) ** 2
     nodes = traj.states[::stride]
+    pair = PaddedPair(n, rows=3)
     # Rows: coefficients of |u|^2 conj(u), of conj(u) and of conj(u_x).
     fac: list[np.ndarray] = []
     mul_a: list[np.ndarray] = []  # physical factor mu * u^2
@@ -181,10 +175,10 @@ def nls_local_error_oracle(
     mul_e: list[np.ndarray] = []  # physical factor -4 * u * u_x
     for node in nodes:
         ux = derivative(node, 1)
-        up, uxp = padded_values(np.stack([node.coeffs, ux.coeffs]))
+        up, uxp = pair.values(node.coeffs, ux.coeffs)
         absu2 = np.abs(up) ** 2
         fac.append(np.stack([
-            padded_coeffs(absu2 * np.conj(up)),
+            pair.coeffs(absu2 * np.conj(up)),
             conjugate(node).coeffs,
             conjugate(ux).coeffs,
         ]))
@@ -197,7 +191,6 @@ def nls_local_error_oracle(
     shift = [np.exp(2j * (d * h) * k2) for d in range(quad_order + 1)]
     prop = [np.exp(-1j * (tau - j * h) * k2) for j in range(quad_order + 1)]
 
-    pair = PaddedPair(n, rows=3)
     total = np.zeros(n, dtype=np.complex128)
     for l in range(1, quad_order + 1):
         inner = np.zeros(n, dtype=np.complex128)

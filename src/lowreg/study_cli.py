@@ -824,7 +824,3 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_entry()

@@ -16,7 +16,6 @@ kept in FFT order.  The analysis conventions used throughout:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, Iterator, Sequence
 
@@ -293,29 +292,19 @@ class PaddedPair:
 
     ``values`` zero-pads up to ``rows`` coefficient arrays to 2N and returns
     their 2N nodal values from one inverse transform; ``coeffs`` returns the
-    N retained coefficients of 2N nodal values from one forward transform.
-    Both use ``norm="forward"``, which differs from the unnormalised pair by
-    exact power-of-two scalings, and a batched call matches row-by-row calls
-    bit for bit.  The array ``values`` returns is a view of this workspace
-    and stays valid only until its next call; ``coeffs`` returns a fresh one.
-    Each direction allocates its buffers on first use.
+    N retained coefficients of 2N nodal values (up to ``rows`` rows along
+    leading axes) from one forward transform.  Both use ``norm="forward"``,
+    which differs from the unnormalised pair by exact power-of-two scalings,
+    and a batched call matches row-by-row calls bit for bit.  The array
+    ``values`` returns is a view of this workspace and stays valid only until
+    its next call; ``coeffs`` returns a fresh one.
     """
 
     def __init__(self, n: int, rows: int = 1):
         self.n = n
-        self.rows = rows
-
-    @functools.cached_property
-    def _padded(self) -> np.ndarray:
-        return np.zeros((self.rows, 2 * self.n), dtype=np.complex128)
-
-    @functools.cached_property
-    def _values(self) -> np.ndarray:
-        return np.empty((self.rows, 2 * self.n), dtype=np.complex128)
-
-    @functools.cached_property
-    def _spectrum(self) -> np.ndarray:
-        return np.empty(self.rows * 2 * self.n, dtype=np.complex128)
+        self._padded = np.zeros((rows, 2 * n), dtype=np.complex128)
+        self._values = np.empty((rows, 2 * n), dtype=np.complex128)
+        self._spectrum = np.empty(rows * 2 * n, dtype=np.complex128)
 
     def values(self, *coeff_rows: np.ndarray) -> np.ndarray:
         """(len(coeff_rows), 2N) nodal values of the given N-coefficient rows."""
@@ -330,24 +319,6 @@ class PaddedPair:
         """N retained coefficients of 2N nodal values, along the last axis."""
         spectrum = self._spectrum[: values.size].reshape(values.shape)
         return truncate_coeffs(np.fft.fft(values, norm="forward", out=spectrum), self.n)
-
-
-def padded_values(c: np.ndarray) -> np.ndarray:
-    """Values of N coefficients at the 2N nodes of the padded grid.
-
-    Leading batch axes are transformed row by row in one call.
-    """
-    c = np.asarray(c)
-    n = c.shape[-1]
-    rows = c.reshape(-1, n)
-    return PaddedPair(n, len(rows)).values(*rows).reshape(c.shape[:-1] + (2 * n,))
-
-
-def padded_coeffs(values: np.ndarray) -> np.ndarray:
-    """N retained coefficients of 2N padded-grid values; inverse of ``padded_values``."""
-    values = np.asarray(values)
-    m = values.shape[-1]
-    return PaddedPair(m // 2, values.size // m).coeffs(values)
 
 
 # Real fields travel through repeated steps as half-spectra: the N/2 + 1
@@ -388,21 +359,13 @@ class RealPaddedPair:
     the full spectrum.  Leading axes of up to ``rows`` rows in all are
     transformed in one call, bit for bit as row by row.  Both directions use
     ``norm="forward"`` and write into this workspace: each result is a view
-    that stays valid only until the next call of the same method.  Each
-    direction allocates its buffer on first use.
+    that stays valid only until the next call of the same method.
     """
 
     def __init__(self, n: int, rows: int = 1):
         self.n = n
-        self.rows = rows
-
-    @functools.cached_property
-    def _values(self) -> np.ndarray:
-        return np.empty(self.rows * 2 * self.n)
-
-    @functools.cached_property
-    def _spectrum(self) -> np.ndarray:
-        return np.empty(self.rows * (self.n + 1), dtype=np.complex128)
+        self._values = np.empty(rows * 2 * n)
+        self._spectrum = np.empty(rows * (n + 1), dtype=np.complex128)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Nodal values at the 2N padded-grid points, along the last axis."""
@@ -417,23 +380,6 @@ class RealPaddedPair:
         f = np.fft.rfft(values, norm="forward", out=spectrum)[..., : self.n // 2 + 1]
         f[..., -1] = f[..., -1].real
         return f
-
-
-def padded_real_values(x: np.ndarray) -> np.ndarray:
-    """Values of half-spectra at the 2N nodes of the padded grid.
-
-    Leading batch axes are transformed row by row in one call.
-    """
-    x = np.asarray(x)
-    h = x.shape[-1]
-    return RealPaddedPair(2 * (h - 1), x.size // h).values(x)
-
-
-def padded_real_coeffs(values: np.ndarray) -> np.ndarray:
-    """Half-spectra of real 2N padded-grid values; inverse of ``padded_real_values``."""
-    values = np.asarray(values)
-    m = values.shape[-1]
-    return RealPaddedPair(m // 2, values.size // m).coeffs(values)
 
 
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
@@ -495,6 +441,8 @@ def dealiased_product(
     Factors flagged in ``conjugate_flags`` enter as their complex conjugate
     (taken in coefficient space).  The product is formed on the 2x-oversampled
     grid and truncated back, which is exact for quadratic and cubic products.
+    Real factors go through the real pair as half-spectra, so their Nyquist
+    mode is a cosine, as ``regrid`` embeds it, and the product is real.
     """
     if len(factors) not in (2, 3):
         raise ValueError("dealiased_product takes 2 or 3 factors")
@@ -509,10 +457,13 @@ def dealiased_product(
         conjugate(f).coeffs if flag else f.coeffs
         for f, flag in zip(factors, conjugate_flags)
     ]
-    product, *rest = padded_values(np.stack(arrays))
-    for values in rest:
-        product = product * values
-    return SpectralField(grid, padded_coeffs(product), all(f.is_real for f in factors))
+    if all(f.is_real for f in factors):
+        pair = RealPaddedPair(grid.n_modes, len(arrays))
+        values = pair.values(np.stack([half_spectrum(c) for c in arrays]))
+        return SpectralField(grid, full_spectrum(pair.coeffs(np.prod(values, axis=0))), True)
+    pair = PaddedPair(grid.n_modes, len(arrays))
+    values = pair.values(*arrays)
+    return SpectralField(grid, pair.coeffs(np.prod(values, axis=0)), False)
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:

@@ -45,8 +45,6 @@ from .torus_spectral import (
     evolve,
     full_spectrum,
     half_spectrum,
-    padded_real_coeffs,
-    padded_real_values,
     series_mask,
     sin_over,
     sobolev_norm,
@@ -55,14 +53,12 @@ from .torus_spectral import (
 
 @dataclasses.dataclass(frozen=True)
 class Nonlinearity:
-    """Scalar C^2 nonlinearity bundle: g, its first two derivatives, and an
-    increasing growth witness with |g(z)| + |g1(z)| + |g2(z)| <= growth(|z|)."""
+    """Scalar C^2 nonlinearity bundle: g and its first two derivatives."""
 
     g: Callable[[np.ndarray], np.ndarray]
     g1: Callable[[np.ndarray], np.ndarray]
     g2: Callable[[np.ndarray], np.ndarray]
     tag: str
-    growth: Callable[[float], float]
 
     @staticmethod
     def preset(name: str) -> "Nonlinearity":
@@ -80,28 +76,24 @@ _PRESETS = {
         g1=lambda z: 2.0 * z,
         g2=lambda z: 2.0 * np.ones_like(z),
         tag="quadratic",
-        growth=lambda r: r * r + 2.0 * r + 2.0,
     ),
     "cubic_minus": Nonlinearity(
         g=lambda z: -(z**3),
         g1=lambda z: -3.0 * z * z,
         g2=lambda z: -6.0 * z,
         tag="cubic_minus",
-        growth=lambda r: r**3 + 3.0 * r * r + 6.0 * r,
     ),
     "sine": Nonlinearity(
         g=np.sin,
         g1=np.cos,
         g2=lambda z: -np.sin(z),
         tag="sine",
-        growth=lambda r: 3.0 + r,
     ),
     "zero": Nonlinearity(
         g=np.zeros_like,
         g1=np.zeros_like,
         g2=np.zeros_like,
         tag="zero",
-        growth=lambda r: r,
     ),
 }
 
@@ -252,11 +244,13 @@ class _WaveWork:
 
 
 def _nonlinear_coeffs(w: WaveState, *exprs) -> list[np.ndarray]:
-    """Full spectra of pointwise expressions of (u, v, u_x) on the 2x grid,
-    from one 3-row synthesis and one analysis of all the expressions."""
+    """Full spectra of up to three pointwise expressions of (u, v, u_x) on the
+    2x grid, from one 3-row synthesis and one analysis of all the expressions
+    on one real workspace."""
+    pair = RealPaddedPair(w.grid.n_modes, rows=3)
     fields = (w.u, w.v, derivative(w.u, 1))
-    u, v, ux = padded_real_values(np.stack([half_spectrum(f.coeffs) for f in fields]))
-    spectra = padded_real_coeffs(np.stack([expr(u, v, ux) for expr in exprs]))
+    u, v, ux = pair.values(np.stack([half_spectrum(f.coeffs) for f in fields]))
+    spectra = pair.coeffs(np.stack([expr(u, v, ux) for expr in exprs]))
     return [full_spectrum(x) for x in spectra]
 
 

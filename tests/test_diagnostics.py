@@ -10,10 +10,12 @@ from conftest import rough_wave_state_on
 from lowreg import (
     Nonlinearity,
     NlsProblem,
+    RoughDataSpec,
     SpectralField,
     TorusGrid,
     Trajectory,
     WaveState,
+    b_map,
     dalembert_split,
     dealiased_product,
     derivative,
@@ -24,6 +26,7 @@ from lowreg import (
     null_form_field,
     regrid,
     nullform_norm,
+    random_rough_field,
     read_field,
     read_trajectory,
     read_wave_state,
@@ -150,6 +153,24 @@ def test_nullform_vanishes_on_single_movers():
     traj = flow_trajectory(mover, 1.0, 16)
     assert nullform_norm(traj) <= 1e-10
     assert sobolev_norm(null_form_field(mover), 0.0) <= 1e-13
+
+
+def test_null_form_is_the_quadratic_b_map_at_rest():
+    # With u = 0 the quadratic's b map is (0, 2 * (v^2 - u_x^2)), formed on
+    # the same real workspace, so the two agree bit for bit on a rough v.
+    grid = TorusGrid(64)
+    v = random_rough_field(RoughDataSpec(theta=0.0, seed=4), grid)
+    w = WaveState(zero_field(grid), v)
+    assert np.array_equal(b_map(w, QUADRATIC).v.coeffs, 2.0 * null_form_field(w).coeffs)
+
+
+def test_null_form_reads_the_nyquist_mode_as_a_cosine():
+    # (0.3 cos 8x)^2 = 0.045 + 0.045 cos 16x, and cos 16x lies outside N = 16.
+    grid = TorusGrid(16)
+    w = real_state(grid, lambda x: 0.0 * x, lambda x: 0.3 * np.cos(8.0 * x))
+    expected = np.zeros(16)
+    expected[0] = 0.045
+    assert np.allclose(null_form_field(w).coeffs, expected, rtol=0.0, atol=1e-15)
 
 
 def test_nullform_of_the_standing_wave_is_pi():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import runpy
@@ -677,6 +679,96 @@ def test_cli_missing_output_directory_exits_4_before_solving(argv, tmp_path):
     assert done.stderr.startswith("configuration error: output directory")
     assert done.stdout == ""
     assert not (tmp_path / "missing").exists()
+
+
+def test_python_m_lowreg_is_the_module_entry():
+    src = os.path.dirname(os.path.dirname(lowreg.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "lowreg", "local-error-check", "--equation", "wave",
+         "--quad-order", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert done.returncode == 4
+    assert done.stderr == "configuration error: --quad-order must be >= 2\n"
+
+
+# Command lines for fuzzing main: per subcommand, the flags always given
+# (their defaults would make a run slow) and the flags given at will.  Each
+# flag has cheap valid words (N <= 16, t_end <= 1, steps within 2^-1..2^-4,
+# quadrature order <= 4, at most 4 samples; some still fail together, as an
+# NLS run with a wave scheme) and invalid ones; a switch has the one word
+# None.  One drawn flag at most gets an invalid word, so that most command
+# lines get past the parser.
+BAD = ["nan", "-1", "x"]
+WORDS = {
+    "--modes": (["8", "16"], [*BAD, "1125899906842624"]),
+    "--taus": (["2^-1..2^-4", "2^-2..2^-4", "0.5,0.25,0.125"], ["2^-4..2^-1", *BAD]),
+    "--ref-factor": (["16"], BAD),
+    "--t-end": (["0.5", "1"], BAD),
+    "--theta": (["0", "1"], BAD),
+    "--delta": (["0.01"], BAD),
+    "--seed": (["1", "7"], BAD),
+    "--amplitude": (["0.5", "400"], BAD),
+    "--cross-val-tol": (["1", "1e-300"], BAD),
+    "--norm": (["L2", "H1xL2", "Hr:0.5"], BAD),
+    "--scheme": (["lri", "lie", "corrected_lie"], BAD),
+    "--mu": (["1", "-1"], BAD),
+    "--nonlinearity": (["quadratic", "sine", "cubic_minus"], BAD),
+    "--max-over-steps": ([None], []),
+    "--no-spatial-check": ([None], []),
+    "--samples": (["2", "4"], BAD),
+    "--tau-ref": (["2^-4", "2^-6"], BAD),
+    "--refine": ([None], []),
+    "--equation": (["nls", "wave"], BAD),
+    "--quad-order": (["2", "4"], BAD),
+    "--tau": (["2^-4", "0.25"], BAD),
+}
+STUDY = ["--t-end", "--theta", "--delta", "--seed", "--amplitude", "--cross-val-tol",
+         "--norm", "--scheme", "--max-over-steps", "--no-spatial-check"]
+DIAGNOSE = ["--theta", "--seed", "--amplitude", "--t-end", "--tau-ref", "--refine"]
+COMMANDS = {
+    "nls-converge": (["--modes", "--taus", "--ref-factor"], STUDY + ["--mu"]),
+    "wave-converge": (["--modes", "--taus", "--ref-factor"], STUDY + ["--nonlinearity"]),
+    "diagnose-strichartz": (["--modes", "--samples"], DIAGNOSE + ["--mu"]),
+    "diagnose-nullform": (["--modes", "--samples"], DIAGNOSE + ["--nonlinearity"]),
+    "local-error-check": (["--equation", "--modes", "--quad-order"],
+                          ["--tau", "--seed", "--amplitude", "--nonlinearity"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    always, at_will = COMMANDS[command]
+    flags = always + draw(st.lists(st.sampled_from(at_will), unique=True))
+    corrupt = draw(st.sampled_from([None, *(f for f in flags if WORDS[f][1])]))
+    argv = [command]
+    for flag in flags:
+        valid, invalid = WORDS[flag]
+        word = draw(st.sampled_from(invalid if flag == corrupt else valid))
+        argv += [flag] if word is None else [flag, word]
+    return argv, draw(st.sampled_from([None, "present", "missing"]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(command_lines())
+def test_main_ends_every_command_line_in_a_documented_exit_code(case):
+    argv, out_dir = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if out_dir:
+            directory = tmp if out_dir == "present" else os.path.join(tmp, "missing")
+            argv = argv + ["--out", os.path.join(directory, "report")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].endswith("\n")
+        assert lines[0].startswith(("configuration error: ", "validation failure: ",
+                                    "blow-up: "))
 
 
 def test_cli_signals_validation_failure(capsys):

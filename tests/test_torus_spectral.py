@@ -1,4 +1,6 @@
+import ast
 import functools
+import pathlib
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lowreg
 from conftest import banded_coeffs, hermitian_coeffs, rough_field_on, seeds
 from lowreg import (
     BlowUpError,
@@ -40,10 +43,6 @@ from lowreg.torus_spectral import (
     field_like,
     full_spectrum,
     half_spectrum,
-    padded_coeffs,
-    padded_real_coeffs,
-    padded_real_values,
-    padded_values,
     unit_uniform,
 )
 from oracles import convolution_project, decay_norm_sq
@@ -183,9 +182,11 @@ def test_half_spectrum_round_trip_is_exact(n, data):
 @pytest.mark.parametrize("n", [8, 16, 64])
 @given(data=st.data())
 def test_padded_real_values_match_the_complex_pair(n, data):
+    # On Hermitian input the complex pair's one-sided Nyquist exponential has
+    # the real pair's cosine as its real part.
     c = data.draw(hermitian_coeffs(n))
-    expected = padded_values(c).real
-    got = padded_real_values(half_spectrum(c))
+    (expected,) = PaddedPair(n).values(c).real
+    got = RealPaddedPair(n).values(half_spectrum(c))
     assert got.shape == (2 * n,)
     assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
@@ -195,8 +196,9 @@ def check_padded_real_coeffs(spectrum: np.ndarray) -> None:
     against the complex pair's.  FFT roundoff scales with the samples' whole
     2n spectrum, not with the retained band, which may hold nothing."""
     values = np.fft.ifft(spectrum).real * spectrum.size
-    expected = padded_coeffs(values)
-    got = full_spectrum(padded_real_coeffs(values))
+    n = spectrum.size // 2
+    expected = PaddedPair(n).coeffs(values)
+    got = full_spectrum(RealPaddedPair(n).coeffs(values))
     scale = np.linalg.norm(np.fft.fft(values, norm="forward"))
     assert np.linalg.norm(got - expected) <= 1e-14 * scale
 
@@ -219,15 +221,15 @@ def test_padded_real_coeffs_match_the_complex_pair_outside_the_band():
 @pytest.mark.parametrize("n", [8, 64, 1024])
 def test_batched_padded_pair_matches_row_by_row_calls(n):
     rng = np.random.default_rng(n)
-    c = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
-    values = padded_values(c)
-    assert values.shape == (2, 3, 2 * n)
-    back = padded_coeffs(values)
-    assert back.shape == c.shape
-    for i in range(2):
-        for j in range(3):
-            assert np.array_equal(values[i, j], padded_values(c[i, j]))
-            assert np.array_equal(back[i, j], padded_coeffs(values[i, j]))
+    c = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    pair, single = PaddedPair(n, rows=3), PaddedPair(n)
+    values = pair.values(*c)
+    assert values.shape == (3, 2 * n)
+    back = pair.coeffs(values.reshape(3, 1, 2 * n))
+    assert back.shape == (3, 1, n)
+    for i in range(3):
+        assert np.array_equal(values[i], single.values(c[i])[0])
+        assert np.array_equal(back[i, 0], single.coeffs(values[i]))
 
 
 def test_padded_pair_workspace_is_reusable():
@@ -235,24 +237,19 @@ def test_padded_pair_workspace_is_reusable():
     a, b, c = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
     pair = PaddedPair(32, rows=2)
     u, v = pair.values(a, b)
-    assert np.array_equal(u, padded_values(a))
-    assert np.array_equal(v, padded_values(b))
+    (u_alone,) = PaddedPair(32).values(a)
+    (v_alone,) = PaddedPair(32).values(b)
+    assert np.array_equal(u, u_alone)
+    assert np.array_equal(v, v_alone)
     (w,) = pair.values(c)
-    assert np.array_equal(w, padded_values(c))
+    assert np.shares_memory(w, u)
+    fresh = PaddedPair(32)
+    assert np.array_equal(w, fresh.values(c)[0])
     coeffs = pair.coeffs(w)
-    assert np.array_equal(coeffs, padded_coeffs(padded_values(c)))
+    expected = fresh.coeffs(fresh.values(c)[0])
+    assert np.array_equal(coeffs, expected)
     pair.values(a, b)
-    assert np.array_equal(coeffs, padded_coeffs(padded_values(c)))
-
-
-def test_padded_pair_allocates_each_direction_on_first_use():
-    rng = np.random.default_rng(6)
-    c = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    forward, backward = PaddedPair(32), PaddedPair(32)
-    values = forward.values(c)
-    assert "_spectrum" not in vars(forward)
-    backward.coeffs(values)
-    assert not {"_padded", "_values"} & set(vars(backward))
+    assert np.array_equal(coeffs, expected)
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
@@ -260,41 +257,76 @@ def test_padded_pair_allocates_each_direction_on_first_use():
 def test_batched_real_pair_matches_row_by_row_calls(n, rows):
     rng = np.random.default_rng(10 * n + rows)
     x = rng.standard_normal((rows, n // 2 + 1)) + 1j * rng.standard_normal((rows, n // 2 + 1))
-    pair = RealPaddedPair(n, rows)
+    pair, single = RealPaddedPair(n, rows), RealPaddedPair(n)
     values = pair.values(x)
     assert values.shape == (rows, 2 * n)
     back = pair.coeffs(values)
     assert back.shape == x.shape
     for i in range(rows):
-        single = padded_real_values(x[i])
-        assert np.array_equal(values[i], single)
-        assert np.array_equal(single, np.fft.irfft(x[i], 2 * n, norm="forward"))
+        assert np.array_equal(values[i], single.values(x[i]))
+        assert np.array_equal(values[i], np.fft.irfft(x[i], 2 * n, norm="forward"))
         plain = np.fft.rfft(values[i], norm="forward")[: n // 2 + 1]
         plain[-1] = plain[-1].real
-        assert np.array_equal(back[i], padded_real_coeffs(values[i]))
+        assert np.array_equal(back[i], single.coeffs(values[i]))
         assert np.array_equal(back[i], plain)
 
 
 def test_real_padded_pair_workspace_is_reusable():
     rng = np.random.default_rng(7)
     a, b, c = rng.standard_normal((3, 17)) + 1j * rng.standard_normal((3, 17))
-    pair = RealPaddedPair(32, rows=2)
+    pair, fresh = RealPaddedPair(32, rows=2), RealPaddedPair(32)
     u, v = pair.values(np.stack([a, b]))
-    assert np.array_equal(u, padded_real_values(a))
-    assert np.array_equal(v, padded_real_values(b))
-    assert "_spectrum" not in vars(pair)
+    assert np.array_equal(u, fresh.values(a))
+    assert np.array_equal(v, fresh.values(b))
     w = pair.values(c)
     assert w.shape == (64,)
     assert np.shares_memory(w, u)
-    assert np.array_equal(w, padded_real_values(c))
+    assert np.array_equal(w, fresh.values(c))
     coeffs = pair.coeffs(w)
-    expected = padded_real_coeffs(padded_real_values(c))
+    expected = fresh.coeffs(fresh.values(c)).copy()
     assert np.array_equal(coeffs, expected)
     pair.values(np.stack([a, b]))
     assert np.array_equal(coeffs, expected)
     both = pair.coeffs(pair.values(np.stack([b, c])))
-    assert np.array_equal(both[0], padded_real_coeffs(padded_real_values(b)))
+    assert np.array_equal(both[0], fresh.coeffs(fresh.values(b)))
     assert np.array_equal(both[1], expected)
+
+
+# The one padded-transform engine: numpy's transforms are called only by the
+# two padded pairs and the plain N-point evaluation and interpolation.
+TRANSFORMS = {"fft", "ifft", "rfft", "irfft"}
+ENGINE = {"PaddedPair", "RealPaddedPair", "to_physical", "from_physical"}
+
+
+def transform_uses(tree: ast.Module) -> list[tuple[str, int]]:
+    """(top-level def or class, line) of each ``<x>.fft.<transform>`` in a module."""
+    uses = []
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
+                uses.append((scope, node.lineno))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in TRANSFORMS
+                and isinstance(node.value, (ast.Attribute, ast.Name))
+                and getattr(node.value, "attr", getattr(node.value, "id", None)) == "fft"
+            ):
+                uses.append((scope, node.lineno))
+    return uses
+
+
+def test_only_the_padded_pairs_and_the_point_evaluations_call_the_fft():
+    package = pathlib.Path(lowreg.__file__).parent
+    outside, engine = [], set()
+    for path in sorted(package.glob("*.py")):
+        for scope, line in transform_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "torus_spectral.py" and scope in ENGINE:
+                engine.add(scope)
+            else:
+                outside.append(f"{path.name}:{line} in {scope}")
+    assert outside == []
+    assert engine == ENGINE
 
 
 # --- derivative ----------------------------------------------------------------
@@ -390,6 +422,19 @@ def test_banded_products_match_exact_convolution(n, data):
     oracle = convolution_project(entered, n)
     scale = max(np.linalg.norm(oracle), 1.0)
     assert np.linalg.norm(out.coeffs - oracle) <= 1e-12 * scale
+
+
+def test_real_products_read_the_nyquist_mode_as_a_cosine():
+    # Every seeded real rough field has a Nyquist coefficient; its square is
+    # that of the cosine ``regrid`` embeds on the doubled grid, truncated back.
+    f = random_rough_field(RoughDataSpec(theta=1.0, seed=3), TorusGrid(16))
+    assert f.coeffs[8] != 0.0
+    square = dealiased_product([f, f])
+    assert square.is_real
+    fine = TorusGrid(32)
+    values = to_physical(regrid(f, fine)).real
+    expected = regrid(from_physical(values * values, fine), f.grid)
+    assert np.allclose(square.coeffs, expected.coeffs, rtol=0.0, atol=1e-14)
 
 
 # --- norms ----------------------------------------------------------------------

@@ -211,15 +211,6 @@ def test_preset_derivatives_match_finite_differences(name):
     assert np.max(np.abs(nl.g2(z) - d2)) <= 1e-7
 
 
-@pytest.mark.parametrize("name", ["quadratic", "cubic_minus", "sine", "zero"])
-@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
-def test_preset_growth_witness_bounds_all_three_maps(name, r):
-    nl = Nonlinearity.preset(name)
-    z = np.linspace(-r, r, 81)
-    total = np.abs(nl.g(z)) + np.abs(nl.g1(z)) + np.abs(nl.g2(z))
-    assert np.max(total) <= nl.growth(r) + 1e-12
-
-
 # --- the composed vector fields -------------------------------------------------
 
 
