@@ -45,7 +45,7 @@ def local_error_representation():
     grid = lr.TorusGrid(128)
     nl = lr.Nonlinearity.preset("quadratic")
     tau = 2.0**-6
-    spec = smooth_data_spec(seed=7, amplitude=0.5, real_valued=True)
+    spec = smooth_data_spec(seed=7, amplitude=0.5)
     w0 = rough_wave_state(spec, grid, v_theta=spec.theta)
     states = lr.wave_reference_solve(lr.WaveProblem(nl, w0, tau), 1024, tau / 16384)
     traj = lr.trajectory_of(states, 0.0, tau)

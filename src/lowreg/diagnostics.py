@@ -20,12 +20,15 @@ from .torus_spectral import (
     SpectralField,
     TorusGrid,
     WaveState,
+    _full_pair,
+    _half_pair,
     _parse_file,
     conjugate,
     derivative,
     difference,
     field_from_lines,
     field_to_lines,
+    full_spectrum,
     hermitian_part,
     spacetime_norm,
     wave_state_from_lines,
@@ -35,8 +38,6 @@ from .wave_integrators import (
     Nonlinearity,
     _apply_stacked,
     _flow_table,
-    _full_pair,
-    _half_pair,
     _nonlinear_coeffs,
     b_map,
     corrected_lie_step,
@@ -100,8 +101,8 @@ def strichartz_l4(traj: Trajectory) -> float:
 
 def null_form_field(w: WaveState) -> SpectralField:
     """Pointwise v^2 - (u_x)^2, dealiased on the 2x grid as ``b_map`` forms it."""
-    (coeffs,) = _nonlinear_coeffs(w, lambda u, v, ux: v * v - ux * ux)
-    return SpectralField(w.grid, coeffs, True)
+    (x,) = _nonlinear_coeffs(w, lambda u, v, ux: v * v - ux * ux)
+    return SpectralField(w.grid, full_spectrum(x), True)
 
 
 def nullform_norm(traj: Trajectory) -> float:

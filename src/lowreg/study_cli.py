@@ -2,8 +2,8 @@
 
 A convergence study builds seeded rough data, computes a cross-validated
 fine-step reference, sweeps the configured step sizes, measures terminal
-errors in the study norm, fits the order by least squares on the log-log
-cloud, and emits deterministic CSV/JSON reports.
+or max-over-steps errors in the study norm, fits the order by least squares
+on the log-log cloud, and emits deterministic CSV/JSON reports.
 
 Exit codes of the command-line driver: 0 success, 2 reference validation
 failure, 3 blow-up, 4 configuration error.
@@ -44,6 +44,7 @@ from .torus_spectral import (
     RoughDataSpec,
     TorusGrid,
     WaveState,
+    _solve,
     difference,
     random_rough_field,
     regrid,
@@ -120,16 +121,15 @@ class StudyConfig:
             )
         if self.mu not in (-1, 1):
             raise ConfigError("mu must be +1 or -1")
-        if self.nonlinearity and self.equation == "wave":
-            Nonlinearity.preset(self.nonlinearity)
-        if not all(map(math.isfinite, (self.theta, self.delta, self.amplitude,
-                                       self.t_end, self.cross_val_tol, self.norm_r))):
-            raise ConfigError("theta, delta, amplitude, t_end, cross_val_tol and norm_r "
-                              "must be finite")
-        if self.theta < 0 or self.delta <= 0 or self.amplitude <= 0:
-            raise ConfigError("theta >= 0, delta > 0 and amplitude > 0 are required")
+        if not all(map(math.isfinite, (self.t_end, self.cross_val_tol, self.norm_r))):
+            raise ConfigError("t_end, cross_val_tol and norm_r must be finite")
+        # Validate the grid, the datum and the nonlinearity by building them.
         try:
             TorusGrid(self.n_modes)
+            RoughDataSpec(theta=self.theta, seed=self.seed, delta=self.delta,
+                          amplitude=self.amplitude)
+            if self.equation == "wave":
+                Nonlinearity.preset(self.nonlinearity)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.t_end <= 0:
@@ -219,12 +219,11 @@ def _count_usable(pairs) -> int:
     return sum(1 for _, e in pairs if FIT_FLOOR <= e <= FIT_CEILING)
 
 
-def smooth_data_spec(seed: int, delta: float = 0.01, amplitude: float = 1.0,
-                     real_valued: bool = False) -> RoughDataSpec:
-    """Spec whose coefficient magnitudes decay like (1+|k|)^-6 exactly."""
+def smooth_data_spec(seed: int, delta: float = 0.01, amplitude: float = 1.0) -> RoughDataSpec:
+    """Complex-field spec whose coefficient magnitudes decay like (1+|k|)^-6
+    exactly; ``rough_wave_state`` draws real fields from it."""
     return RoughDataSpec(
-        theta=5.5 - delta, seed=seed, delta=delta,
-        real_valued=real_valued, amplitude=amplitude,
+        theta=5.5 - delta, seed=seed, delta=delta, real_valued=False, amplitude=amplitude,
     )
 
 
@@ -235,7 +234,7 @@ def _datum(equation: str, grid: TorusGrid, spec: RoughDataSpec,
     equation.  The equation decides ``spec.real_valued``."""
     if equation == "nls":
         return random_rough_field(dataclasses.replace(spec, real_valued=False), grid)
-    return rough_wave_state(dataclasses.replace(spec, real_valued=True), grid, v_theta)
+    return rough_wave_state(spec, grid, v_theta)
 
 
 def _norm_fn(initial, r: float = 0.0) -> Callable:
@@ -248,8 +247,9 @@ def _reference_scheme(initial) -> str:
     return _EQUATIONS["wave" if isinstance(initial, WaveState) else "nls"][0][0]
 
 
-def _run_scheme(phase, initial, scheme, term, tau, n_steps, record_every=None):
-    """Run one scheme; a blow-up names the phase and the scheme.
+def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1):
+    """The n_out + 1 equispaced snapshots on [0, t_end] of one scheme run at
+    step tau; a blow-up names the phase and the scheme.
 
     ``run_wave`` steps a ``WaveState`` and ``run_nls`` a field; ``term`` is
     their nonlinear term: the sign mu for NLS, the ``Nonlinearity`` for waves.
@@ -265,17 +265,16 @@ def _run_scheme(phase, initial, scheme, term, tau, n_steps, record_every=None):
     start = flow(initial, 0.5 * tau) if strang else initial
     kind = "lie" if strang else scheme
     try:
+        # run_wave and run_nls are looked up per call, so that wrapping them
+        # in this module (as a tracer does) reaches every run.
         if wave:
-            states = run_wave(start, tau, n_steps, term, corrected=(kind != "lie"),
-                              record_every=record_every)
+            states = _solve(run_wave, start, t_end, n_out, tau, term, kind != "lie")
         else:
-            states = run_nls(start, tau, n_steps, term, NlsStepperKind(kind),
-                             record_every=record_every)
+            states = _solve(run_nls, start, t_end, n_out, tau, term, NlsStepperKind(kind))
     except BlowUpError as exc:
         raise BlowUpError(f"{phase} run ({scheme}): {exc}") from exc
     if strang:
-        first = [initial] if record_every else []
-        states = first + [flow(s, -0.5 * tau) for s in states[len(first):]]
+        states = [initial] + [flow(s, -0.5 * tau) for s in states[1:]]
     return states
 
 
@@ -300,25 +299,20 @@ def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: floa
     return _reference_run(initial, term, problem.t_end, tau_ref, norm_fn, tol)[1]
 
 
-def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, record_every=None):
+def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1):
     """Reference run at tau_ref, cross-validated against Strang splitting.
 
     The comparator is second order and shares neither the phi1 filter nor
     the phi2 correction with the reference, so it runs at factor * tau_ref
     with factor = gcd(n_steps, 4): a quarter of the reference's steps
-    whenever 4 divides them.  Returns the reference snapshots and the
-    validation record; raises ``ValidationError`` unless the terminal
+    whenever 4 divides them.  Returns the n_out + 1 reference snapshots and
+    the validation record; raises ``ValidationError`` unless the terminal
     distance is at most the absolute ``tol``.
     """
     canonical = _reference_scheme(initial)
-    n_steps = steps_for(t_end, tau_ref)
-    ref_states = _run_scheme(
-        "reference", initial, canonical, term, tau_ref, n_steps, record_every=record_every
-    )
-    factor = math.gcd(n_steps, 4)
-    comp = _run_scheme(
-        "comparator", initial, "strang", term, factor * tau_ref, n_steps // factor
-    )[-1]
+    ref_states = _run_scheme("reference", initial, canonical, term, tau_ref, t_end, n_out)
+    factor = math.gcd(steps_for(t_end, tau_ref), 4)
+    comp = _run_scheme("comparator", initial, "strang", term, factor * tau_ref, t_end)[-1]
     distance = norm_fn(difference(ref_states[-1], comp))
     record = {
         "tau_ref": tau_ref,
@@ -339,22 +333,20 @@ def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, record_every=Non
     return ref_states, record
 
 
-def _sweep_errors(config: StudyConfig, initial, term, ref_states, norm_fn):
+def _errors(phase, config: StudyConfig, initial, term, taus, ref_states, norm_fn,
+            every_step=False):
+    """Error of ``config.scheme`` at each step size in ``taus`` against the
+    equispaced reference snapshots ``ref_states`` on [0, t_end]: the largest
+    over every step when ``every_step``, else the terminal one.  Each run's
+    phase is ``phase.format(tau)``."""
     errors = []
-    for tau in config.tau_list:
-        n_steps = steps_for(config.t_end, tau)
-        states = _run_scheme(
-            f"sweep tau={tau:g}", initial, config.scheme, term, tau, n_steps,
-            record_every=1 if config.max_over_steps else None,
-        )
-        if config.max_over_steps:
-            stride = steps_for(tau, config.tau_list[-1])
-            err = 0.0
-            for j in range(1, n_steps + 1):
-                err = max(err, norm_fn(difference(states[j], ref_states[j * stride])))
-        else:
-            err = norm_fn(difference(states[-1], ref_states[-1]))
-        errors.append(float(err))
+    for tau in taus:
+        n_out = steps_for(config.t_end, tau) if every_step else 1
+        states = _run_scheme(phase.format(tau), initial, config.scheme, term, tau,
+                             config.t_end, n_out)
+        stride = (len(ref_states) - 1) // n_out
+        errors.append(float(max(norm_fn(difference(states[j], ref_states[j * stride]))
+                                for j in range(1, n_out + 1))))
     return errors
 
 
@@ -365,15 +357,12 @@ def _spatial_check(config: StudyConfig, initial, term, norm_fn):
     so the comparison isolates the spatial layer.  Returns (resolved, change).
     """
     tau_c = config.tau_list[0]
-    factor = max(config.ref_factor, 256)
-    tau_mini = tau_c / factor
+    tau_mini = tau_c / max(config.ref_factor, 256)
 
     def error_on(state0):
-        n_steps = steps_for(config.t_end, tau_c)
-        coarse = _run_scheme("spatial check", state0, config.scheme, term, tau_c, n_steps)[-1]
         fine = _run_scheme("spatial check", state0, _reference_scheme(state0), term,
-                           tau_mini, n_steps * factor)[-1]
-        return norm_fn(difference(coarse, fine))
+                           tau_mini, config.t_end)
+        return _errors("spatial check", config, state0, term, (tau_c,), fine, norm_fn)[0]
 
     e_base = error_on(initial)
     e_fine = error_on(regrid(initial, TorusGrid(2 * config.n_modes)))
@@ -395,9 +384,10 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
     ref_states, validation = _reference_run(
         initial, term, config.t_end, tau_ref, norm_fn,
         config.cross_val_tol * norm_fn(initial),
-        config.ref_factor if config.max_over_steps else None,
+        steps_for(config.t_end, config.tau_list[-1]) if config.max_over_steps else 1,
     )
-    errors = _sweep_errors(config, initial, term, ref_states, norm_fn)
+    errors = _errors("sweep tau={:g}", config, initial, term, config.tau_list, ref_states,
+                     norm_fn, config.max_over_steps)
     distance = validation["distance"]
     validation["certification_margin"] = min(errors) / distance if distance else None
 
@@ -677,18 +667,16 @@ def _cmd_diagnose(args, functional: str) -> None:
             results["nonlinearity"] = term.tag
     scheme = _reference_scheme(datum)
 
-    def value_on(state, n_out, step):
-        per = steps_for(t_end / n_out, step)
-        states = _run_scheme(f"{functional} reference", state, scheme, term, step,
-                             n_out * per, record_every=per)
-        return measure(trajectory_of(states, 0.0, t_end, scheme=scheme, tau_ref=step,
-                                     seed=seed))
+    def value_on(state, n_out):
+        states = _run_scheme(f"{functional} reference", state, scheme, term, tau_ref,
+                             t_end, n_out)
+        return measure(trajectory_of(states, 0.0, t_end))
 
-    value = value_on(datum, samples, tau_ref)
+    value = value_on(datum, samples)
     print(f"{functional} {value!r}")
     results["value"] = value
     if args.refine:
-        refined = value_on(regrid(datum, TorusGrid(2 * modes)), 2 * samples, tau_ref)
+        refined = value_on(regrid(datum, TorusGrid(2 * modes)), 2 * samples)
         change = abs(refined - value) / max(value, 1e-300)
         print(f"{functional}_refined {refined!r}")
         print(f"relative_change {change!r}")
@@ -716,7 +704,7 @@ def _cmd_local_error_check(args) -> None:
             scheme, micro_per, oracle = "corrected_lie", 16, wave_local_error_oracle
     n_out = 4 * quad_order
     states = _run_scheme("local-error reference", datum, scheme, term,
-                         tau / (micro_per * n_out), n_out * micro_per, record_every=micro_per)
+                         tau / (micro_per * n_out), tau, n_out)
     traj = trajectory_of(states, 0.0, tau)
     pairs = [oracle(traj, tau, term, q) for q in (quad_order, 4 * quad_order)]
     norm_fn = _norm_fn(datum)

@@ -94,15 +94,15 @@ def evolve(state, step, size, n_steps, record_every, wrap) -> list:
     return out
 
 
-def _solve(run, initial, t_end: float, n_out: int, tau_ref: float, *args) -> list:
-    """Both reference solves: ``run`` from ``initial`` at step tau_ref, with
-    n_out+1 equispaced snapshots on [0, t_end]; tau_ref divides t_end/n_out."""
+def _solve(run, initial, t_end: float, n_out: int, tau: float, *args) -> list:
+    """Every multi-step run: ``run`` from ``initial`` at step tau, with n_out+1
+    equispaced snapshots on [0, t_end]; tau must divide t_end/n_out."""
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
     if t_end == 0:
         return [initial]
-    per = steps_for(t_end / n_out, tau_ref)
-    return run(initial, tau_ref, n_out * per, *args, record_every=per)
+    per = steps_for(t_end / n_out, tau)
+    return run(initial, tau, n_out * per, *args, record_every=per)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,20 +239,10 @@ def field_like(f: SpectralField, coeffs: np.ndarray, is_real: bool | None = None
     return SpectralField(f.grid, coeffs, is_real)
 
 
-def _pair(grid: TorusGrid, uc: np.ndarray, vc: np.ndarray) -> WaveState:
-    # Multiplier tables are only even in k up to the last bit, and roundoff
-    # asymmetry amplified by k can dominate a small component, as can that
-    # of a difference of two nearly equal real fields; project back.
-    return WaveState(
-        SpectralField(grid, hermitian_part(uc), True),
-        SpectralField(grid, hermitian_part(vc), True),
-    )
-
-
 def difference(a, b):
     """a - b for two fields or two wave states on one grid."""
     if isinstance(a, WaveState):
-        return _pair(a.grid, a.u.coeffs - b.u.coeffs, a.v.coeffs - b.v.coeffs)
+        return _full_pair(a.grid, _half_pair(a) - _half_pair(b))
     return SpectralField(a.grid, a.coeffs - b.coeffs, False)
 
 
@@ -346,6 +336,17 @@ def full_spectrum(x: np.ndarray) -> np.ndarray:
     out[h] = 2.0 * x[h].real
     out[h + 1 :] = np.conj(x[h - 1 : 0 : -1])
     return out
+
+
+def _half_pair(w: WaveState) -> np.ndarray:
+    """The half-spectra of u and v, stacked as one (2, N/2 + 1) array."""
+    return np.stack([half_spectrum(w.u.coeffs), half_spectrum(w.v.coeffs)])
+
+
+def _full_pair(grid: TorusGrid, s: np.ndarray) -> WaveState:
+    """The wave state of a stacked half-spectrum pair; exactly Hermitian."""
+    u, v = (SpectralField(grid, full_spectrum(x), True) for x in s)
+    return WaveState(u, v)
 
 
 class RealPaddedPair:
@@ -568,9 +569,11 @@ def rough_wave_state(
 ) -> WaveState:
     """Seeded wave datum: u drawn from ``spec``, v from the same law at
     ``v_theta`` (default one exponent lower, floored at 0) on the seed
-    ``spec.seed + V_SEED_OFFSET``."""
+    ``spec.seed + V_SEED_OFFSET``; both are real whatever ``spec.real_valued``
+    says."""
     if v_theta is None:
         v_theta = max(spec.theta - 1.0, 0.0)
+    spec = dataclasses.replace(spec, real_valued=True)
     v_spec = dataclasses.replace(spec, theta=v_theta, seed=spec.seed + V_SEED_OFFSET)
     return WaveState(random_rough_field(spec, grid), random_rough_field(v_spec, grid))
 

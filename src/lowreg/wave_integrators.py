@@ -36,14 +36,13 @@ import numpy as np
 
 from .torus_spectral import (
     RealPaddedPair,
-    SpectralField,
     TorusGrid,
     WaveState,
-    _pair,
+    _full_pair,
+    _half_pair,
     _solve,
     derivative,
     evolve,
-    full_spectrum,
     half_spectrum,
     series_mask,
     sin_over,
@@ -174,16 +173,6 @@ def _apply_stacked(table, s: np.ndarray) -> np.ndarray:
     return diag * s + off * s[::-1]
 
 
-def _half_pair(w: WaveState) -> np.ndarray:
-    return np.stack([half_spectrum(w.u.coeffs), half_spectrum(w.v.coeffs)])
-
-
-def _full_pair(grid: TorusGrid, s: np.ndarray) -> WaveState:
-    # full_spectrum is exactly Hermitian already; no projection is needed.
-    u, v = (SpectralField(grid, full_spectrum(x), True) for x in s)
-    return WaveState(u, v)
-
-
 def wave_flow(w: WaveState, t: float) -> WaveState:
     """Linear wave group e^{tA} applied mode by mode."""
     return _full_pair(w.grid, _apply_stacked(_flow_table(w.grid, t), _half_pair(w)))
@@ -243,27 +232,27 @@ class _WaveWork:
         return _apply_stacked(self.flow, a)
 
 
-def _nonlinear_coeffs(w: WaveState, *exprs) -> list[np.ndarray]:
-    """Full spectra of up to three pointwise expressions of (u, v, u_x) on the
-    2x grid, from one 3-row synthesis and one analysis of all the expressions
-    on one real workspace."""
+def _nonlinear_coeffs(w: WaveState, *exprs) -> np.ndarray:
+    """Stacked half-spectra of up to three pointwise expressions of (u, v, u_x)
+    on the 2x grid, from one 3-row synthesis and one analysis of all the
+    expressions on one real workspace."""
     pair = RealPaddedPair(w.grid.n_modes, rows=3)
     fields = (w.u, w.v, derivative(w.u, 1))
     u, v, ux = pair.values(np.stack([half_spectrum(f.coeffs) for f in fields]))
-    spectra = pair.coeffs(np.stack([expr(u, v, ux) for expr in exprs]))
-    return [full_spectrum(x) for x in spectra]
+    return pair.coeffs(np.stack([expr(u, v, ux) for expr in exprs]))
 
 
 def a_apply(w: WaveState) -> WaveState:
     """The generator A(u, v) = (v, u_xx), applied in coefficient space."""
-    k2 = w.grid.freqs.astype(np.float64) ** 2
-    return _pair(w.grid, w.v.coeffs.copy(), -k2 * w.u.coeffs)
+    k2 = w.grid.freqs[: w.grid.nyquist_index + 1].astype(np.float64) ** 2
+    u, v = _half_pair(w)
+    return _full_pair(w.grid, np.stack([v, -k2 * u]))
 
 
 def g_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     """(0, g(u)), evaluated pointwise on the 2x grid and truncated."""
-    (coeffs,) = _nonlinear_coeffs(w, lambda u, v, ux: nl.g(u))
-    return _pair(w.grid, np.zeros_like(coeffs), coeffs)
+    (gu,) = _nonlinear_coeffs(w, lambda u, v, ux: nl.g(u))
+    return _full_pair(w.grid, np.stack([np.zeros_like(gu), gu]))
 
 
 def h_map(w: WaveState, nl: Nonlinearity) -> WaveState:
@@ -271,15 +260,15 @@ def h_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     gu, g1v = _nonlinear_coeffs(
         w, lambda u, v, ux: nl.g(u), lambda u, v, ux: nl.g1(u) * v
     )
-    return _pair(w.grid, -gu, g1v)
+    return _full_pair(w.grid, np.stack([-gu, g1v]))
 
 
 def b_map(w: WaveState, nl: Nonlinearity) -> WaveState:
     """(0, g''(u) * [v^2 - u_x^2] + g'(u) * g(u)), all products dealiased."""
-    (coeffs,) = _nonlinear_coeffs(
+    (b,) = _nonlinear_coeffs(
         w, lambda u, v, ux: nl.g2(u) * (v * v - ux * ux) + nl.g1(u) * nl.g(u)
     )
-    return _pair(w.grid, np.zeros_like(coeffs), coeffs)
+    return _full_pair(w.grid, np.stack([np.zeros_like(b), b]))
 
 
 def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:

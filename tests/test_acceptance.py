@@ -20,6 +20,7 @@ from lowreg.study_cli import (
     run_convergence_study,
     smooth_data_spec,
 )
+from lowreg.torus_spectral import rough_wave_state
 from oracles import (
     phi1_multiplier_quadrature,
     phi2_block_quadrature,
@@ -77,14 +78,8 @@ def wave_study(nonlinearity, seed, scheme="corrected_lie", spatial_check=False):
 
 
 def smooth_wave_state(grid, seed, amplitude=0.5):
-    u = lr.random_rough_field(
-        smooth_data_spec(seed=seed, amplitude=amplitude, real_valued=True), grid
-    )
-    v = lr.random_rough_field(
-        smooth_data_spec(seed=seed + V_SEED_OFFSET, amplitude=amplitude, real_valued=True),
-        grid,
-    )
-    return lr.WaveState(u, v)
+    spec = smooth_data_spec(seed=seed, amplitude=amplitude)
+    return rough_wave_state(spec, grid, v_theta=spec.theta)
 
 
 def test_c01_nls_rough_data_converges_at_first_order():

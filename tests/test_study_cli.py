@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -30,11 +32,15 @@ from lowreg import (
     fit_rate,
     free_flow,
     main,
+    nls_reference_solve,
     random_rough_field,
     report_from_json,
     run_convergence_study,
+    run_nls,
+    run_wave,
     sobolev_norm,
     wave_flow,
+    wave_reference_solve,
     wave_state_norm,
     zero_field,
 )
@@ -174,7 +180,7 @@ def test_config_rejects_bad_settings(overrides):
 def test_config_rejects_wave_specific_mistakes():
     with pytest.raises(ConfigError):
         StudyConfig(equation="wave", tau_list=(0.25,), error_norm="L2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         StudyConfig(equation="wave", tau_list=(0.25,), nonlinearity="bogus")
 
 
@@ -413,14 +419,13 @@ def test_cross_validation_never_passes_a_nan_tolerance():
 def smooth_datum(equation, grid, seed=3):
     if equation == "nls":
         return random_rough_field(smooth_data_spec(seed, amplitude=0.5), grid)
-    spec = smooth_data_spec(seed, amplitude=0.5, real_valued=True)
+    spec = smooth_data_spec(seed, amplitude=0.5)
     return rough_wave_state(spec, grid, v_theta=spec.theta)
 
 
-def strang(equation, initial, tau, n_steps, record_every=None):
+def strang(equation, initial, tau, t_end, n_out=1):
     term = Nonlinearity.preset("quadratic") if equation == "wave" else 1
-    return _run_scheme("test", initial, "strang", term, tau, n_steps,
-                       record_every=record_every)
+    return _run_scheme("test", initial, "strang", term, tau, t_end, n_out)
 
 
 def distance(a, b):
@@ -435,12 +440,12 @@ def test_strang_comparator_without_nonlinearity_is_the_free_flow(equation):
     if equation == "nls":
         initial = random_rough_field(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
         # mu = 0 leaves the Lie step only its free flow.
-        out = _run_scheme("test", initial, "strang", 0, tau, n_steps)[-1]
+        out = _run_scheme("test", initial, "strang", 0, tau, n_steps * tau)[-1]
         exact = free_flow(initial, n_steps * tau)
     else:
         initial = rough_wave_state(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
         out = _run_scheme("test", initial, "strang", Nonlinearity.preset("zero"), tau,
-                          n_steps)[-1]
+                          n_steps * tau)[-1]
         exact = wave_flow(initial, n_steps * tau)
     assert distance(out, exact) <= 1e-13
 
@@ -448,8 +453,8 @@ def test_strang_comparator_without_nonlinearity_is_the_free_flow(equation):
 @pytest.mark.parametrize("equation", ["nls", "wave"])
 def test_strang_comparator_is_second_order_on_smooth_data(equation):
     initial = smooth_datum(equation, TorusGrid(64))
-    fine = strang(equation, initial, 2.0**-11, 2**11)[-1]
-    gaps = [distance(strang(equation, initial, 2.0**-e, 2**e)[-1], fine) for e in (3, 4, 5, 6)]
+    fine = strang(equation, initial, 2.0**-11, 1.0)[-1]
+    gaps = [distance(strang(equation, initial, 2.0**-e, 1.0)[-1], fine) for e in (3, 4, 5, 6)]
     assert all(a >= 3.0 * b for a, b in zip(gaps, gaps[1:])), gaps
 
 
@@ -457,11 +462,48 @@ def test_strang_comparator_is_second_order_on_smooth_data(equation):
 def test_recorded_strang_snapshots_are_the_terminal_states_of_shorter_runs(equation):
     initial = smooth_datum(equation, TorusGrid(32))
     tau, every = 2.0**-4, 2
-    snapshots = strang(equation, initial, tau, 3 * every, record_every=every)
+    snapshots = strang(equation, initial, tau, 3 * every * tau, n_out=3)
     assert len(snapshots) == 4 and snapshots[0] is initial
     for j in (1, 2, 3):
-        terminal = strang(equation, initial, tau, j * every)[-1]
+        terminal = strang(equation, initial, tau, j * every * tau)[-1]
         assert distance(snapshots[j], terminal) == 0.0
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_max_over_steps_error_is_the_largest_error_over_the_snapshots(equation):
+    taus = (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5)
+    settings = dict(equation=equation, tau_list=taus, n_modes=32, ref_factor=16,
+                    cross_val_tol=1.0, spatial_check=False)
+    worst = run_convergence_study(StudyConfig(**settings, max_over_steps=True)).errors
+    terminal = run_convergence_study(StudyConfig(**settings)).errors
+    # The study's datum, drawn independently: theta 1, seed 1, amplitude 0.5.
+    grid = TorusGrid(32)
+    spec = RoughDataSpec(theta=1.0, seed=1, amplitude=0.5)
+    if equation == "nls":
+        initial = random_rough_field(dataclasses.replace(spec, real_valued=False), grid)
+        ref = nls_reference_solve(NlsProblem(1, initial, 1.0), 32, taus[-1] / 16)
+
+        def run(tau, n_steps):
+            return run_nls(initial, tau, n_steps, 1, record_every=1)
+
+        def norm(f):
+            return sobolev_norm(f, 0.0)
+    else:
+        initial = rough_wave_state(spec, grid)
+        nl = Nonlinearity.preset("quadratic")
+        ref = wave_reference_solve(WaveProblem(nl, initial, 1.0), 32, taus[-1] / 16)
+
+        def run(tau, n_steps):
+            return run_wave(initial, tau, n_steps, nl, record_every=1)
+
+        norm = wave_state_norm
+    for tau, err, last in zip(taus, worst, terminal):
+        n_steps = round(1.0 / tau)
+        stride = 32 // n_steps
+        states = run(tau, n_steps)
+        assert err == max(norm(difference(states[j], ref[j * stride]))
+                          for j in range(1, n_steps + 1))
+        assert err >= last
 
 
 @pytest.mark.parametrize("ref_factor, factor", [(17, 1), (18, 2), (20, 4)])
@@ -641,6 +683,7 @@ def test_cli_rejects_bad_configuration(capsys):
         "nls-converge --modes 1125899906842624",
         "diagnose-strichartz --modes 1125899906842624",
         "local-error-check --equation nls --modes 1125899906842624",
+        "wave-converge --nonlinearity ''",
     ],
 )
 def test_cli_bad_input_exits_4_without_a_traceback(argv):
@@ -648,7 +691,7 @@ def test_cli_bad_input_exits_4_without_a_traceback(argv):
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", "from lowreg.study_cli import console_entry; console_entry()",
-         *argv.split()],
+         *shlex.split(argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 4

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import pathlib
 import warnings
@@ -43,6 +44,7 @@ from lowreg.torus_spectral import (
     field_like,
     full_spectrum,
     half_spectrum,
+    rough_wave_state,
     unit_uniform,
 )
 from oracles import convolution_project, decay_norm_sq
@@ -292,41 +294,80 @@ def test_real_padded_pair_workspace_is_reusable():
     assert np.array_equal(both[1], expected)
 
 
-# The one padded-transform engine: numpy's transforms are called only by the
-# two padded pairs and the plain N-point evaluation and interpolation.
-TRANSFORMS = {"fft", "ifft", "rfft", "irfft"}
-ENGINE = {"PaddedPair", "RealPaddedPair", "to_physical", "from_physical"}
+def references(tree: ast.Module, names) -> list[tuple[str, int, bool]]:
+    """(top-level def or class, line, called) of each reference in a module to
+    a dotted name ending in one of ``names``, such as ``np.fft.rfft`` to
+    ``fft.rfft``, imports included; ``called`` says the reference is called."""
 
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
 
-def transform_uses(tree: ast.Module) -> list[tuple[str, int]]:
-    """(top-level def or class, line) of each ``<x>.fft.<transform>`` in a module."""
     uses = []
     for top in tree.body:
         scope = getattr(top, "name", "<module>")
+        calls = {id(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
         for node in ast.walk(top):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fft"):
-                uses.append((scope, node.lineno))
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in TRANSFORMS
-                and isinstance(node.value, (ast.Attribute, ast.Name))
-                and getattr(node.value, "attr", getattr(node.value, "id", None)) == "fft"
-            ):
-                uses.append((scope, node.lineno))
+            if isinstance(node, ast.ImportFrom):
+                paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                paths = [dotted(node)]
+            if any(path and (path in names or path.endswith(tuple("." + n for n in names)))
+                   for path in paths):
+                uses.append((scope, node.lineno, id(node) in calls))
     return uses
 
 
-def test_only_the_padded_pairs_and_the_point_evaluations_call_the_fft():
+def package_references(names) -> list[tuple[str, str, int, bool]]:
+    """(module file, scope, line, called) of each reference in the package."""
     package = pathlib.Path(lowreg.__file__).parent
+    return [
+        (path.name, *use)
+        for path in sorted(package.glob("*.py"))
+        for use in references(ast.parse(path.read_text(encoding="utf-8")), names)
+    ]
+
+
+def callers(names) -> set[str]:
+    return {f"{module}:{scope}" for module, scope, _, called in package_references(names)
+            if called}
+
+
+# The one padded-transform engine: numpy's transforms are called only by the
+# two padded pairs and the plain N-point evaluation and interpolation.
+TRANSFORMS = {"fft.fft", "fft.ifft", "fft.rfft", "fft.irfft"}
+ENGINE = {"PaddedPair", "RealPaddedPair", "to_physical", "from_physical"}
+
+
+def test_only_the_padded_pairs_and_the_point_evaluations_call_the_fft():
     outside, engine = [], set()
-    for path in sorted(package.glob("*.py")):
-        for scope, line in transform_uses(ast.parse(path.read_text(encoding="utf-8"))):
-            if path.name == "torus_spectral.py" and scope in ENGINE:
-                engine.add(scope)
-            else:
-                outside.append(f"{path.name}:{line} in {scope}")
+    for module, scope, line, _ in package_references(TRANSFORMS):
+        if module == "torus_spectral.py" and scope in ENGINE:
+            engine.add(scope)
+        else:
+            outside.append(f"{module}:{line} in {scope}")
     assert outside == []
     assert engine == ENGINE
+
+
+# The one run path: the runners are called only by the one-step maps, and
+# every multi-step run hands its horizon and snapshot count to _solve.
+def test_every_multi_step_run_goes_through_solve():
+    assert callers({"run_nls", "run_wave"}) == {
+        "nls_integrators.py:lri_step",
+        "nls_integrators.py:lie_step_nls",
+        "wave_integrators.py:corrected_lie_step",
+        "wave_integrators.py:lie_step_wave",
+    }
+    assert callers({"_solve"}) == {
+        "nls_integrators.py:nls_reference_solve",
+        "wave_integrators.py:wave_reference_solve",
+        "study_cli.py:_run_scheme",
+    }
 
 
 # --- derivative ----------------------------------------------------------------
@@ -537,6 +578,16 @@ def test_real_rough_field_passes_the_real_invariant(seed):
     assert f.is_real
     assert hermitian_defect(f.coeffs) <= 1e-12
     assert np.allclose(to_physical(f).imag, 0.0, atol=1e-13)
+
+
+def test_rough_wave_state_draws_real_fields_from_any_spec():
+    grid = TorusGrid(32)
+    spec = RoughDataSpec(theta=1.0, seed=5, real_valued=False, amplitude=0.5)
+    got = rough_wave_state(spec, grid, v_theta=0.5)
+    want = rough_wave_state(dataclasses.replace(spec, real_valued=True), grid, v_theta=0.5)
+    assert got.u.is_real and got.v.is_real
+    assert np.array_equal(got.u.coeffs, want.u.coeffs)
+    assert np.array_equal(got.v.coeffs, want.v.coeffs)
 
 
 def test_refining_the_grid_keeps_existing_coefficients_bit_identical():
