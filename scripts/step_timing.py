@@ -32,7 +32,7 @@ from lowreg import (
 )
 
 SCHEMES = ("lri", "lie", "corrected", "plain")
-MODES = (128, 1024, 4096)
+MODES = (128, 1024, 2048, 4096)  # 2048: the spatial check's 2N grid for N = 1024
 ROWS = (1, 2, 3)
 STEPS = 500  # steps per timed run
 CALLS = 200  # transform call pairs per timed run

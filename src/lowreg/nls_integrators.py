@@ -18,7 +18,6 @@ from .torus_spectral import (
     PaddedPair,
     SpectralField,
     TorusGrid,
-    _conj_perm,
     _solve,
     evolve,
     series_mask,
@@ -87,39 +86,68 @@ def phi1_apply(f: SpectralField, tau: float) -> SpectralField:
 
 
 class _Stepper:
-    """Precomputed multiplier tables and one padded-transform workspace for
-    repeated steps at fixed (grid, tau, mu)."""
+    """Precomputed multiplier tables, one padded-transform workspace and the
+    scratch of every step, allocated once for repeated steps at fixed
+    (grid, tau, mu).
+
+    The scratch is the filtered row, a real buffer on the 2N grid (|u|^2, the
+    Lie phase argument, and the squares that ``size`` sums) and a complex
+    phase buffer.  ``step`` writes each new state into one of two output
+    arrays, never the one it was given, so the state it returns stays valid
+    through the next step only; ``evolve`` copies every snapshot it keeps.
+    """
 
     def __init__(self, grid: TorusGrid, tau: float, mu: float, kind: NlsStepperKind):
         if tau <= 0:
             raise ValueError("tau must be > 0")
-        self.tau = tau
-        self.mu = mu
         self.kind = kind
+        # Formed as the step formulas read, left to right: 1j*tau*mu, tau*mu.
+        self.scale = 1j * tau * mu
+        self.phase_scale = tau * mu
         self.free = _free_multiplier(grid, tau)
         self.phi1 = _phi1_multiplier(grid, tau)
-        self.rev = _conj_perm(grid.n_modes)
-        self.pair = PaddedPair(grid.n_modes, rows=2)
+        n = grid.n_modes
+        self.pair = PaddedPair(n, rows=2)
         # Each H^1 weight twice, for the real and the imaginary part of c.
         self.weights = np.repeat(1.0 + grid.freqs.astype(np.float64) ** 2, 2)
+        self._filtered = np.empty(n, dtype=np.complex128)
+        self._real = np.empty(2 * n)
+        self._phase = np.empty(2 * n, dtype=np.complex128)
+        self._outs = (np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128))
 
     def size(self, c: np.ndarray) -> float:
         """H^1 norm of a coefficient array, as ``sobolev_norm(f, 1.0)``."""
-        return np.sqrt(self.weights @ np.square(c.view(np.float64)))
+        return np.sqrt(self.weights @ np.square(c.view(np.float64), out=self._real))
 
     def step(self, c: np.ndarray) -> np.ndarray:
+        out = self._outs[1] if c is self._outs[0] else self._outs[0]
         if self.kind is NlsStepperKind.LOW_REGULARITY:
-            filtered = self.phi1 * np.conj(c[self.rev])
+            # phi1 * conj(c[-k]); the slot of -k is 0 for k = 0, else n - k.
+            filtered = self._filtered
+            filtered[0] = c[0].conjugate()
+            np.conj(c[:0:-1], out=filtered[1:])
+            np.multiply(self.phi1, filtered, out=filtered)
             u_phys, f_phys = self.pair.values(c, filtered)
             u_phys *= u_phys
             u_phys *= f_phys
-            cubic = self.pair.coeffs(u_phys)
-            return self.free * (c - 1j * self.tau * self.mu * cubic)
+            cubic = self.pair.coeffs(u_phys, out=out)
+            # free * (c - 1j*tau*mu * cubic)
+            np.multiply(self.scale, cubic, out=out)
+            np.subtract(c, out, out=out)
+            return np.multiply(self.free, out, out=out)
         (u_phys,) = self.pair.values(c)
-        # cos(x) - i*sin(x) is exp(-i*x) bit for bit, without the complex exp.
-        x = self.tau * self.mu * np.abs(u_phys) ** 2
-        u_phys *= np.cos(x) - 1j * np.sin(x)
-        return self.free * self.pair.coeffs(u_phys)
+        x = np.abs(u_phys, out=self._real)
+        np.square(x, out=x)
+        np.multiply(self.phase_scale, x, out=x)
+        # The phase exp(-i*x) as cos(x) - 1j*sin(x), bit for bit and without
+        # the complex exp: its imaginary part is 0.0 - sin(x), so a zero
+        # argument gives +0.0, as the complex subtraction does.
+        phase = self._phase
+        np.cos(x, out=phase.real)
+        np.sin(x, out=phase.imag)
+        np.subtract(0.0, phase.imag, out=phase.imag)
+        u_phys *= phase
+        return np.multiply(self.free, self.pair.coeffs(u_phys, out=out), out=out)
 
 
 def lri_step(u_n: SpectralField, tau: float, mu: float) -> SpectralField:

@@ -16,6 +16,7 @@ kept in FFT order.  The analysis conventions used throughout:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Iterator, Sequence
 
@@ -132,9 +133,13 @@ class TorusGrid:
         return self.n_modes // 2
 
 
+@functools.cache
 def _conj_perm(n: int) -> np.ndarray:
-    """Index permutation sending the slot of wavenumber k to that of -k."""
-    return (-np.arange(n)) % n
+    """Index permutation sending the slot of wavenumber k to that of -k; built
+    once per n and read-only, since every caller shares it."""
+    perm = (-np.arange(n)) % n
+    perm.setflags(write=False)
+    return perm
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
@@ -258,23 +263,31 @@ def pad_coeffs(c: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def truncate_coeffs(c: np.ndarray, n: int) -> np.ndarray:
+def truncate_coeffs(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Restrict FFT-order coefficients (along the last axis) to n modes,
-    folding the +-N/2 pair.
+    folding the +-N/2 pair, into ``out`` when given, else into a fresh array.
 
     Folding reproduces exactly what sampling the underlying function on the
     n-point grid does to the two Nyquist-conjugate modes, so truncation of a
     Hermitian array stays Hermitian.
     """
     m = c.shape[-1]
+    if out is None:
+        out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
     if m == n:
-        return np.array(c, dtype=np.complex128)
+        out[...] = c
+        return out
     h = n // 2
-    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :h] = c[..., :h]
     out[..., h:] = c[..., m - h :]
     out[..., h] += c[..., h]
     return out
+
+
+def _check_rows(given: int, rows: int) -> None:
+    """A padded pair transforms at most the ``rows`` rows it was built for."""
+    if given > rows:
+        raise ValueError(f"{given} rows given, but the workspace holds {rows}")
 
 
 class PaddedPair:
@@ -285,19 +298,22 @@ class PaddedPair:
     N retained coefficients of 2N nodal values (up to ``rows`` rows along
     leading axes) from one forward transform.  Both use ``norm="forward"``,
     which differs from the unnormalised pair by exact power-of-two scalings,
-    and a batched call matches row-by-row calls bit for bit.  The array
-    ``values`` returns is a view of this workspace and stays valid only until
-    its next call; ``coeffs`` returns a fresh one.
+    and a batched call matches row-by-row calls bit for bit.  More rows than
+    ``rows`` raise ``ValueError``.  The array ``values`` returns is a view of
+    this workspace and stays valid only until its next call; ``coeffs``
+    writes into the caller's ``out`` when given, else into a fresh array.
     """
 
     def __init__(self, n: int, rows: int = 1):
         self.n = n
+        self.rows = rows
         self._padded = np.zeros((rows, 2 * n), dtype=np.complex128)
         self._values = np.empty((rows, 2 * n), dtype=np.complex128)
         self._spectrum = np.empty(rows * 2 * n, dtype=np.complex128)
 
     def values(self, *coeff_rows: np.ndarray) -> np.ndarray:
         """(len(coeff_rows), 2N) nodal values of the given N-coefficient rows."""
+        _check_rows(len(coeff_rows), self.rows)
         h = self.n // 2
         padded = self._padded[: len(coeff_rows)]
         for row, c in zip(padded, coeff_rows):
@@ -305,10 +321,12 @@ class PaddedPair:
             row[-h:] = c[h:]
         return np.fft.ifft(padded, norm="forward", out=self._values[: len(coeff_rows)])
 
-    def coeffs(self, values: np.ndarray) -> np.ndarray:
-        """N retained coefficients of 2N nodal values, along the last axis."""
+    def coeffs(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """N retained coefficients of 2N nodal values, along the last axis,
+        truncated into ``out`` when given."""
+        _check_rows(math.prod(values.shape[:-1]), self.rows)
         spectrum = self._spectrum[: values.size].reshape(values.shape)
-        return truncate_coeffs(np.fft.fft(values, norm="forward", out=spectrum), self.n)
+        return truncate_coeffs(np.fft.fft(values, norm="forward", out=spectrum), self.n, out)
 
 
 # Real fields travel through repeated steps as half-spectra: the N/2 + 1
@@ -358,24 +376,28 @@ class RealPaddedPair:
     ``rfft``, kept at k = 0..N/2 with the retained +-N/2 pair folded into the
     halved Nyquist entry as Re F[N/2], as ``truncate_coeffs`` folds it for
     the full spectrum.  Leading axes of up to ``rows`` rows in all are
-    transformed in one call, bit for bit as row by row.  Both directions use
-    ``norm="forward"`` and write into this workspace: each result is a view
-    that stays valid only until the next call of the same method.
+    transformed in one call, bit for bit as row by row; more rows raise
+    ``ValueError``.  Both directions use ``norm="forward"`` and write into
+    this workspace: each result is a view that stays valid only until the
+    next call of the same method.
     """
 
     def __init__(self, n: int, rows: int = 1):
         self.n = n
+        self.rows = rows
         self._values = np.empty(rows * 2 * n)
         self._spectrum = np.empty(rows * (n + 1), dtype=np.complex128)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Nodal values at the 2N padded-grid points, along the last axis."""
+        _check_rows(math.prod(x.shape[:-1]), self.rows)
         shape = x.shape[:-1] + (2 * self.n,)
         out = self._values[: math.prod(shape)].reshape(shape)
         return np.fft.irfft(x, 2 * self.n, norm="forward", out=out)
 
     def coeffs(self, values: np.ndarray) -> np.ndarray:
         """Half-spectra of real 2N padded-grid values, along the last axis."""
+        _check_rows(math.prod(values.shape[:-1]), self.rows)
         shape = values.shape[:-1] + (self.n + 1,)
         spectrum = self._spectrum[: math.prod(shape)].reshape(shape)
         f = np.fft.rfft(values, norm="forward", out=spectrum)[..., : self.n // 2 + 1]

@@ -206,7 +206,7 @@ def test_run_nls_records_requested_snapshots(grid16):
 
 
 @pytest.mark.parametrize("kind", list(NlsStepperKind))
-@pytest.mark.parametrize("n", [16, 128, 1024])
+@pytest.mark.parametrize("n", [16, 128, 1024, 2048])
 def test_run_nls_matches_plain_steps_bit_for_bit(n, kind):
     grid, tau, mu = TorusGrid(n), 2.0**-7, -1
     f = rough_field_on(grid, 11, amplitude=1.0)

@@ -41,6 +41,7 @@ from lowreg import (
 from lowreg.torus_spectral import (
     PaddedPair,
     RealPaddedPair,
+    _conj_perm,
     field_like,
     full_spectrum,
     half_spectrum,
@@ -102,6 +103,14 @@ def test_wave_state_requires_shared_grid_and_real_fields(grid16, grid32):
         WaveState(u, zero_field(grid32))
     with pytest.raises(ValueError):
         WaveState(u, zero_field(grid16, is_real=False))
+
+
+def test_conj_perm_is_built_once_per_size_and_read_only():
+    perm = _conj_perm(16)
+    assert perm is _conj_perm(16)
+    assert not perm.flags.writeable
+    freqs = TorusGrid(16).freqs
+    assert np.array_equal(freqs[perm], np.where(freqs == -8, -8, -freqs))
 
 
 def test_hermitian_part_is_an_exact_symmetric_projection(grid32):
@@ -252,6 +261,30 @@ def test_padded_pair_workspace_is_reusable():
     assert np.array_equal(coeffs, expected)
     pair.values(a, b)
     assert np.array_equal(coeffs, expected)
+
+
+def test_padded_pair_truncates_into_a_given_array():
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    pair, out = PaddedPair(32), np.empty(32, dtype=np.complex128)
+    assert pair.coeffs(values, out=out) is out
+    assert np.array_equal(out, PaddedPair(32).coeffs(values))
+
+
+def test_padded_pairs_refuse_more_rows_than_they_hold():
+    three = np.ones((3, 8), dtype=np.complex128)
+    message = "3 rows given, but the workspace holds 2"
+    pair, real = PaddedPair(8, rows=2), RealPaddedPair(8, rows=2)
+    for transform, rows in [
+        (lambda x: pair.values(*x), three),
+        (pair.coeffs, np.ones((3, 16), dtype=np.complex128)),
+        (pair.coeffs, np.ones((3, 1, 16), dtype=np.complex128)),
+        (real.values, three[:, :5]),
+        (real.coeffs, np.ones((3, 16))),
+        (real.coeffs, np.ones((1, 3, 16))),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            transform(rows)
 
 
 @pytest.mark.parametrize("n", [8, 64, 1024])
