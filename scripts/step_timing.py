@@ -4,13 +4,17 @@
 Prints microseconds per step, minimum and median over interleaved runs in
 one process, for the NLS schemes (``lri``, ``lie``) and the wave schemes
 (``corrected``, ``plain``), each advanced through ``run_nls`` / ``run_wave``
-without snapshots, so a step includes its growth guard.  Then prints the
-cost of one values-plus-coeffs call pair of the complex (``PaddedPair``) and
-the real (``RealPaddedPair``) workspace for 1, 2 and 3 rows.  All cases of
-one repeat run back to back before the next repeat starts, so a change in
-the machine's speed touches every case alike.  The per-step table uses only
-the public runners and is printed first, so it can be taken on another
-checkout by pointing ``PYTHONPATH`` at that checkout's ``src``:
+without snapshots, so a step includes its growth guard.  Next to each
+scheme's step at N = 1024 it prints the step of a max-over-steps sweep
+(``study_cli._errors`` with ``every_step``): the same run with an error
+against a reference list at every step, and its cost as a multiple of the
+plain step.  The reference list is a recorded run of the equation's other
+scheme.  Then prints the cost of one values-plus-coeffs call pair of the
+complex (``PaddedPair``) and the real (``RealPaddedPair``) workspace for 1,
+2 and 3 rows.  All cases of one repeat run back to back before the next
+repeat starts, so a change in the machine's speed touches every case alike.
+The plain steps use only the public runners, so their rows can be taken on
+another checkout by pointing ``PYTHONPATH`` at that checkout's ``src``:
 
     PYTHONPATH=src python3 scripts/step_timing.py
 """
@@ -28,10 +32,16 @@ from lowreg import (
     random_rough_field,
     run_nls,
     run_wave,
+    study_cli,
     torus_spectral,
 )
 
 SCHEMES = ("lri", "lie", "corrected", "plain")
+# Each scheme's study scheme name, and the scheme whose run is its reference list.
+STUDY = {"lri": ("nls", "lri", "lie"), "lie": ("nls", "lie", "lri"),
+         "corrected": ("wave", "corrected_lie", "plain"),
+         "plain": ("wave", "lie", "corrected")}
+SWEEP_MODES = 1024
 MODES = (128, 1024, 2048, 4096)  # 2048: the spatial check's 2N grid for N = 1024
 ROWS = (1, 2, 3)
 STEPS = 500  # steps per timed run
@@ -40,18 +50,31 @@ REPEATS = 21  # interleaved timed runs per case
 TAU = 2.0**-14
 
 
-def step_case(scheme, n):
-    """A callable that advances STEPS steps of ``scheme`` at N = n."""
+def step_case(scheme, n, **kwargs):
+    """A callable that advances STEPS steps of ``scheme`` at N = n, passing
+    ``kwargs`` on to its runner."""
     grid = TorusGrid(n)
     if scheme in ("lri", "lie"):
         spec = RoughDataSpec(theta=1.0, seed=1, real_valued=False)
         u0 = random_rough_field(spec, grid)
         kind = NlsStepperKind(scheme)
-        return lambda: run_nls(u0, TAU, STEPS, 1, kind)
+        return lambda: run_nls(u0, TAU, STEPS, 1, kind, **kwargs)
     w0 = torus_spectral.rough_wave_state(RoughDataSpec(theta=1.0, seed=1, amplitude=0.5), grid)
     nl = Nonlinearity.preset("quadratic")
     corrected = scheme == "corrected"
-    return lambda: run_wave(w0, TAU, STEPS, nl, corrected=corrected)
+    return lambda: run_wave(w0, TAU, STEPS, nl, corrected=corrected, **kwargs)
+
+
+def sweep_case(scheme, n):
+    """A callable that runs one max-over-steps sweep of STEPS steps of
+    ``scheme`` at N = n, as a study runs it."""
+    equation, study_scheme, other = STUDY[scheme]
+    ref = step_case(other, n, record_every=1)()
+    config = study_cli.StudyConfig(equation, (TAU,), scheme=study_scheme, n_modes=n,
+                                   t_end=STEPS * TAU)
+    term = 1 if equation == "nls" else Nonlinearity.preset("quadratic")
+    return lambda: study_cli._errors("sweep", config, ref[0], term, (TAU,), ref, 0.0,
+                                     every_step=True)
 
 
 def pair_case(kind, n, rows):
@@ -89,20 +112,33 @@ def interleaved(cases):
     return times
 
 
-def report(title, cases, times):
+def report(title, cases, times, base=None):
+    """One row per case.  A case whose key ``base`` maps to another case also
+    gets its minimum as a multiple of that case's minimum, and the median of
+    its per-repeat multiples: the two run back to back in each repeat, so a
+    change in the machine's speed between repeats cancels in the latter."""
     print(title, flush=True)
     for key, (_, count) in cases.items():
         us = [1e6 * t / count for t in times[key]]
         label = " ".join(str(part) for part in key)
-        print(f"  {label:<22} min {min(us):9.1f} us   median {statistics.median(us):9.1f} us",
-              flush=True)
+        row = f"  {label:<32} min {min(us):9.1f} us   median {statistics.median(us):9.1f} us"
+        if base and key in base:
+            paired = statistics.median(a / b for a, b in zip(times[key], times[base[key]]))
+            row += f"   {min(times[key]) / min(times[base[key]]):.2f}x, paired {paired:.2f}x"
+        print(row, flush=True)
 
 
 def main():
     print(f"numpy {np.__version__}, {REPEATS} interleaved runs per case", flush=True)
-    steps = {(scheme, f"N={n}"): (step_case(scheme, n), STEPS)
-             for n in MODES for scheme in SCHEMES}
-    report(f"per step ({STEPS} steps per run, tau = {TAU:g}):", steps, interleaved(steps))
+    steps, base = {}, {}
+    for n in MODES:
+        for scheme in SCHEMES:
+            steps[scheme, f"N={n}"] = (step_case(scheme, n), STEPS)
+            if n == SWEEP_MODES:
+                key = (scheme, f"N={n}", "max-over-steps")
+                steps[key], base[key] = (sweep_case(scheme, n), STEPS), (scheme, f"N={n}")
+    report(f"per step ({STEPS} steps per run, tau = {TAU:g}; max-over-steps: its multiple "
+           "of the plain step, of the minima and paired):", steps, interleaved(steps), base)
 
     pairs = {(kind, f"N={n}", f"rows={rows}"): (pair_case(kind, n, rows), CALLS)
              for n in MODES for kind in ("complex", "real") for rows in ROWS}

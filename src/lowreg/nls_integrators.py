@@ -94,7 +94,7 @@ class _Stepper:
     Lie phase argument, and the squares that ``size`` sums) and a complex
     phase buffer.  ``step`` writes each new state into one of two output
     arrays, never the one it was given, so the state it returns stays valid
-    through the next step only; ``evolve`` copies every snapshot it keeps.
+    through the next step only; ``run_nls`` copies every snapshot it keeps.
     """
 
     def __init__(self, grid: TorusGrid, tau: float, mu: float, kind: NlsStepperKind):
@@ -177,17 +177,22 @@ def run_nls(
     mu: float,
     kind: NlsStepperKind = NlsStepperKind.LOW_REGULARITY,
     record_every: int | None = None,
+    observe=None,
 ) -> list[SpectralField]:
     """Advance n_steps of size tau, recording every ``record_every`` steps.
 
     Returns the recorded snapshots (always including the initial state when
-    recording, otherwise just the terminal state).  Raises ``BlowUpError``
-    when a state's H^1 norm exceeds ``BLOWUP_FACTOR`` times the initial one
-    or turns non-finite.
+    recording, otherwise just the terminal state).  An ``observe(j, c)``
+    given in place of the recording sees the raw coefficients of each of
+    them instead, in a buffer the next step overwrites (see ``evolve``), and
+    the list comes back empty.  Raises ``BlowUpError`` when a state's H^1
+    norm exceeds ``BLOWUP_FACTOR`` times the initial one or turns non-finite.
     """
     stepper = _Stepper(u0.grid, tau, mu, kind)
-    return evolve(u0.coeffs, stepper.step, stepper.size, n_steps, record_every,
-                  lambda c: SpectralField(u0.grid, c, False))
+    states = []
+    evolve(u0.coeffs, stepper.step, stepper.size, n_steps, record_every,
+           observe or (lambda j, c: states.append(SpectralField(u0.grid, c, False))))
+    return states
 
 
 def nls_reference_solve(

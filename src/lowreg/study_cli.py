@@ -44,7 +44,9 @@ from .torus_spectral import (
     RoughDataSpec,
     TorusGrid,
     WaveState,
+    _sobolev_weights,
     _solve,
+    _weighted_norm,
     difference,
     random_rough_field,
     regrid,
@@ -243,13 +245,53 @@ def _norm_fn(initial, r: float = 0.0) -> Callable:
     return lambda f: sobolev_norm(f, r)
 
 
+def _distance_fn(initial, r: float = 0.0) -> Callable:
+    """``distance(raw, ref)``: ``_norm_fn(initial, r)(difference(state, ref))``
+    bit for bit, for the state whose stepper array is ``raw`` and a recorded
+    snapshot ``ref``, with no state built.
+
+    For waves, at k = 0..N/2 the full spectra that ``difference`` forms hold
+    ``raw`` less ``ref`` with the imaginary parts at k = 0 and N/2 dropped and
+    the real part at N/2 doubled, as ``full_spectrum`` does; ``ref`` is
+    exactly Hermitian, so the moduli at N - k repeat those at k = 1..N/2-1.
+    """
+    grid = initial.grid
+    if not isinstance(initial, WaveState):
+        w = _sobolev_weights(grid, r)
+        return lambda c, ref: _weighted_norm(w, c - ref.coeffs)
+    h = grid.nyquist_index
+    w_u = _sobolev_weights(grid, 1.0)[: h + 1]  # even in k, as the moduli are
+    d = np.empty((2, h + 1), dtype=np.complex128)
+    sq = np.empty((2, h + 1))
+    full = np.empty((2, 2 * h))
+    d_u, d_v, d_0, sq_u = d[0], d[1], d[:, 0].imag, sq[0]
+    low, high, mirror = full[:, : h + 1], full[:, h + 1 :], sq[:, h - 1 : 0 : -1]
+
+    def distance(s, ref):
+        (s_u, s_v), u, v = s, ref.u.coeffs, ref.v.coeffs
+        np.subtract(s_u, u[: h + 1], d_u)
+        np.subtract(s_v, v[: h + 1], d_v)
+        d_0[...] = 0.0
+        d_u[h] = 2.0 * s_u[h].real - u[h].real
+        d_v[h] = 2.0 * s_v[h].real - v[h].real
+        np.square(np.abs(d, sq), sq)
+        np.multiply(sq_u, w_u, sq_u)  # the v weights, (1 + k^2)^0, are all 1
+        low[...] = sq
+        high[...] = mirror
+        u_sq, v_sq = np.add.reduce(full, axis=1)
+        return math.sqrt(u_sq) + math.sqrt(v_sq)
+
+    return distance
+
+
 def _reference_scheme(initial) -> str:
     return _EQUATIONS["wave" if isinstance(initial, WaveState) else "nls"][0][0]
 
 
-def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1):
+def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1, observe=None):
     """The n_out + 1 equispaced snapshots on [0, t_end] of one scheme run at
-    step tau; a blow-up names the phase and the scheme.
+    step tau, or, given ``observe``, none: the run shows them to it instead
+    (see ``evolve``).  A blow-up names the phase and the scheme.
 
     ``run_wave`` steps a ``WaveState`` and ``run_nls`` a field; ``term`` is
     their nonlinear term: the sign mu for NLS, the ``Nonlinearity`` for waves.
@@ -257,7 +299,7 @@ def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1):
     ``strang`` is the ``lie`` run conjugated by half a linear flow,
     F(-tau/2) (F(tau) K)^n F(tau/2): second-order Strang splitting with no
     stepper of its own.  Its snapshots after the first get the -tau/2 flow
-    too; the first is ``initial`` itself.
+    too; the first is ``initial`` itself, so it is not for ``observe``.
     """
     wave = isinstance(initial, WaveState)
     strang = scheme == "strang"
@@ -268,9 +310,11 @@ def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1):
         # run_wave and run_nls are looked up per call, so that wrapping them
         # in this module (as a tracer does) reaches every run.
         if wave:
-            states = _solve(run_wave, start, t_end, n_out, tau, term, kind != "lie")
+            states = _solve(run_wave, start, t_end, n_out, tau, term, kind != "lie",
+                            observe=observe)
         else:
-            states = _solve(run_nls, start, t_end, n_out, tau, term, NlsStepperKind(kind))
+            states = _solve(run_nls, start, t_end, n_out, tau, term, NlsStepperKind(kind),
+                            observe=observe)
     except BlowUpError as exc:
         raise BlowUpError(f"{phase} run ({scheme}): {exc}") from exc
     if strang:
@@ -333,24 +377,36 @@ def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1):
     return ref_states, record
 
 
-def _errors(phase, config: StudyConfig, initial, term, taus, ref_states, norm_fn,
+def _errors(phase, config: StudyConfig, initial, term, taus, ref_states, r: float,
             every_step=False):
-    """Error of ``config.scheme`` at each step size in ``taus`` against the
-    equispaced reference snapshots ``ref_states`` on [0, t_end]: the largest
-    over every step when ``every_step``, else the terminal one.  Each run's
-    phase is ``phase.format(tau)``."""
+    """Error in the study norm (``r`` for ``Hr``) of ``config.scheme`` at each
+    step size in ``taus`` against the equispaced reference snapshots
+    ``ref_states`` on [0, t_end]: the largest over every step when
+    ``every_step``, else the terminal one.  Each run shows its snapshots to an
+    observer that keeps the running maximum, so no sweep state is stored.
+    Each run's phase is ``phase.format(tau)``."""
+    distance = _distance_fn(initial, r)
+    n_ref = len(ref_states) - 1
     errors = []
     for tau in taus:
-        n_out = steps_for(config.t_end, tau) if every_step else 1
-        states = _run_scheme(phase.format(tau), initial, config.scheme, term, tau,
-                             config.t_end, n_out)
-        stride = (len(ref_states) - 1) // n_out
-        errors.append(float(max(norm_fn(difference(states[j], ref_states[j * stride]))
-                                for j in range(1, n_out + 1))))
+        n_steps = steps_for(config.t_end, tau)
+        worst = None
+
+        def observe(j, state):
+            nonlocal worst
+            # Step j is at the time of reference snapshot j * n_ref / n_steps.
+            if j:
+                e = distance(state, ref_states[j * n_ref // n_steps])
+                if worst is None or e > worst:
+                    worst = e
+
+        _run_scheme(phase.format(tau), initial, config.scheme, term, tau, config.t_end,
+                    n_steps if every_step else 1, observe)
+        errors.append(float(worst))
     return errors
 
 
-def _spatial_check(config: StudyConfig, initial, term, norm_fn, tau_ref, ref_states):
+def _spatial_check(config: StudyConfig, initial, term, r, tau_ref, ref_states):
     """Error at the largest step, recomputed at N and 2N from the same datum.
 
     Both errors use a dedicated mini-reference at tau_max/max(ref_factor, 256)
@@ -367,7 +423,7 @@ def _spatial_check(config: StudyConfig, initial, term, norm_fn, tau_ref, ref_sta
         if fine is None:
             fine = _run_scheme("spatial check", state0, _reference_scheme(state0), term,
                                tau_mini, config.t_end)
-        return _errors("spatial check", config, state0, term, (tau_c,), fine, norm_fn)[0]
+        return _errors("spatial check", config, state0, term, (tau_c,), fine, r)[0]
 
     e_base = error_on(initial, ref_states if tau_mini == tau_ref else None)
     e_fine = error_on(regrid(initial, TorusGrid(2 * config.n_modes)))
@@ -383,7 +439,8 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
         amplitude=config.amplitude,
     ))
     term = Nonlinearity.preset(config.nonlinearity) if config.equation == "wave" else config.mu
-    norm_fn = _norm_fn(initial, config.norm_r if config.error_norm == "Hr" else 0.0)
+    r = config.norm_r if config.error_norm == "Hr" else 0.0
+    norm_fn = _norm_fn(initial, r)
     tau_ref = config.tau_list[-1] / config.ref_factor
 
     ref_states, validation = _reference_run(
@@ -392,7 +449,7 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
         steps_for(config.t_end, config.tau_list[-1]) if config.max_over_steps else 1,
     )
     errors = _errors("sweep tau={:g}", config, initial, term, config.tau_list, ref_states,
-                     norm_fn, config.max_over_steps)
+                     r, config.max_over_steps)
     distance = validation["distance"]
     validation["certification_margin"] = min(errors) / distance if distance else None
 
@@ -403,8 +460,7 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
 
     resolved = change = None
     if config.spatial_check:
-        resolved, change = _spatial_check(config, initial, term, norm_fn, tau_ref,
-                                          ref_states)
+        resolved, change = _spatial_check(config, initial, term, r, tau_ref, ref_states)
 
     config_echo = dataclasses.asdict(config)
     config_echo["tau_list"] = list(config.tau_list)

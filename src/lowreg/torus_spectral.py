@@ -69,41 +69,44 @@ def steps_for(span: float, tau: float) -> int:
     return round(n)
 
 
-def evolve(state, step, size, n_steps, record_every, wrap) -> list:
+def evolve(state, step, size, n_steps, record_every, observe) -> None:
     """Advance a coefficient array n_steps times under a growth guard.
 
     ``step(state)`` returns the next array and ``size(state)`` measures it;
     a non-finite size or one above ``BLOWUP_FACTOR`` times the initial size
     raises ``BlowUpError``.  Guarding every step (not just snapshots) keeps
-    divergence from ever reaching floating overflow.  ``wrap(state)`` makes
-    the snapshots: the initial state and every ``record_every``-th one, or
-    just the terminal state when ``record_every`` is unset.
+    divergence from ever reaching floating overflow.  ``observe(j, state)``
+    sees the array after step j at each snapshot: the initial state (j = 0)
+    and every ``record_every``-th one, or just the terminal state when
+    ``record_every`` is unset.  The array may be the stepper's own buffer,
+    overwritten by a later step, so an observer that keeps it copies it.
     """
     if not np.all(np.isfinite(state.view(np.float64))):
         raise BlowUpError("non-finite coefficients in stepper input")
     guard = BLOWUP_FACTOR * max(size(state), 1e-300)
-    out = [wrap(state)] if record_every else []
+    if record_every:
+        observe(0, state)
     for j in range(1, n_steps + 1):
         state = step(state)
         s = size(state)
         if not np.isfinite(s) or s > guard:
             raise BlowUpError(f"norm guard tripped at step {j}")
         if record_every and j % record_every == 0:
-            out.append(wrap(state))
+            observe(j, state)
     if not record_every:
-        out.append(wrap(state))
-    return out
+        observe(n_steps, state)
 
 
-def _solve(run, initial, t_end: float, n_out: int, tau: float, *args) -> list:
+def _solve(run, initial, t_end: float, n_out: int, tau: float, *args, observe=None) -> list:
     """Every multi-step run: ``run`` from ``initial`` at step tau, with n_out+1
-    equispaced snapshots on [0, t_end]; tau must divide t_end/n_out."""
+    equispaced snapshots on [0, t_end]; tau must divide t_end/n_out.  An
+    ``observe`` given to ``run`` sees the snapshots in place of its recording."""
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
     if t_end == 0:
         return [initial]
     per = steps_for(t_end / n_out, tau)
-    return run(initial, tau, n_out * per, *args, record_every=per)
+    return run(initial, tau, n_out * per, *args, record_every=per, observe=observe)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,6 +158,14 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     return defect / float(np.linalg.norm(c))
 
 
+def _exactly_hermitian(c: np.ndarray) -> bool:
+    """Whether c[-k] is conj(c[k]) for every k, part by part, a NaN matching a
+    NaN; ``full_spectrum`` output always is."""
+    mirror = np.conj(c[_conj_perm(c.size)])
+    return np.array_equal(c, mirror) or np.array_equal(
+        c.view(np.float64), mirror.view(np.float64), equal_nan=True)
+
+
 def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     """Project coefficients onto exact Hermitian symmetry.
 
@@ -182,11 +193,13 @@ class SpectralField:
             )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        if self.is_real and hermitian_defect(c) > HERMITIAN_TOL:
-            raise ValueError(
-                "coefficients violate Hermitian symmetry for a real field "
-                f"(relative defect {hermitian_defect(c):.3e})"
-            )
+        if self.is_real and not _exactly_hermitian(c):
+            defect = hermitian_defect(c)
+            if not defect <= HERMITIAN_TOL:
+                raise ValueError(
+                    "coefficients violate Hermitian symmetry for a real field "
+                    f"(relative defect {defect:.3e})"
+                )
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -489,10 +502,22 @@ def dealiased_product(
     return SpectralField(grid, pair.coeffs(np.prod(values, axis=0)), False)
 
 
+def _sobolev_weights(grid: TorusGrid, r: float) -> np.ndarray:
+    """The weights (1+k^2)^r of ``sobolev_norm``, in FFT order."""
+    return (1.0 + grid.freqs.astype(np.float64) ** 2) ** r
+
+
+def _weighted_norm(weights: np.ndarray, c: np.ndarray) -> float:
+    """sqrt(sum weights * |c|^2) of raw coefficients, as ``sobolev_norm`` sums it."""
+    a = np.abs(c)
+    a *= a
+    a *= weights
+    return math.sqrt(np.add.reduce(a))
+
+
 def sobolev_norm(f: SpectralField, r: float) -> float:
     """Coefficient-weighted norm sqrt(sum (1+k^2)^r |u_hat[k]|^2)."""
-    w = (1.0 + f.grid.freqs.astype(np.float64) ** 2) ** r
-    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+    return _weighted_norm(_sobolev_weights(f.grid, r), f.coeffs)
 
 
 def lebesgue_norm(f: SpectralField, p: float) -> float:

@@ -296,15 +296,20 @@ def run_wave(
     nl: Nonlinearity,
     corrected: bool = True,
     record_every: int | None = None,
+    observe=None,
 ) -> list[WaveState]:
     """Advance n_steps of size tau, recording every ``record_every`` steps.
 
-    Raises ``BlowUpError`` when a state exceeds ``BLOWUP_FACTOR`` times the
-    initial combined norm or turns non-finite.
+    An ``observe(j, s)`` given in place of the recording sees the stacked
+    half-spectrum pair of each snapshot instead (see ``evolve``), and the
+    list comes back empty.  Raises ``BlowUpError`` when a state exceeds
+    ``BLOWUP_FACTOR`` times the initial combined norm or turns non-finite.
     """
     work = _WaveWork(w0.grid, tau, nl, corrected)
-    return evolve(_half_pair(w0), work.step, work.size, n_steps, record_every,
-                  lambda s: _full_pair(w0.grid, s))
+    states = []
+    evolve(_half_pair(w0), work.step, work.size, n_steps, record_every,
+           observe or (lambda j, s: states.append(_full_pair(w0.grid, s))))
+    return states
 
 
 def wave_reference_solve(

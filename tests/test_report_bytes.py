@@ -42,6 +42,9 @@ CONFIGS = {
         spatial_check=True,
     ),
 }
+# The same studies, with the error the largest over every step of each sweep.
+CONFIGS.update({f"{name}_max": dict(CONFIGS[name], max_over_steps=True)
+                for name in ("nls", "wave")})
 
 EXPECTED = {
     ("nls", "csv"): "f3961f374d293431ccb2059710272791fe9899938019c1b02fe72045198a801b",
@@ -50,6 +53,10 @@ EXPECTED = {
     ("nls_reuse", "json"): "8b5057d88948d11ba3d28710cbe4d3c8527efaa6799dc1df48a40e8805ac67f3",
     ("wave", "csv"): "223f30cdf194043bc4f4af62538a9e6ed5d5b32be206b2e756f376257de85081",
     ("wave", "json"): "6e7ded8522c0e94fc00774cb3f8bc5a9d60eb2f8e5b010dd36ecd0af965a5f7c",
+    ("nls_max", "csv"): "f3961f374d293431ccb2059710272791fe9899938019c1b02fe72045198a801b",
+    ("nls_max", "json"): "befcc0947f1f1bccc0d48885a3f53c61d01ea43aeb82683235db19bfb1c6769c",
+    ("wave_max", "csv"): "223f30cdf194043bc4f4af62538a9e6ed5d5b32be206b2e756f376257de85081",
+    ("wave_max", "json"): "ef0e479a64ac3790887eeb7561d5c2da7868fce2a1ce8056b75eae022b544ed8",
 }
 
 
@@ -74,3 +81,26 @@ def test_spatial_check_reuses_the_reference_run(monkeypatch):
     run_convergence_study(StudyConfig(output_path=None, **CONFIGS["nls_reuse"]))
     assert runs.count((32, 2.0**-10)) == 1  # the reference; no N-grid mini-reference
     assert runs.count((64, 2.0**-10)) == 1  # the 2N mini-reference still runs
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
+    name = "run_nls" if equation == "nls" else "run_wave"
+    run, runs = getattr(study_cli, name), []
+
+    def counting_run(state, tau, n_steps, *args, **kwargs):
+        states = run(state, tau, n_steps, *args, **kwargs)
+        runs.append((state.grid.n_modes, tau, len(states)))
+        return states
+
+    monkeypatch.setattr(study_cli, name, counting_run)
+    config = StudyConfig(output_path=None, **CONFIGS[f"{equation}_max"])
+    run_convergence_study(config)
+    n_out = round(config.t_end / config.tau_list[-1])
+    tau_ref = config.tau_list[-1] / config.ref_factor
+    sweeps = [count for n, tau, count in runs
+              if n == config.n_modes and tau in config.tau_list]
+    assert len(sweeps) == len(config.tau_list) + 1  # and the spatial check's run at N
+    assert all(count <= 2 for count in sweeps)
+    assert [(n, tau) for n, tau, count in runs if count == n_out + 1] == [
+        (config.n_modes, tau_ref)]

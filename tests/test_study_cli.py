@@ -46,6 +46,10 @@ from lowreg import (
 )
 from lowreg import study_cli
 from lowreg.study_cli import (
+    _datum,
+    _distance_fn,
+    _errors,
+    _norm_fn,
     _run_scheme,
     build_parser,
     parse_norm,
@@ -54,7 +58,7 @@ from lowreg.study_cli import (
     smooth_data_spec,
     _study_config_from_args,
 )
-from lowreg.torus_spectral import difference, rough_wave_state
+from lowreg.torus_spectral import _full_pair, difference, rough_wave_state
 from oracles import nls_plane_wave_coefficient
 
 
@@ -504,6 +508,47 @@ def test_max_over_steps_error_is_the_largest_error_over_the_snapshots(equation):
         assert err == max(norm(difference(states[j], ref[j * stride]))
                           for j in range(1, n_steps + 1))
         assert err >= last
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_max_over_steps_error_peaks_where_the_reference_is_off(equation):
+    """A sweep against its own snapshots, one of them moved mid-run: the
+    terminal error is 0 and the max-over-steps error is that snapshot's."""
+    tau, grid = 2.0**-3, TorusGrid(16)
+    config = StudyConfig(equation, (tau,), n_modes=16, spatial_check=False)
+    initial = _datum(equation, grid, RoughDataSpec(theta=1.0, seed=3, amplitude=0.5))
+    term = 1 if equation == "nls" else Nonlinearity.preset("quadratic")
+    ref = _run_scheme("reference", initial, config.scheme, term, tau, 1.0, 8)
+    original, one = ref[3], np.eye(16)[0]  # moved by 1 at k = 0
+    if equation == "nls":
+        ref[3] = SpectralField(grid, original.coeffs + one)
+    else:
+        ref[3] = WaveState(SpectralField(grid, original.u.coeffs + one, True), original.v)
+    peak = _norm_fn(initial)(difference(original, ref[3]))
+    assert peak > 0.0
+    assert _errors("sweep", config, initial, term, (tau,), ref, 0.0) == [0.0]
+    assert _errors("sweep", config, initial, term, (tau,), ref, 0.0, True) == [peak]
+
+
+@pytest.mark.parametrize("n", [8, 32, 1024])
+@pytest.mark.parametrize("equation, r", [("nls", 0.0), ("nls", 0.75), ("wave", 0.0)])
+def test_raw_distance_is_the_norm_of_the_difference_bit_for_bit(equation, r, n):
+    grid, rng = TorusGrid(n), np.random.default_rng(n)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    initial = _datum(equation, grid, RoughDataSpec(theta=1.0, seed=2))
+    distance, norm = _distance_fn(initial, r), _norm_fn(initial, r)
+    for _ in range(20):
+        if equation == "nls":
+            raw = draw(n)
+            state, ref = SpectralField(grid, raw), SpectralField(grid, draw(n))
+        else:
+            # Imaginary parts at k = 0 and N/2, which the state does not keep.
+            raw = draw((2, n // 2 + 1))
+            state, ref = _full_pair(grid, raw), _full_pair(grid, draw((2, n // 2 + 1)))
+        assert distance(raw, ref) == norm(difference(state, ref))
 
 
 @pytest.mark.parametrize("ref_factor, factor", [(17, 1), (18, 2), (20, 4)])

@@ -38,10 +38,12 @@ from lowreg import (
     write_wave_state,
     zero_field,
 )
+from lowreg import torus_spectral
 from lowreg.torus_spectral import (
     PaddedPair,
     RealPaddedPair,
     _conj_perm,
+    _full_pair,
     field_like,
     full_spectrum,
     half_spectrum,
@@ -95,6 +97,27 @@ def test_real_flag_check_survives_coefficients_near_the_float_limit():
             SpectralField(grid, c, is_real=True)
         c[2], c[-1] = 0.0, 1e308
         assert SpectralField(grid, c, is_real=True).is_real
+
+
+def test_real_flag_refuses_a_non_finite_defect():
+    grid = TorusGrid(8)
+    c = np.zeros(8, dtype=np.complex128)
+    c[1], c[2] = np.inf, 1j  # no partner for either at k = -1, -2
+    with pytest.raises(ValueError, match="relative defect nan"):
+        SpectralField(grid, c, is_real=True)
+    c[-1], c[-2] = np.inf, -1j
+    assert SpectralField(grid, c, is_real=True).is_real
+    c[:] = np.nan  # NaN parts mirrored onto NaN parts
+    assert SpectralField(grid, c, is_real=True).is_real
+
+
+def test_real_flag_takes_an_exactly_hermitian_array_without_measuring_it(monkeypatch):
+    def unmeasured(coeffs):
+        raise AssertionError("an exactly Hermitian array was measured")
+
+    monkeypatch.setattr(torus_spectral, "hermitian_defect", unmeasured)
+    x = np.exp(1j * np.arange(5.0))  # a half-spectrum at N = 8
+    assert SpectralField(TorusGrid(8), full_spectrum(x), is_real=True).is_real
 
 
 def test_wave_state_requires_shared_grid_and_real_fields(grid16, grid32):
@@ -717,6 +740,15 @@ def test_field_reader_refuses_an_overflowing_real_record(tmp_path):
         read_field(path)
 
 
+def test_field_reader_refuses_a_real_record_with_a_nan_defect(tmp_path):
+    # k = -4..3: inf at k = 1 with no partner at k = -1, and i at k = 2.
+    records = ["0 0"] * 5 + ["inf 0", "0 1", "0 0"]
+    path = tmp_path / "field.txt"
+    path.write_text("\n".join(["field 8 1", *records]) + "\n")
+    with pytest.raises(ValueError, match=r"field\.txt, line 9: .*Hermitian symmetry.*nan"):
+        read_field(path)
+
+
 def test_wave_state_file_round_trip(tmp_path, grid32):
     w = WaveState(
         rough_field_on(grid32, 4, real_valued=True),
@@ -764,3 +796,28 @@ def test_runners_name_the_step_at_which_the_guard_trips(equation, step):
     with pytest.raises(BlowUpError, match=f"^norm guard tripped at step {step}$"):
         run()
 
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_an_observer_sees_the_arrays_that_recording_keeps(equation):
+    grid = TorusGrid(16)
+    if equation == "nls":
+        run = functools.partial(run_nls, rough_field_on(grid, 4, amplitude=0.5), 0.01, 8, 1)
+
+        def arrays(c):
+            return [c.coeffs] if isinstance(c, SpectralField) else [c]
+    else:
+        w = rough_wave_state(RoughDataSpec(theta=1.0, seed=4, amplitude=0.5), grid)
+        run = functools.partial(run_wave, w, 0.01, 8, Nonlinearity.preset("quadratic"))
+
+        def arrays(s):
+            state = s if isinstance(s, WaveState) else _full_pair(grid, s)
+            return [state.u.coeffs, state.v.coeffs]
+    seen = []
+    assert run(record_every=2, observe=lambda j, a: seen.append((j, a.copy()))) == []
+    assert [j for j, _ in seen] == [0, 2, 4, 6, 8]
+    for (_, a), state in zip(seen, run(record_every=2)):
+        for got, want in zip(arrays(a), arrays(state)):
+            assert np.array_equal(got, want)
+    seen.clear()
+    run(observe=lambda j, a: seen.append(j))
+    assert seen == [8]  # without a stride, just the terminal state
