@@ -23,6 +23,7 @@ from .torus_spectral import (
     _full_pair,
     _half_pair,
     _parse_file,
+    _time_norm,
     conjugate,
     derivative,
     difference,
@@ -30,7 +31,7 @@ from .torus_spectral import (
     field_to_lines,
     full_spectrum,
     hermitian_part,
-    spacetime_norm,
+    lebesgue_norm,
     wave_state_from_lines,
     wave_state_to_lines,
 )
@@ -64,6 +65,8 @@ class Trajectory:
         grids = {s.grid.n_modes for s in self.states}
         if len(grids) != 1:
             raise ValueError("all states must share one grid")
+        if len({isinstance(s, WaveState) for s in self.states}) != 1:
+            raise ValueError("states must not mix fields and wave states")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
 
@@ -91,12 +94,17 @@ def trajectory_of(
     return Trajectory(times, list(states), dict(meta))
 
 
+def _strichartz_sample(u: SpectralField) -> float:
+    """||u_x||_L4: the spatial norm that ``strichartz_l4`` integrates."""
+    return lebesgue_norm(derivative(u, 1), 4)
+
+
 def strichartz_l4(traj: Trajectory) -> float:
-    """Space-time L^4 norm of u_x over the trajectory's window."""
+    """Space-time L^4 norm of u_x over the trajectory's window, in one pass:
+    each sample's u_x is measured and dropped before the next is built."""
     if traj.is_wave:
         raise ValueError("strichartz_l4 expects a trajectory of scalar fields")
-    samples = [derivative(s, 1) for s in traj.states]
-    return spacetime_norm(samples, traj.dt, 4, 4)
+    return _time_norm([_strichartz_sample(s) for s in traj.states], traj.dt, 4)
 
 
 def null_form_field(w: WaveState) -> SpectralField:
@@ -105,12 +113,17 @@ def null_form_field(w: WaveState) -> SpectralField:
     return SpectralField(w.grid, full_spectrum(x), True)
 
 
+def _nullform_sample(w: WaveState) -> float:
+    """||v^2 - (u_x)^2||_L2: the spatial norm that ``nullform_norm`` integrates."""
+    return lebesgue_norm(null_form_field(w), 2)
+
+
 def nullform_norm(traj: Trajectory) -> float:
-    """Space-time L^2 norm of v^2 - (u_x)^2 over the trajectory's window."""
+    """Space-time L^2 norm of v^2 - (u_x)^2 over the trajectory's window, in one
+    pass: each sample's null form is measured and dropped before the next is built."""
     if not traj.is_wave:
         raise ValueError("nullform_norm expects a trajectory of wave states")
-    samples = [null_form_field(w) for w in traj.states]
-    return spacetime_norm(samples, traj.dt, 2, 2)
+    return _time_norm([_nullform_sample(w) for w in traj.states], traj.dt, 2)
 
 
 def dalembert_split(w: WaveState) -> tuple[SpectralField, SpectralField]:

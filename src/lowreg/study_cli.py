@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    _nullform_sample,
+    _strichartz_sample,
     nls_local_error_oracle,
-    nullform_norm,
-    strichartz_l4,
     trajectory_of,
     wave_local_error_oracle,
 )
@@ -42,10 +42,13 @@ from .torus_spectral import (
     V_SEED_OFFSET,  # re-exported: scripts and tests draw wave data with it
     BlowUpError,
     RoughDataSpec,
+    SpectralField,
     TorusGrid,
     WaveState,
+    _full_pair,
     _sobolev_weights,
     _solve,
+    _time_norm,
     _weighted_norm,
     difference,
     random_rough_field,
@@ -722,17 +725,21 @@ def _cmd_diagnose(args, functional: str) -> None:
         spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(modes), spec)
         if equation == "nls":
-            term, measure = args.mu, strichartz_l4
+            term, sample, p, wrap = args.mu, _strichartz_sample, 4, SpectralField
         else:
             term = Nonlinearity.preset(args.nonlinearity or "quadratic")
-            measure = nullform_norm
+            sample, p, wrap = _nullform_sample, 2, _full_pair
             results["nonlinearity"] = term.tag
     scheme = _reference_scheme(datum)
 
     def value_on(state, n_out):
-        states = _run_scheme(f"{functional} reference", state, scheme, term, tau_ref,
-                             t_end, n_out)
-        return measure(trajectory_of(states, 0.0, t_end))
+        # One pass: each snapshot, wrapped as the default recording wraps it,
+        # leaves only its sample norm.  t_end / n_out is bit for bit the dt of
+        # a trajectory_of the snapshots, which are never kept.
+        norms = []
+        _run_scheme(f"{functional} reference", state, scheme, term, tau_ref, t_end, n_out,
+                    lambda j, raw: norms.append(sample(wrap(state.grid, raw))))
+        return _time_norm(norms, t_end / n_out, p)
 
     value = value_on(datum, samples)
     print(f"{functional} {value!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -531,27 +531,31 @@ def lebesgue_norm(f: SpectralField, p: float) -> float:
     return float((TWO_PI / m * np.sum(values**p)) ** (1.0 / p))
 
 
-def spacetime_norm(
-    samples: Sequence[SpectralField],
-    dt: float,
-    p_space: float,
-    p_time: float,
-) -> float:
-    """Mixed L^p_t L^p_x norm over a uniformly sampled time interval.
-
-    Composite trapezoid rule in time applied to per-sample spatial norms
-    raised to ``p_time``, followed by the ``p_time``-th root.
-    """
-    if len(samples) < 2:
+def _time_norm(norms: list[float], dt: float, p_time: float) -> float:
+    """L^p_time norm in time of per-sample spatial norms spaced dt apart:
+    composite trapezoid rule on the norms raised to ``p_time``, then the root."""
+    if len(norms) < 2:
         raise ValueError("spacetime_norm needs at least 2 samples")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    a = np.array([lebesgue_norm(s, p_space) for s in samples])
+    a = np.array(norms)
     if p_time == np.inf:
         return float(a.max())
     powered = a**p_time
     integral = dt * (powered.sum() - 0.5 * (powered[0] + powered[-1]))
     return float(integral ** (1.0 / p_time))
+
+
+def spacetime_norm(
+    samples: Iterable[SpectralField],
+    dt: float,
+    p_space: float,
+    p_time: float,
+) -> float:
+    """Mixed L^p_t L^p_x norm over a uniformly sampled time interval, in one
+    pass that keeps only each sample's ``lebesgue_norm``: a generator of
+    samples need never hold more than one.  ``_time_norm`` integrates in time."""
+    return _time_norm([lebesgue_norm(s, p_space) for s in samples], dt, p_time)
 
 
 # Deterministic per-mode random streams.

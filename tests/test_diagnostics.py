@@ -1,5 +1,6 @@
 import contextlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,23 @@ def test_trajectory_rejects_mixed_grids(grid16, grid32):
         )
 
 
+@pytest.mark.parametrize("kinds, consumer", [
+    ("fwf", "strichartz_l4"), ("wfw", "nullform_norm"), ("fwf", "write_trajectory"),
+])
+def test_trajectory_rejects_mixed_kinds(grid16, tmp_path, kinds, consumer):
+    # Each consumer used to fail untyped, on the first state of the other kind.
+    consume = {
+        "strichartz_l4": strichartz_l4,
+        "nullform_norm": nullform_norm,
+        "write_trajectory": lambda traj: write_trajectory(traj, tmp_path / "mixed.txt"),
+    }[consumer]
+    f, w = zero_field(grid16), rough_wave_state_on(grid16, 1)
+    states = [f if kind == "f" else w for kind in kinds]
+    with pytest.raises(ValueError, match="mix fields and wave states"):
+        consume(trajectory_of(states, 0.0, 1.0))
+    assert not (tmp_path / "mixed.txt").exists()
+
+
 def test_trajectory_of_wraps_metadata(grid16):
     traj = trajectory_of([zero_field(grid16)] * 5, 0.0, 1.0, scheme="lri")
     assert traj.dt == 0.25
@@ -153,6 +171,21 @@ def test_nullform_vanishes_on_single_movers():
     traj = flow_trajectory(mover, 1.0, 16)
     assert nullform_norm(traj) <= 1e-10
     assert sobolev_norm(null_form_field(mover), 0.0) <= 1e-13
+
+
+def test_nullform_norm_keeps_no_sample_list():
+    # 65 states at N = 256: a list of their null-form fields would hold
+    # 65 * 4 KB of coefficients; one pass holds one field at a time.
+    grid = TorusGrid(256)
+    traj = flow_trajectory(rough_wave_state_on(grid, 5), 1.0, 64)
+    value = nullform_norm(traj)  # warm the transform caches
+    tracemalloc.start()
+    try:
+        assert nullform_norm(traj) == value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65 * 4096 // 3
 
 
 def test_null_form_is_the_quadratic_b_map_at_rest():

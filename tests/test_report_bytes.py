@@ -104,3 +104,34 @@ def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
     assert all(count <= 2 for count in sweeps)
     assert [(n, tau) for n, tau, count in runs if count == n_out + 1] == [
         (config.n_modes, tau_ref)]
+
+
+# The diagnose records of the test_cli_diagnose_* configurations.
+DIAGNOSE_ARGS = "--modes 64 --samples 8 --t-end 0.5 --tau-ref 2^-6 --seed 2 --amplitude 0.3"
+DIAGNOSE_EXPECTED = {
+    "diagnose-strichartz": "8a5183753ff031bd9f650f0ecb3a0347be1ef0e54566851ad2d6ed028b20cec9",
+    "diagnose-nullform --refine":
+        "3269f34dd1b87805f147237f90a14eaf6daa9717fcadc0510ad830ba08a0d938",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIAGNOSE_EXPECTED))
+def test_diagnose_record_bytes_are_pinned(command, tmp_path, capsys):
+    path = tmp_path / "record.json"
+    assert study_cli.main([*command.split(), *DIAGNOSE_ARGS.split(), "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == DIAGNOSE_EXPECTED[command], f"{command} record bytes changed"
+
+
+@pytest.mark.parametrize("command", ["diagnose-strichartz", "diagnose-nullform"])
+def test_diagnose_runs_keep_no_state_lists(command, monkeypatch, capsys):
+    returned = []
+    for name in ("run_nls", "run_wave"):
+        def counting_run(*args, _run=getattr(study_cli, name), **kwargs):
+            states = _run(*args, **kwargs)
+            returned.append(states)
+            return states
+
+        monkeypatch.setattr(study_cli, name, counting_run)
+    assert study_cli.main([command, *DIAGNOSE_ARGS.split(), "--refine"]) == 0
+    assert returned == [[], []]  # the run at N and the refined one at 2N

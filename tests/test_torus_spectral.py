@@ -607,6 +607,30 @@ def test_spacetime_norm_rejects_degenerate_input(grid16):
         spacetime_norm([zero_field(grid16)], 0.1, 2, 2)
 
 
+@pytest.mark.parametrize("p", [2, 4, np.inf])
+def test_spacetime_norm_takes_a_generator_in_one_pass(grid32, p):
+    samples = [rough_field_on(grid32, seed) for seed in range(6)]
+    expected = spacetime_norm(samples, 0.125, p, p)
+    assert spacetime_norm((s for s in samples), 0.125, p, p).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_spacetime_norm_rejects_short_generators(grid16, count):
+    samples = (zero_field(grid16) for _ in range(count))
+    with pytest.raises(ValueError, match="needs at least 2 samples"):
+        spacetime_norm(samples, 0.1, 2, 2)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1])
+def test_spacetime_norm_rejects_nonpositive_steps(grid16, dt):
+    samples = [zero_field(grid16)] * 3
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        spacetime_norm(iter(samples), dt, 2, 2)
+    # A single sample breaks both rules; the sample count is checked first.
+    with pytest.raises(ValueError, match="needs at least 2 samples"):
+        spacetime_norm(iter(samples[:1]), dt, 2, 2)
+
+
 # --- seeded rough data -----------------------------------------------------------
 
 
