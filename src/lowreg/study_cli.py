@@ -763,17 +763,17 @@ def _cmd_local_error_check(args) -> None:
             raise ConfigError("--quad-order must be >= 2")
         spec = smooth_data_spec(args.seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(args.modes), spec, v_theta=spec.theta)
-        # The micro step must leave the reference far more accurate than either
-        # quadrature so the refined discrepancy is not floored by reference error.
+        # Both second-order references take 16 steps per sample. Finer is worse:
+        # past about 2^11 steps a reference's accumulated rounding outgrows its
+        # truncation error and floors the gain from q to 4q.
         if equation == "nls":
-            # Second-order Strang: the first-order LRI error floored the discrepancy.
-            term, scheme, micro_per, oracle = 1, "strang", 256, nls_local_error_oracle
+            term, scheme, oracle = 1, "strang", nls_local_error_oracle
         else:
             term = Nonlinearity.preset(args.nonlinearity or "quadratic")
-            scheme, micro_per, oracle = "corrected_lie", 16, wave_local_error_oracle
+            scheme, oracle = "corrected_lie", wave_local_error_oracle
     n_out = 4 * quad_order
     states = _run_scheme("local-error reference", datum, scheme, term,
-                         tau / (micro_per * n_out), tau, n_out)
+                         tau / (16 * n_out), tau, n_out)
     traj = trajectory_of(states, 0.0, tau)
     pairs = [oracle(traj, tau, term, q) for q in (quad_order, 4 * quad_order)]
     norm_fn = _norm_fn(datum)

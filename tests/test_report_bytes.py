@@ -135,3 +135,35 @@ def test_diagnose_runs_keep_no_state_lists(command, monkeypatch, capsys):
         monkeypatch.setattr(study_cli, name, counting_run)
     assert study_cli.main([command, *DIAGNOSE_ARGS.split(), "--refine"]) == 0
     assert returned == [[], []]  # the run at N and the refined one at 2N
+
+
+# The local-error records of the test_cli_local_error_check configuration.
+LOCAL_ERROR_ARGS = "--modes 32 --quad-order 4 --seed 7"
+LOCAL_ERROR_EXPECTED = {
+    "wave": "4c7c7baec855299f1d2f364a446cf3da875a9464e75d701e98c198232e6e685c",
+    "nls": "d1fb140c15668e7a9f8599b8ab38faddf4a0b153e21bf53101b14a4132ea338c",
+}
+
+
+@pytest.mark.parametrize("equation", sorted(LOCAL_ERROR_EXPECTED))
+def test_local_error_record_bytes_are_pinned(equation, tmp_path, capsys):
+    path = tmp_path / "record.json"
+    argv = ["local-error-check", "--equation", equation, *LOCAL_ERROR_ARGS.split()]
+    assert study_cli.main([*argv, "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == LOCAL_ERROR_EXPECTED[equation], f"{equation} record bytes changed"
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_local_error_reference_steps_16_per_sample(equation, monkeypatch, capsys):
+    name = "run_nls" if equation == "nls" else "run_wave"
+    run, runs = getattr(study_cli, name), []
+
+    def counting_run(state, tau, n_steps, *args, **kwargs):
+        runs.append((tau, n_steps))
+        return run(state, tau, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(study_cli, name, counting_run)
+    argv = ["local-error-check", "--equation", equation, *LOCAL_ERROR_ARGS.split()]
+    assert study_cli.main(argv) == 0
+    assert runs == [(2.0**-6 / 256, 256)]  # 16 steps for each of the 4q = 16 samples
