@@ -6,12 +6,13 @@ one process, for the NLS schemes (``lri``, ``lie``) and the wave schemes
 (``corrected``, ``plain``), each advanced through ``run_nls`` / ``run_wave``
 without snapshots, so a step includes its growth guard.  Next to each
 scheme's step at N = 1024 it prints the step of a max-over-steps sweep
-(``study_cli._errors`` with ``every_step``): the same run with an error
-against a reference list at every step, and its cost as a multiple of the
-plain step.  The reference list is a recorded run of the equation's other
-scheme.  Then prints the cost of one values-plus-coeffs call pair of the
-complex (``PaddedPair``) and the real (``RealPaddedPair``) workspace for 1,
-2 and 3 rows.  All cases of one repeat run back to back before the next
+(``study_cli._sweeps`` with ``every_step``): the same run, paused at every
+step for an error against the reference snapshot of that step, and its cost
+as a multiple of the plain step.  The reference snapshots are a recorded run
+of the equation's other scheme, handed to the sweep one by one as a study's
+reference pass hands them.  Then prints the cost of one values-plus-coeffs
+call pair of the complex (``PaddedPair``) and the real (``RealPaddedPair``)
+workspace for 1, 2 and 3 rows.  All cases of one repeat run back to back before the next
 repeat starts, so a change in the machine's speed touches every case alike.
 The plain steps use only the public runners, so their rows can be taken on
 another checkout by pointing ``PYTHONPATH`` at that checkout's ``src``:
@@ -73,8 +74,14 @@ def sweep_case(scheme, n):
     config = study_cli.StudyConfig(equation, (TAU,), scheme=study_scheme, n_modes=n,
                                    t_end=STEPS * TAU)
     term = 1 if equation == "nls" else Nonlinearity.preset("quadratic")
-    return lambda: study_cli._errors("sweep", config, ref[0], term, (TAU,), ref, 0.0,
-                                     every_step=True)
+
+    def run():
+        compare, _ = study_cli._sweeps("sweep", config, ref[0], term, (TAU,), 0.0, STEPS,
+                                       every_step=True)
+        for i, state in enumerate(ref):
+            compare(i, state)
+
+    return run
 
 
 def pair_case(kind, n, rows):

@@ -170,6 +170,14 @@ def lie_step_nls(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
     return run_nls(u_n, tau, 1, mu, NlsStepperKind.LIE_SPLITTING)[-1]
 
 
+def _nls_snapshots(u0, tau, n_steps, mu, kind=NlsStepperKind.LOW_REGULARITY,
+                   record_every=None):
+    """The snapshots of ``run_nls`` as ``evolve`` yields them, ``(j, c)``: a
+    paused run, whose stepper is built when the first one is asked for."""
+    stepper = _Stepper(u0.grid, tau, mu, kind)
+    yield from evolve(u0.coeffs, stepper.step, stepper.size, n_steps, record_every)
+
+
 def run_nls(
     u0: SpectralField,
     tau: float,
@@ -188,10 +196,10 @@ def run_nls(
     the list comes back empty.  Raises ``BlowUpError`` when a state's H^1
     norm exceeds ``BLOWUP_FACTOR`` times the initial one or turns non-finite.
     """
-    stepper = _Stepper(u0.grid, tau, mu, kind)
     states = []
-    evolve(u0.coeffs, stepper.step, stepper.size, n_steps, record_every,
-           observe or (lambda j, c: states.append(SpectralField(u0.grid, c, False))))
+    observe = observe or (lambda j, c: states.append(SpectralField(u0.grid, c, False)))
+    for j, c in _nls_snapshots(u0, tau, n_steps, mu, kind, record_every):
+        observe(j, c)
     return states
 
 

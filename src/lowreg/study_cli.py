@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .diagnostics import (
 from .nls_integrators import (
     NlsProblem,
     NlsStepperKind,
+    _nls_snapshots,
     free_flow,
     run_nls,
 )
@@ -59,6 +61,7 @@ from .torus_spectral import (
 )
 from .wave_integrators import (
     Nonlinearity,
+    _wave_snapshots,
     run_wave,
     wave_flow,
     wave_state_norm,
@@ -291,10 +294,12 @@ def _reference_scheme(initial) -> str:
     return _EQUATIONS["wave" if isinstance(initial, WaveState) else "nls"][0][0]
 
 
-def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1, observe=None):
+def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1, observe=None,
+                paused=False):
     """The n_out + 1 equispaced snapshots on [0, t_end] of one scheme run at
     step tau, or, given ``observe``, none: the run shows them to it instead
-    (see ``evolve``).  A blow-up names the phase and the scheme.
+    (see ``evolve``).  A blow-up names the phase and the scheme.  When
+    ``paused``, the run is the generator of its raw ``(j, array)`` snapshots.
 
     ``run_wave`` steps a ``WaveState`` and ``run_nls`` a field; ``term`` is
     their nonlinear term: the sign mu for NLS, the ``Nonlinearity`` for waves.
@@ -309,20 +314,40 @@ def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1, observe=None)
     flow = wave_flow if wave else free_flow
     start = flow(initial, 0.5 * tau) if strang else initial
     kind = "lie" if strang else scheme
+    # run_wave and run_nls are looked up per call, so that wrapping them in
+    # this module (as a tracer does) reaches every run that is not paused.
+    if wave:
+        runs, args = (run_wave, _wave_snapshots), (term, kind != "lie")
+    else:
+        runs, args = (run_nls, _nls_snapshots), (term, NlsStepperKind(kind))
+    if paused:
+        return _solve(runs[1], start, t_end, n_out, tau, *args)
     try:
-        # run_wave and run_nls are looked up per call, so that wrapping them
-        # in this module (as a tracer does) reaches every run.
-        if wave:
-            states = _solve(run_wave, start, t_end, n_out, tau, term, kind != "lie",
-                            observe=observe)
-        else:
-            states = _solve(run_nls, start, t_end, n_out, tau, term, NlsStepperKind(kind),
-                            observe=observe)
+        states = _solve(runs[0], start, t_end, n_out, tau, *args, observe=observe)
     except BlowUpError as exc:
         raise BlowUpError(f"{phase} run ({scheme}): {exc}") from exc
     if strang:
         states = [initial] + [flow(s, -0.5 * tau) for s in states[1:]]
     return states
+
+
+def _reference_pass(phase, initial, term, tau, t_end, n_out, consume) -> object:
+    """The reference run: hands its snapshots before the terminal one, wrapped
+    as the runners record them, to ``consume(i, state)`` and returns the
+    terminal one once the run and its stepper are gone."""
+    wrap = _full_pair if isinstance(initial, WaveState) else SpectralField
+    index, kept = itertools.count(), []
+
+    def observe(j, raw):
+        i, state = next(index), wrap(initial.grid, raw)
+        if i < n_out:
+            consume(i, state)
+        else:
+            kept.append(state)
+
+    _run_scheme(phase, initial, _reference_scheme(initial), term, tau, t_end, n_out,
+                observe)
+    return kept[0]
 
 
 def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: float | None = None) -> dict:
@@ -346,21 +371,24 @@ def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: floa
     return _reference_run(initial, term, problem.t_end, tau_ref, norm_fn, tol)[1]
 
 
-def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1):
-    """Reference run at tau_ref, cross-validated against Strang splitting.
+def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1,
+                   compare=lambda i, ref: None):
+    """Reference pass at tau_ref, cross-validated against Strang splitting.
 
-    The comparator is second order and shares neither the phi1 filter nor
-    the phi2 correction with the reference, so it runs at factor * tau_ref
-    with factor = gcd(n_steps, 4): a quarter of the reference's steps
-    whenever 4 divides them.  Returns the n_out + 1 reference snapshots and
-    the validation record; raises ``ValidationError`` unless the terminal
-    distance is at most the absolute ``tol``.
+    Its n_out + 1 snapshots go to ``compare`` (see ``_sweeps``), the last
+    once the reference is validated.  The comparator is second order and
+    shares neither the phi1 filter nor the phi2 correction with the
+    reference, so it runs at factor * tau_ref with factor = gcd(n_steps, 4):
+    a quarter of the reference's steps whenever 4 divides them.  Returns the
+    terminal reference state and the validation record; raises
+    ``ValidationError`` unless the terminal distance is at most the absolute
+    ``tol``.
     """
     canonical = _reference_scheme(initial)
-    ref_states = _run_scheme("reference", initial, canonical, term, tau_ref, t_end, n_out)
+    terminal = _reference_pass("reference", initial, term, tau_ref, t_end, n_out, compare)
     factor = math.gcd(steps_for(t_end, tau_ref), 4)
     comp = _run_scheme("comparator", initial, "strang", term, factor * tau_ref, t_end)[-1]
-    distance = norm_fn(difference(ref_states[-1], comp))
+    distance = norm_fn(difference(terminal, comp))
     record = {
         "tau_ref": tau_ref,
         "reference_scheme": canonical,
@@ -377,58 +405,84 @@ def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1):
             f"{distance:.3e} exceeds tolerance {tol:.3e} at tau_ref={tau_ref:g}",
             record,
         )
-    return ref_states, record
+    compare(n_out, terminal)
+    return terminal, record
 
 
-def _errors(phase, config: StudyConfig, initial, term, taus, ref_states, r: float,
+def _sweeps(phase, config: StudyConfig, initial, term, taus, r: float, n_ref: int,
             every_step=False):
-    """Error in the study norm (``r`` for ``Hr``) of ``config.scheme`` at each
-    step size in ``taus`` against the equispaced reference snapshots
-    ``ref_states`` on [0, t_end]: the largest over every step when
-    ``every_step``, else the terminal one.  Each run shows its snapshots to an
-    observer that keeps the running maximum, so no sweep state is stored.
-    Each run's phase is ``phase.format(tau)``."""
-    distance = _distance_fn(initial, r)
-    n_ref = len(ref_states) - 1
-    errors = []
-    for tau in taus:
-        n_steps = steps_for(config.t_end, tau)
-        worst = None
+    """Paused runs of ``config.scheme`` at each step in ``taus``, driven by
+    ``compare(i, ref)`` with each of n_ref + 1 equispaced reference snapshots
+    in turn: each run due there steps to its time and is compared.  Returns
+    ``compare`` and the list it fills with the errors in the study norm, the
+    largest over every step when ``every_step``, else the terminal one, or a
+    run's ``BlowUpError`` for ``_settled`` to raise."""
+    n_outs = [steps_for(config.t_end, tau) if every_step else 1 for tau in taus]
+    runs = [None] * len(taus)
+    errors = [None] * len(taus)
+    distance = None
 
-        def observe(j, state):
-            nonlocal worst
-            # Step j is at the time of reference snapshot j * n_ref / n_steps.
-            if j:
-                e = distance(state, ref_states[j * n_ref // n_steps])
-                if worst is None or e > worst:
-                    worst = e
+    def compare(i, ref):
+        nonlocal distance
+        for k, tau in enumerate(taus):
+            # Run k's snapshot m is at the time of reference snapshot
+            # m * n_ref / n_outs[k]; its first, the initial state, is skipped.
+            if not i or i * n_outs[k] % n_ref or isinstance(errors[k], BlowUpError):
+                continue
+            # A run and the distance's buffers live from their first comparison
+            # to the last, so a terminal study holds one run at a time.
+            distance = distance or _distance_fn(initial, r)
+            try:
+                if runs[k] is None:
+                    runs[k] = _run_scheme(phase, initial, config.scheme, term, tau,
+                                          config.t_end, n_outs[k], paused=True)
+                    next(runs[k])
+                raw = next(runs[k])[1]
+            except BlowUpError as exc:
+                name = f"{phase.format(tau)} run ({config.scheme})"
+                errors[k], runs[k] = BlowUpError(f"{name}: {exc}"), None
+                continue
+            e = distance(raw, ref)
+            if errors[k] is None or e > errors[k]:
+                errors[k] = e
+            if i == n_ref:
+                runs[k] = None
+        if i == n_ref:
+            distance = None
 
-        _run_scheme(phase.format(tau), initial, config.scheme, term, tau, config.t_end,
-                    n_steps if every_step else 1, observe)
-        errors.append(float(worst))
-    return errors
+    return compare, errors
 
 
-def _spatial_check(config: StudyConfig, initial, term, r, tau_ref, ref_states):
+def _settled(errors) -> list[float]:
+    """The errors ``_sweeps`` filled, or the first blow-up in step order."""
+    for e in errors:
+        if isinstance(e, BlowUpError):
+            raise e
+    return [float(e) for e in errors]
+
+
+def _spatial_check(config: StudyConfig, initial, term, r, tau_ref, ref_terminal):
     """Error at the largest step, recomputed at N and 2N from the same datum.
 
     Both errors use a dedicated mini-reference at tau_max/max(ref_factor, 256)
     so the comparison isolates the spatial layer.  When that step is the
     study's ``tau_ref``, the N-grid mini-reference is the study reference run
-    on the same datum, grid and horizon, so its snapshots ``ref_states`` (the
-    last is the terminal state) stand in for it bit for bit; the 2N one is
-    always run.  Returns (resolved, change).
+    on the same datum, grid and horizon, so its terminal state
+    ``ref_terminal`` stands in for it bit for bit; the 2N one is always run.
+    Returns (resolved, change).
     """
     tau_c = config.tau_list[0]
     tau_mini = tau_c / max(config.ref_factor, 256)
 
-    def error_on(state0, fine=None):
-        if fine is None:
-            fine = _run_scheme("spatial check", state0, _reference_scheme(state0), term,
-                               tau_mini, config.t_end)
-        return _errors("spatial check", config, state0, term, (tau_c,), fine, r)[0]
+    def error_on(state0, terminal=None):
+        compare, errors = _sweeps("spatial check", config, state0, term, (tau_c,), r, 1)
+        if terminal is None:
+            terminal = _reference_pass("spatial check", state0, term, tau_mini,
+                                       config.t_end, 1, compare)
+        compare(1, terminal)
+        return _settled(errors)[0]
 
-    e_base = error_on(initial, ref_states if tau_mini == tau_ref else None)
+    e_base = error_on(initial, ref_terminal if tau_mini == tau_ref else None)
     e_fine = error_on(regrid(initial, TorusGrid(2 * config.n_modes)))
     change = abs(e_fine - e_base) / max(e_base, 1e-300)
     return bool(change < 0.01), float(change)
@@ -446,13 +500,14 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
     norm_fn = _norm_fn(initial, r)
     tau_ref = config.tau_list[-1] / config.ref_factor
 
-    ref_states, validation = _reference_run(
+    n_ref = steps_for(config.t_end, config.tau_list[-1]) if config.max_over_steps else 1
+    compare, errors = _sweeps("sweep tau={:g}", config, initial, term, config.tau_list, r,
+                              n_ref, config.max_over_steps)
+    ref_terminal, validation = _reference_run(
         initial, term, config.t_end, tau_ref, norm_fn,
-        config.cross_val_tol * norm_fn(initial),
-        steps_for(config.t_end, config.tau_list[-1]) if config.max_over_steps else 1,
+        config.cross_val_tol * norm_fn(initial), n_ref, compare,
     )
-    errors = _errors("sweep tau={:g}", config, initial, term, config.tau_list, ref_states,
-                     r, config.max_over_steps)
+    errors = _settled(errors)
     distance = validation["distance"]
     validation["certification_margin"] = min(errors) / distance if distance else None
 
@@ -463,7 +518,7 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
 
     resolved = change = None
     if config.spatial_check:
-        resolved, change = _spatial_check(config, initial, term, r, tau_ref, ref_states)
+        resolved, change = _spatial_check(config, initial, term, r, tau_ref, ref_terminal)
 
     config_echo = dataclasses.asdict(config)
     config_echo["tau_list"] = list(config.tau_list)
@@ -725,20 +780,19 @@ def _cmd_diagnose(args, functional: str) -> None:
         spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(modes), spec)
         if equation == "nls":
-            term, sample, p, wrap = args.mu, _strichartz_sample, 4, SpectralField
+            term, sample, p = args.mu, _strichartz_sample, 4
         else:
             term = Nonlinearity.preset(args.nonlinearity or "quadratic")
-            sample, p, wrap = _nullform_sample, 2, _full_pair
+            sample, p = _nullform_sample, 2
             results["nonlinearity"] = term.tag
-    scheme = _reference_scheme(datum)
 
     def value_on(state, n_out):
-        # One pass: each snapshot, wrapped as the default recording wraps it,
-        # leaves only its sample norm.  t_end / n_out is bit for bit the dt of
-        # a trajectory_of the snapshots, which are never kept.
+        # One pass: each snapshot leaves only its sample norm.  t_end / n_out
+        # is bit for bit the dt of a trajectory_of the snapshots.
         norms = []
-        _run_scheme(f"{functional} reference", state, scheme, term, tau_ref, t_end, n_out,
-                    lambda j, raw: norms.append(sample(wrap(state.grid, raw))))
+        terminal = _reference_pass(f"{functional} reference", state, term, tau_ref, t_end,
+                                   n_out, lambda i, snapshot: norms.append(sample(snapshot)))
+        norms.append(sample(terminal))
         return _time_norm(norms, t_end / n_out, p)
 
     value = value_on(datum, samples)

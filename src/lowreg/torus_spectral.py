@@ -69,44 +69,46 @@ def steps_for(span: float, tau: float) -> int:
     return round(n)
 
 
-def evolve(state, step, size, n_steps, record_every, observe) -> None:
-    """Advance a coefficient array n_steps times under a growth guard.
+def evolve(state, step, size, n_steps, record_every) -> Iterator[tuple[int, np.ndarray]]:
+    """Advance a coefficient array n_steps times under a growth guard, as a
+    generator that steps only when asked for its next snapshot.
 
     ``step(state)`` returns the next array and ``size(state)`` measures it;
     a non-finite size or one above ``BLOWUP_FACTOR`` times the initial size
     raises ``BlowUpError``.  Guarding every step (not just snapshots) keeps
-    divergence from ever reaching floating overflow.  ``observe(j, state)``
-    sees the array after step j at each snapshot: the initial state (j = 0)
-    and every ``record_every``-th one, or just the terminal state when
+    divergence from ever reaching floating overflow.  It yields ``(j, state)``,
+    the array after step j, at each snapshot: the initial state (j = 0) and
+    every ``record_every``-th one, or just the terminal state when
     ``record_every`` is unset.  The array may be the stepper's own buffer,
-    overwritten by a later step, so an observer that keeps it copies it.
+    overwritten by a later step, so a caller that keeps it copies it.
     """
     if not np.all(np.isfinite(state.view(np.float64))):
         raise BlowUpError("non-finite coefficients in stepper input")
     guard = BLOWUP_FACTOR * max(size(state), 1e-300)
     if record_every:
-        observe(0, state)
+        yield 0, state
     for j in range(1, n_steps + 1):
         state = step(state)
         s = size(state)
         if not np.isfinite(s) or s > guard:
             raise BlowUpError(f"norm guard tripped at step {j}")
         if record_every and j % record_every == 0:
-            observe(j, state)
+            yield j, state
     if not record_every:
-        observe(n_steps, state)
+        yield n_steps, state
 
 
-def _solve(run, initial, t_end: float, n_out: int, tau: float, *args, observe=None) -> list:
+def _solve(run, initial, t_end: float, n_out: int, tau: float, *args, **kwargs):
     """Every multi-step run: ``run`` from ``initial`` at step tau, with n_out+1
-    equispaced snapshots on [0, t_end]; tau must divide t_end/n_out.  An
-    ``observe`` given to ``run`` sees the snapshots in place of its recording."""
+    equispaced snapshots on [0, t_end]; tau must divide t_end/n_out.  Returns
+    what ``run`` returns: a runner's list of snapshots (empty when ``kwargs``
+    give it an ``observe``) or a paused run's generator of them."""
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
     if t_end == 0:
         return [initial]
     per = steps_for(t_end / n_out, tau)
-    return run(initial, tau, n_out * per, *args, record_every=per, observe=observe)
+    return run(initial, tau, n_out * per, *args, record_every=per, **kwargs)
 
 
 @dataclasses.dataclass(frozen=True)

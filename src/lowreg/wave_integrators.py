@@ -289,6 +289,13 @@ def wave_state_norm(w: WaveState) -> float:
     return sobolev_norm(w.u, 1.0) + sobolev_norm(w.v, 0.0)
 
 
+def _wave_snapshots(w0, tau, n_steps, nl, corrected=True, record_every=None):
+    """The snapshots of ``run_wave`` as ``evolve`` yields them, ``(j, s)``: a
+    paused run, whose workspace is built when the first one is asked for."""
+    work = _WaveWork(w0.grid, tau, nl, corrected)
+    yield from evolve(_half_pair(w0), work.step, work.size, n_steps, record_every)
+
+
 def run_wave(
     w0: WaveState,
     tau: float,
@@ -305,10 +312,10 @@ def run_wave(
     list comes back empty.  Raises ``BlowUpError`` when a state exceeds
     ``BLOWUP_FACTOR`` times the initial combined norm or turns non-finite.
     """
-    work = _WaveWork(w0.grid, tau, nl, corrected)
     states = []
-    evolve(_half_pair(w0), work.step, work.size, n_steps, record_every,
-           observe or (lambda j, s: states.append(_full_pair(w0.grid, s))))
+    observe = observe or (lambda j, s: states.append(_full_pair(w0.grid, s)))
+    for j, s in _wave_snapshots(w0, tau, n_steps, nl, corrected, record_every):
+        observe(j, s)
     return states
 
 

@@ -126,7 +126,7 @@ def test_c03_corrected_splitting_is_second_order_on_rough_wave_data():
 
 
 def test_c04_plain_splitting_trails_the_corrected_one():
-    corrected = wave_study("quadratic", 1)
+    corrected = wave_study("quadratic", 1, spatial_check=True)  # c03's study
     plain = wave_study("quadratic", 1, scheme="lie")
     gap = corrected.fitted_order - plain.fitted_order
     assert plain.fitted_order <= 1.3

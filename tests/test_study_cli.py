@@ -48,9 +48,9 @@ from lowreg import study_cli
 from lowreg.study_cli import (
     _datum,
     _distance_fn,
-    _errors,
     _norm_fn,
     _run_scheme,
+    _sweeps,
     build_parser,
     parse_norm,
     parse_taus,
@@ -528,8 +528,15 @@ def test_max_over_steps_error_peaks_where_the_reference_is_off(equation):
         ref[3] = WaveState(SpectralField(grid, original.u.coeffs + one, True), original.v)
     peak = _norm_fn(initial)(difference(original, ref[3]))
     assert peak > 0.0
-    assert _errors("sweep", config, initial, term, (tau,), ref, 0.0) == [0.0]
-    assert _errors("sweep", config, initial, term, (tau,), ref, 0.0, True) == [peak]
+
+    def errors(every_step):
+        compare, found = _sweeps("sweep", config, initial, term, (tau,), 0.0, 8, every_step)
+        for i, state in enumerate(ref):
+            compare(i, state)
+        return found
+
+    assert errors(False) == [0.0]
+    assert errors(True) == [peak]
 
 
 @pytest.mark.parametrize("n", [8, 32, 1024])
@@ -894,6 +901,31 @@ def test_cli_signals_blowup(argv, phase, step, capsys):
     assert main(argv.split()) == 3
     err = capsys.readouterr().err
     assert err == f"blow-up: {phase}: norm guard tripped at step {step}\n"
+
+
+# Amplitude 2 on 16 modes: the LRI sweeps at 2^-2, 2^-3 and 2^-4 trip the guard
+# (at t = 1, 0.625 and 0.4375); the one at 2^-1 and the reference at 2^-8 do not.
+BLOWN_SWEEPS = ("nls-converge --modes 16 --amplitude 2 --taus 2^-1..2^-4 --ref-factor 16 "
+                "--no-spatial-check")
+STUDY_KINDS = pytest.mark.parametrize("kind", ["", " --max-over-steps"],
+                                      ids=["terminal", "max-over-steps"])
+
+
+@STUDY_KINDS
+def test_a_failed_validation_outranks_sweep_blowups(kind, capsys):
+    assert main(f"{BLOWN_SWEEPS} --cross-val-tol 1e-300{kind}".split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: reference cross-validation failed: ")
+    assert err.count("\n") == 1
+
+
+@STUDY_KINDS
+def test_sweep_blowups_name_the_first_step_size_that_blew_up(kind, capsys):
+    """The sweep at 2^-2 trips its guard last in time but comes first in the
+    step-size list, so its blow-up is the one reported."""
+    assert main(f"{BLOWN_SWEEPS} --cross-val-tol 1e10{kind}".split()) == 3
+    err = capsys.readouterr().err
+    assert err == "blow-up: sweep tau=0.25 run (lri): norm guard tripped at step 4\n"
 
 
 def test_cli_diagnose_strichartz(tmp_path, capsys):

@@ -44,6 +44,7 @@ from lowreg.torus_spectral import (
     RealPaddedPair,
     _conj_perm,
     _full_pair,
+    evolve,
     field_like,
     full_spectrum,
     half_spectrum,
@@ -410,14 +411,23 @@ def test_only_the_padded_pairs_and_the_point_evaluations_call_the_fft():
     assert engine == ENGINE
 
 
-# The one run path: the runners are called only by the one-step maps, and
-# every multi-step run hands its horizon and snapshot count to _solve.
+# The one run path: the runners are called only by the one-step maps, the
+# paused runs that they drain only by the runners, evolve only by the paused
+# runs, and every multi-step run hands its horizon and snapshot count to _solve.
 def test_every_multi_step_run_goes_through_solve():
     assert callers({"run_nls", "run_wave"}) == {
         "nls_integrators.py:lri_step",
         "nls_integrators.py:lie_step_nls",
         "wave_integrators.py:corrected_lie_step",
         "wave_integrators.py:lie_step_wave",
+    }
+    assert callers({"_nls_snapshots", "_wave_snapshots"}) == {
+        "nls_integrators.py:run_nls",
+        "wave_integrators.py:run_wave",
+    }
+    assert callers({"evolve"}) == {
+        "nls_integrators.py:_nls_snapshots",
+        "wave_integrators.py:_wave_snapshots",
     }
     assert callers({"_solve"}) == {
         "nls_integrators.py:nls_reference_solve",
@@ -819,6 +829,20 @@ def test_runners_name_the_step_at_which_the_guard_trips(equation, step):
                                 Nonlinearity.preset("quadratic"))
     with pytest.raises(BlowUpError, match=f"^norm guard tripped at step {step}$"):
         run()
+
+
+def test_evolve_steps_only_when_asked_for_a_snapshot():
+    taken = []
+
+    def step(c):
+        taken.append(1)
+        return 2.0 * c
+
+    run = evolve(np.ones(4, dtype=np.complex128), step, lambda c: 1.0, 6, 2)
+    assert next(run)[0] == 0 and taken == []
+    j, c = next(run)
+    assert j == 2 and len(taken) == 2 and np.array_equal(c, np.full(4, 4.0))
+    assert [j for j, _ in run] == [4, 6] and len(taken) == 6
 
 
 @pytest.mark.parametrize("equation", ["nls", "wave"])
