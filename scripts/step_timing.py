@@ -12,9 +12,12 @@ as a multiple of the plain step.  The reference snapshots are a recorded run
 of the equation's other scheme, handed to the sweep one by one as a study's
 reference pass hands them.  Then prints the cost of one values-plus-coeffs
 call pair of the complex (``PaddedPair``) and the real (``RealPaddedPair``)
-workspace for 1, 2 and 3 rows.  All cases of one repeat run back to back before the next
-repeat starts, so a change in the machine's speed touches every case alike.
-The plain steps use only the public runners, so their rows can be taken on
+workspace for 1, 2 and 3 rows, and of one ``wave_flow`` plus one
+``null_form_field`` call at N = 256 and 1024: the benchmark's closed-form
+null-form check makes 2,050 such call pairs at N = 256.  All cases of one
+repeat run back to back before the next repeat starts, so a change in the
+machine's speed touches every case alike.  The plain steps and the
+free-flow null forms use only public names, so their rows can be taken on
 another checkout by pointing ``PYTHONPATH`` at that checkout's ``src``:
 
     PYTHONPATH=src python3 scripts/step_timing.py
@@ -31,10 +34,12 @@ from lowreg import (
     RoughDataSpec,
     TorusGrid,
     random_rough_field,
+    null_form_field,
     run_nls,
     run_wave,
     study_cli,
     torus_spectral,
+    wave_flow,
 )
 
 SCHEMES = ("lri", "lie", "corrected", "plain")
@@ -45,6 +50,7 @@ STUDY = {"lri": ("nls", "lri", "lie"), "lie": ("nls", "lie", "lri"),
 SWEEP_MODES = 1024
 MODES = (128, 1024, 2048, 4096)  # 2048: the spatial check's 2N grid for N = 1024
 ROWS = (1, 2, 3)
+FLOW_MODES = (256, 1024)  # 256: the benchmark's closed-form null-form check
 STEPS = 500  # steps per timed run
 CALLS = 200  # transform call pairs per timed run
 REPEATS = 21  # interleaved timed runs per case
@@ -106,6 +112,19 @@ def pair_case(kind, n, rows):
     return run
 
 
+def flow_case(n):
+    """A callable that makes CALLS ``wave_flow`` plus ``null_form_field`` call
+    pairs at N = n, one free-flow null-form sample each."""
+    w0 = torus_spectral.rough_wave_state(RoughDataSpec(theta=1.0, seed=1, amplitude=0.5),
+                                         TorusGrid(n))
+
+    def run():
+        for i in range(CALLS):
+            null_form_field(wave_flow(w0, 0.01 * i))
+
+    return run
+
+
 def interleaved(cases):
     """Wall seconds of each case in each repeat, the cases in turn."""
     for run, _ in cases.values():
@@ -151,6 +170,11 @@ def main():
              for n in MODES for kind in ("complex", "real") for rows in ROWS}
     report(f"padded pair, one values + coeffs call pair ({CALLS} per run):",
            pairs, interleaved(pairs))
+
+    flows = {("wave_flow + null_form_field", f"N={n}"): (flow_case(n), CALLS)
+             for n in FLOW_MODES}
+    report(f"free-flow null form, one wave_flow + null_form_field call pair "
+           f"({CALLS} per run):", flows, interleaved(flows))
 
 
 if __name__ == "__main__":

@@ -288,20 +288,32 @@ def write_trajectory(traj: Trajectory, path) -> None:
             fh.write("\n".join(to_lines(state)) + "\n")
 
 
+def _header_value(lines: Iterator[str], key: str) -> str:
+    """The value of the next line, which must read ``<key> <value>``."""
+    words = next(lines).split()
+    if len(words) != 2 or words[0] != key:
+        raise ValueError(f"expected '{key} <value>', got {' '.join(words)!r}")
+    return words[1]
+
+
 def _trajectory_from_lines(lines: Iterator[str]) -> Trajectory:
     if next(lines).strip() != "trajectory":
         raise ValueError("not a trajectory file")
-    kind = next(lines).split()[1]
-    count = int(next(lines).split()[1])
-    t0 = float(next(lines).split()[1])
-    dt = float(next(lines).split()[1])
-    n_meta = int(next(lines).split()[1])
+    kind = _header_value(lines, "kind")
+    if kind not in ("nls", "wave"):
+        raise ValueError(f"unknown trajectory kind {kind!r}")
+    count = int(_header_value(lines, "samples"))
+    t0 = float(_header_value(lines, "t0"))
+    dt = float(_header_value(lines, "dt"))
+    n_meta = int(_header_value(lines, "meta"))
     meta = {}
     for _ in range(n_meta):
         key, _, value = next(lines).partition(" ")
         meta[key] = value
     reader = wave_state_from_lines if kind == "wave" else field_from_lines
     states = [reader(lines) for _ in range(count)]
+    if any(line.strip() for line in lines):
+        raise ValueError(f"text after the {count} declared samples")
     times = t0 + dt * np.arange(count)
     return Trajectory(times, states, meta)
 

@@ -48,6 +48,7 @@ from .torus_spectral import (
     TorusGrid,
     WaveState,
     _full_pair,
+    _half_pair,
     _sobolev_weights,
     _solve,
     _time_norm,
@@ -257,9 +258,10 @@ def _distance_fn(initial, r: float = 0.0) -> Callable:
     snapshot ``ref``, with no state built.
 
     For waves, at k = 0..N/2 the full spectra that ``difference`` forms hold
-    ``raw`` less ``ref`` with the imaginary parts at k = 0 and N/2 dropped and
-    the real part at N/2 doubled, as ``full_spectrum`` does; ``ref`` is
-    exactly Hermitian, so the moduli at N - k repeat those at k = 1..N/2-1.
+    ``raw`` less the stored rows of ``ref`` with the imaginary parts at k = 0
+    and N/2 dropped and the real parts at N/2 doubled, as ``full_spectrum``
+    does; the difference is exactly Hermitian, so the moduli at N - k repeat
+    those at k = 1..N/2-1.
     """
     grid = initial.grid
     if not isinstance(initial, WaveState):
@@ -270,16 +272,14 @@ def _distance_fn(initial, r: float = 0.0) -> Callable:
     d = np.empty((2, h + 1), dtype=np.complex128)
     sq = np.empty((2, h + 1))
     full = np.empty((2, 2 * h))
-    d_u, d_v, d_0, sq_u = d[0], d[1], d[:, 0].imag, sq[0]
+    d_0, d_h, sq_u = d[:, 0].imag, d[:, h], sq[0]
     low, high, mirror = full[:, : h + 1], full[:, h + 1 :], sq[:, h - 1 : 0 : -1]
 
     def distance(s, ref):
-        (s_u, s_v), u, v = s, ref.u.coeffs, ref.v.coeffs
-        np.subtract(s_u, u[: h + 1], d_u)
-        np.subtract(s_v, v[: h + 1], d_v)
+        r = _half_pair(ref)
+        np.subtract(s, r, d)
         d_0[...] = 0.0
-        d_u[h] = 2.0 * s_u[h].real - u[h].real
-        d_v[h] = 2.0 * s_v[h].real - v[h].real
+        d_h[...] = 2.0 * s[:, h].real - 2.0 * r[:, h].real
         np.square(np.abs(d, sq), sq)
         np.multiply(sq_u, w_u, sq_u)  # the v weights, (1 + k^2)^0, are all 1
         low[...] = sq

@@ -11,6 +11,10 @@ kept in FFT order.  The analysis conventions used throughout:
   ``||u||_L2 = sqrt(2*pi) * ||u_hat||_l2``.
 * Nonlinear products are evaluated on a 2x zero-padded grid and truncated
   back, which keeps all quadratic and cubic products alias-free.
+* A ``WaveState`` stores its real pair (u, v) as one read-only stacked
+  half-spectrum, the (2, N/2 + 1) array of k = 0..N/2 that the wave
+  steppers advance (see ``half_spectrum``); its ``u`` and ``v`` are exactly
+  Hermitian fields built from it on each access.
 """
 
 from __future__ import annotations
@@ -204,22 +208,42 @@ class SpectralField:
                 )
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False, init=False)
 class WaveState:
-    """Pair (u, v) of real fields on one grid; v plays the role of du/dt."""
+    """Pair (u, v) of real fields on one grid; v plays the role of du/dt.
 
-    u: SpectralField
-    v: SpectralField
+    Stored as one read-only (2, N/2 + 1) array ``_halves``: the half-spectra of
+    u and v (see ``half_spectrum``), with real entries at k = 0 and N/2 (their
+    imaginary parts +0.0) and the Nyquist entry halved.  ``u`` and ``v`` build
+    their exactly Hermitian fields from it on each access.
+    """
 
-    def __post_init__(self) -> None:
-        if self.u.grid != self.v.grid:
+    grid: TorusGrid
+    _halves: np.ndarray = dataclasses.field(repr=False)
+
+    def __init__(self, u: SpectralField, v: SpectralField) -> None:
+        if u.grid != v.grid:
             raise ValueError("u and v must share one grid")
-        if not (self.u.is_real and self.v.is_real):
+        if not (u.is_real and v.is_real):
             raise ValueError("wave states hold real fields only")
+        self._keep(u.grid, np.stack([half_spectrum(u.coeffs), half_spectrum(v.coeffs)]))
+
+    def _keep(self, grid: TorusGrid, s: np.ndarray) -> None:
+        """Store a read-only copy of ``s`` with its k = 0 and N/2 entries real."""
+        s = np.array(s, dtype=np.complex128)
+        ends = s[:, :: s.shape[1] - 1]
+        ends.imag = 0.0
+        s.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_halves", s)
 
     @property
-    def grid(self) -> TorusGrid:
-        return self.u.grid
+    def u(self) -> SpectralField:
+        return SpectralField(self.grid, full_spectrum(self._halves[0]), True)
+
+    @property
+    def v(self) -> SpectralField:
+        return SpectralField(self.grid, full_spectrum(self._halves[1]), True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -372,14 +396,17 @@ def full_spectrum(x: np.ndarray) -> np.ndarray:
 
 
 def _half_pair(w: WaveState) -> np.ndarray:
-    """The half-spectra of u and v, stacked as one (2, N/2 + 1) array."""
-    return np.stack([half_spectrum(w.u.coeffs), half_spectrum(w.v.coeffs)])
+    """The half-spectra of u and v, stacked as one (2, N/2 + 1) array: the
+    state's own read-only storage, not a copy."""
+    return w._halves
 
 
 def _full_pair(grid: TorusGrid, s: np.ndarray) -> WaveState:
-    """The wave state of a stacked half-spectrum pair; exactly Hermitian."""
-    u, v = (SpectralField(grid, full_spectrum(x), True) for x in s)
-    return WaveState(u, v)
+    """The wave state of a stacked half-spectrum pair, which it stores as a
+    copy: no full spectrum is formed."""
+    w = object.__new__(WaveState)
+    w._keep(grid, s)
+    return w
 
 
 class RealPaddedPair:

@@ -13,16 +13,19 @@ block [[0, 1], [-k^2, 0]].  Provided maps:
 
 The fields are real, so every map here works on real half-spectra
 (k = 0..N/2, see ``torus_spectral.half_spectrum``), stacked as one
-(2, N/2 + 1) array S with rows u and v.  Each 2x2 block, of the flow or of
+(2, N/2 + 1) array S with rows u and v: the array a ``WaveState`` stores,
+read with ``_half_pair`` and wrapped with ``_full_pair``, with no full
+spectrum formed on the way.  Each 2x2 block, of the flow or of
 phi2, is one table (diag, off) over the N/2 + 1 slots that acts on the
 stack as diag*S + off*S[::-1]; ``wave_flow``, ``phi2_apply``, the steppers
 and ``diagnostics.wave_local_error_oracle`` all apply it so.  Products go
 through the ``rfft``/``irfft`` padded pair, ``torus_spectral.RealPaddedPair``:
 a corrected step makes one 2-row synthesis of (u, v) and one 2-row analysis
 of (g(u), g'(u) v), a plain step one single-row call each way, and the
-nonlinear maps one 3-row synthesis of (u, v, u_x) and one analysis per map.
-``run_wave`` converts the state once on entry and back to full spectra only
-for its snapshots; its growth guard weighs each half-spectrum entry by the
+nonlinear maps one 3-row synthesis of (u, v, u_x), with the u_x row i*k
+times the stored u row, and one analysis per map.  ``run_wave`` steps the
+stored array of its initial state and keeps a copy of the stepper's array
+for each snapshot; its growth guard weighs each half-spectrum entry by the
 number of full coefficients it stands for, so it still measures
 ``H^1 x L^2``.
 """
@@ -41,9 +44,7 @@ from .torus_spectral import (
     _full_pair,
     _half_pair,
     _solve,
-    derivative,
     evolve,
-    half_spectrum,
     series_mask,
     sin_over,
     sobolev_norm,
@@ -236,9 +237,12 @@ def _nonlinear_coeffs(w: WaveState, *exprs) -> np.ndarray:
     """Stacked half-spectra of up to three pointwise expressions of (u, v, u_x)
     on the 2x grid, from one 3-row synthesis and one analysis of all the
     expressions on one real workspace."""
+    h = w.grid.nyquist_index
+    ik = 1j * w.grid.freqs[: h + 1].astype(np.complex128)
+    ik[h] = 0.0  # as ``derivative`` zeroes the Nyquist mode
+    s = _half_pair(w)
     pair = RealPaddedPair(w.grid.n_modes, rows=3)
-    fields = (w.u, w.v, derivative(w.u, 1))
-    u, v, ux = pair.values(np.stack([half_spectrum(f.coeffs) for f in fields]))
+    u, v, ux = pair.values(np.stack([s[0], s[1], ik * s[0]]))
     return pair.coeffs(np.stack([expr(u, v, ux) for expr in exprs]))
 
 

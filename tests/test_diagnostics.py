@@ -443,6 +443,27 @@ def test_scalar_trajectory_file_round_trip(tmp_path):
     with pytest.raises(ValueError, match=r"traj\.txt, line 3: "):
         read_trajectory(path)
 
+    # Eight header lines (two meta entries), then five 17-line records.
+    write_trajectory(traj, path)
+    lines = path.read_text().splitlines()
+    for index, line, error in [
+        (1, "kind waves", "unknown trajectory kind 'waves'"),
+        (1, "kindx nls", "expected 'kind <value>'"),
+        (2, "sample 5", "expected 'samples <value>'"),
+        (3, "t1 0.0", "expected 't0 <value>'"),
+        (4, "dt 0.125 0.125", "expected 'dt <value>'"),
+        (5, "metas 2", "expected 'meta <value>'"),
+        (2, "samples 3", "text after the 3 declared samples"),
+    ]:
+        bad = lines.copy()
+        bad[index] = line
+        path.write_text("\n".join(bad) + "\n")
+        at = 8 + 3 * 17 + 1 if line == "samples 3" else index + 1
+        with pytest.raises(ValueError, match=rf"traj\.txt, line {at}: {error}"):
+            read_trajectory(path)
+    path.write_text("\n".join(lines) + "\n\n  \n")
+    assert len(read_trajectory(path).states) == 5  # trailing blank lines are fine
+
 
 def test_wave_trajectory_file_round_trip(tmp_path):
     grid = TorusGrid(16)

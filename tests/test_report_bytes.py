@@ -1,4 +1,5 @@
-"""Report-bytes regression: pins the SHA-256 of the CSV and JSON reports.
+"""Report-bytes regression: pins the SHA-256 of the CSV and JSON reports,
+and of the diagnose, local-error and trajectory files.
 
 The study reports are byte-deterministic, so a change that leaves the
 numerics alone must leave these hashes alone too.  A change that does move
@@ -11,7 +12,21 @@ import weakref
 
 import pytest
 
-from lowreg import StudyConfig, emit_report, run_convergence_study, study_cli
+from lowreg import (
+    Nonlinearity,
+    RoughDataSpec,
+    StudyConfig,
+    TorusGrid,
+    emit_report,
+    random_rough_field,
+    run_convergence_study,
+    run_nls,
+    run_wave,
+    study_cli,
+    trajectory_of,
+    write_trajectory,
+)
+from lowreg.torus_spectral import rough_wave_state
 
 CONFIGS = {
     "nls": dict(
@@ -179,3 +194,27 @@ def test_local_error_reference_steps_16_per_sample(equation, monkeypatch, capsys
     argv = ["local-error-check", "--equation", equation, *LOCAL_ERROR_ARGS.split()]
     assert study_cli.main(argv) == 0
     assert runs == [(2.0**-6 / 256, 256)]  # 16 steps for each of the 4q = 16 samples
+
+
+# Trajectory files of five snapshots of a 16-step run at N = 32.
+TRAJECTORY_EXPECTED = {
+    "nls": "f083c767d375250c02838f2dea40ec407c6b1bd28f8c6b9fb109df7109a85190",
+    "wave": "e36a90b496017f6fc6369a64518dde8a8f5f596585f3d8d906d5d1cffce9e3fb",
+}
+
+
+@pytest.mark.parametrize("equation", sorted(TRAJECTORY_EXPECTED))
+def test_trajectory_file_bytes_are_pinned(equation, tmp_path):
+    grid = TorusGrid(32)
+    spec = RoughDataSpec(theta=1.0, seed=3, real_valued=False, amplitude=0.5)
+    if equation == "nls":
+        states, scheme = run_nls(random_rough_field(spec, grid), 2.0**-6, 16, 1,
+                                 record_every=4), "lri"
+    else:
+        states, scheme = run_wave(rough_wave_state(spec, grid), 2.0**-6, 16,
+                                  Nonlinearity.preset("quadratic"),
+                                  record_every=4), "corrected_lie"
+    path = tmp_path / "trajectory.txt"
+    write_trajectory(trajectory_of(states, 0.0, 0.25, scheme=scheme), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_EXPECTED[equation], f"{equation} trajectory bytes changed"

@@ -38,12 +38,13 @@ from lowreg import (
     write_wave_state,
     zero_field,
 )
-from lowreg import torus_spectral
+from lowreg import torus_spectral, wave_integrators
 from lowreg.torus_spectral import (
     PaddedPair,
     RealPaddedPair,
     _conj_perm,
     _full_pair,
+    _half_pair,
     evolve,
     field_like,
     full_spectrum,
@@ -127,6 +128,47 @@ def test_wave_state_requires_shared_grid_and_real_fields(grid16, grid32):
         WaveState(u, zero_field(grid32))
     with pytest.raises(ValueError):
         WaveState(u, zero_field(grid16, is_real=False))
+
+
+def test_wave_state_stores_one_read_only_stacked_half_spectrum(grid32):
+    u = rough_field_on(grid32, 4, real_valued=True)
+    v = rough_field_on(grid32, 5, theta=0.0, real_valued=True)
+    w = WaveState(u, v)
+    s = _half_pair(w)
+    assert s is _half_pair(w)  # the storage itself, not a copy
+    assert s.shape == (2, 17) and not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 1] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.u = v
+    # random_rough_field stores the imaginary parts at k = 0 and N/2 as +0.0,
+    # as full_spectrum builds them, so u and v come back bit for bit.
+    for got, given in ((w.u, u), (w.v, v)):
+        assert got.is_real and got.coeffs.tobytes() == given.coeffs.tobytes()
+    assert w.u is not w.u  # each access builds a new field
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("seed", range(4))
+def test_nonlinear_coeffs_form_u_x_from_the_stored_half(n, seed, monkeypatch):
+    """The u_x row that the g/h/b maps and the null form synthesise is the
+    half-spectrum of ``derivative(w.u, 1)``, bit for bit."""
+    rng = np.random.default_rng(seed)
+    grid = TorusGrid(n)
+    re, im = rng.standard_normal((2, 2, n // 2 + 1))
+    u, v = (SpectralField(grid, full_spectrum(x), True) for x in re + 1j * im)
+    synthesised = []
+
+    class Recording(RealPaddedPair):
+        def values(self, x):
+            synthesised.append(x.copy())
+            return super().values(x)
+
+    monkeypatch.setattr(wave_integrators, "RealPaddedPair", Recording)
+    w = WaveState(u, v)
+    wave_integrators._nonlinear_coeffs(w, lambda u, v, ux: ux)
+    (rows,) = synthesised
+    assert rows[2].tobytes() == half_spectrum(derivative(w.u, 1).coeffs).tobytes()
 
 
 def test_conj_perm_is_built_once_per_size_and_read_only():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -358,6 +360,22 @@ def test_run_wave_snapshot_layout(grid16):
     terminal = run_wave(w, 0.01, 6, QUADRATIC)
     assert len(terminal) == 1
     assert state_gap(terminal[0], states[-1]) <= 1e-14
+
+
+def test_recorded_wave_states_hold_one_half_spectrum_pair_each():
+    # A kept state stores its stacked (2, N/2 + 1) half-spectra alone, not two
+    # full N-point spectra, which would take about 2 * K * N * 16 bytes here.
+    n, count = 512, 256
+    w = rough_wave_state_on(TorusGrid(n), 3, amplitude=0.3)
+    run_wave(w, 2.0**-10, 4, QUADRATIC, record_every=1)  # warm the transform caches
+    tracemalloc.start()
+    try:
+        states = run_wave(w, 2.0**-10, count - 1, QUADRATIC, record_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) == count
+    assert peak < 1.2 * count * 2 * (n // 2 + 1) * 16
 
 
 @pytest.mark.parametrize("n", [16, 128, 1024])
