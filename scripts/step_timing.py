@@ -14,11 +14,13 @@ reference pass hands them.  Then prints the cost of one values-plus-coeffs
 call pair of the complex (``PaddedPair``) and the real (``RealPaddedPair``)
 workspace for 1, 2 and 3 rows, and of one ``wave_flow`` plus one
 ``null_form_field`` call at N = 256 and 1024: the benchmark's closed-form
-null-form check makes 2,050 such call pairs at N = 256.  All cases of one
-repeat run back to back before the next repeat starts, so a change in the
-machine's speed touches every case alike.  The plain steps and the
-free-flow null forms use only public names, so their rows can be taken on
-another checkout by pointing ``PYTHONPATH`` at that checkout's ``src``:
+null-form check makes 2,050 such call pairs at N = 256.  Last, the cost of
+one ``wave_state_norm`` call at N = 256 and 1024, the study norm of every
+wave error.  All cases of one repeat run back to back before the next
+repeat starts, so a change in the machine's speed touches every case alike.
+The plain steps, the free-flow null forms and the wave state norms use only
+public names, so their rows can be taken on another checkout by pointing
+``PYTHONPATH`` at that checkout's ``src``:
 
     PYTHONPATH=src python3 scripts/step_timing.py
 """
@@ -40,6 +42,7 @@ from lowreg import (
     study_cli,
     torus_spectral,
     wave_flow,
+    wave_state_norm,
 )
 
 SCHEMES = ("lri", "lie", "corrected", "plain")
@@ -51,6 +54,7 @@ SWEEP_MODES = 1024
 MODES = (128, 1024, 2048, 4096)  # 2048: the spatial check's 2N grid for N = 1024
 ROWS = (1, 2, 3)
 FLOW_MODES = (256, 1024)  # 256: the benchmark's closed-form null-form check
+NORM_MODES = (256, 1024)
 STEPS = 500  # steps per timed run
 CALLS = 200  # transform call pairs per timed run
 REPEATS = 21  # interleaved timed runs per case
@@ -125,6 +129,18 @@ def flow_case(n):
     return run
 
 
+def norm_case(n):
+    """A callable that makes CALLS ``wave_state_norm`` calls at N = n."""
+    w0 = torus_spectral.rough_wave_state(RoughDataSpec(theta=1.0, seed=1, amplitude=0.5),
+                                         TorusGrid(n))
+
+    def run():
+        for _ in range(CALLS):
+            wave_state_norm(w0)
+
+    return run
+
+
 def interleaved(cases):
     """Wall seconds of each case in each repeat, the cases in turn."""
     for run, _ in cases.values():
@@ -175,6 +191,10 @@ def main():
              for n in FLOW_MODES}
     report(f"free-flow null form, one wave_flow + null_form_field call pair "
            f"({CALLS} per run):", flows, interleaved(flows))
+
+    norms = {("wave_state_norm", f"N={n}"): (norm_case(n), CALLS) for n in NORM_MODES}
+    report(f"wave state norm, one wave_state_norm call ({CALLS} per run):",
+           norms, interleaved(norms))
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ class _Stepper:
     Lie phase argument, and the squares that ``size`` sums) and a complex
     phase buffer.  ``step`` writes each new state into one of two output
     arrays, never the one it was given, so the state it returns stays valid
-    through the next step only; ``run_nls`` copies every snapshot it keeps.
+    through the next step only; ``_nls_snapshots`` hands out copies.
     """
 
     def __init__(self, grid: TorusGrid, tau: float, mu: float, kind: NlsStepperKind):
@@ -172,10 +172,11 @@ def lie_step_nls(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
 
 def _nls_snapshots(u0, tau, n_steps, mu, kind=NlsStepperKind.LOW_REGULARITY,
                    record_every=None):
-    """The snapshots of ``run_nls`` as ``evolve`` yields them, ``(j, c)``: a
-    paused run, whose stepper is built when the first one is asked for."""
+    """The snapshots of ``run_nls`` as ``(j, u)``, each a new field: a paused
+    run, whose stepper is built when the first one is asked for."""
     stepper = _Stepper(u0.grid, tau, mu, kind)
-    yield from evolve(u0.coeffs, stepper.step, stepper.size, n_steps, record_every)
+    for j, c in evolve(u0.coeffs, stepper.step, stepper.size, n_steps, record_every):
+        yield j, SpectralField(u0.grid, c, False)
 
 
 def run_nls(
@@ -190,16 +191,16 @@ def run_nls(
     """Advance n_steps of size tau, recording every ``record_every`` steps.
 
     Returns the recorded snapshots (always including the initial state when
-    recording, otherwise just the terminal state).  An ``observe(j, c)``
-    given in place of the recording sees the raw coefficients of each of
-    them instead, in a buffer the next step overwrites (see ``evolve``), and
-    the list comes back empty.  Raises ``BlowUpError`` when a state's H^1
-    norm exceeds ``BLOWUP_FACTOR`` times the initial one or turns non-finite.
+    recording, otherwise just the terminal state).  An ``observe(j, u)``
+    given in place of the recording is shown each of them instead, the same
+    field the list would keep, and the list comes back empty.  Raises
+    ``BlowUpError`` when a state's H^1 norm exceeds ``BLOWUP_FACTOR`` times
+    the initial one or turns non-finite.
     """
     states = []
-    observe = observe or (lambda j, c: states.append(SpectralField(u0.grid, c, False)))
-    for j, c in _nls_snapshots(u0, tau, n_steps, mu, kind, record_every):
-        observe(j, c)
+    observe = observe or (lambda j, u: states.append(u))
+    for j, u in _nls_snapshots(u0, tau, n_steps, mu, kind, record_every):
+        observe(j, u)
     return states
 
 

@@ -44,15 +44,10 @@ from .torus_spectral import (
     V_SEED_OFFSET,  # re-exported: scripts and tests draw wave data with it
     BlowUpError,
     RoughDataSpec,
-    SpectralField,
     TorusGrid,
     WaveState,
-    _full_pair,
-    _half_pair,
-    _sobolev_weights,
     _solve,
     _time_norm,
-    _weighted_norm,
     difference,
     random_rough_field,
     regrid,
@@ -252,44 +247,6 @@ def _norm_fn(initial, r: float = 0.0) -> Callable:
     return lambda f: sobolev_norm(f, r)
 
 
-def _distance_fn(initial, r: float = 0.0) -> Callable:
-    """``distance(raw, ref)``: ``_norm_fn(initial, r)(difference(state, ref))``
-    bit for bit, for the state whose stepper array is ``raw`` and a recorded
-    snapshot ``ref``, with no state built.
-
-    For waves, at k = 0..N/2 the full spectra that ``difference`` forms hold
-    ``raw`` less the stored rows of ``ref`` with the imaginary parts at k = 0
-    and N/2 dropped and the real parts at N/2 doubled, as ``full_spectrum``
-    does; the difference is exactly Hermitian, so the moduli at N - k repeat
-    those at k = 1..N/2-1.
-    """
-    grid = initial.grid
-    if not isinstance(initial, WaveState):
-        w = _sobolev_weights(grid, r)
-        return lambda c, ref: _weighted_norm(w, c - ref.coeffs)
-    h = grid.nyquist_index
-    w_u = _sobolev_weights(grid, 1.0)[: h + 1]  # even in k, as the moduli are
-    d = np.empty((2, h + 1), dtype=np.complex128)
-    sq = np.empty((2, h + 1))
-    full = np.empty((2, 2 * h))
-    d_0, d_h, sq_u = d[:, 0].imag, d[:, h], sq[0]
-    low, high, mirror = full[:, : h + 1], full[:, h + 1 :], sq[:, h - 1 : 0 : -1]
-
-    def distance(s, ref):
-        r = _half_pair(ref)
-        np.subtract(s, r, d)
-        d_0[...] = 0.0
-        d_h[...] = 2.0 * s[:, h].real - 2.0 * r[:, h].real
-        np.square(np.abs(d, sq), sq)
-        np.multiply(sq_u, w_u, sq_u)  # the v weights, (1 + k^2)^0, are all 1
-        low[...] = sq
-        high[...] = mirror
-        u_sq, v_sq = np.add.reduce(full, axis=1)
-        return math.sqrt(u_sq) + math.sqrt(v_sq)
-
-    return distance
-
-
 def _reference_scheme(initial) -> str:
     return _EQUATIONS["wave" if isinstance(initial, WaveState) else "nls"][0][0]
 
@@ -299,7 +256,7 @@ def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1, observe=None,
     """The n_out + 1 equispaced snapshots on [0, t_end] of one scheme run at
     step tau, or, given ``observe``, none: the run shows them to it instead
     (see ``evolve``).  A blow-up names the phase and the scheme.  When
-    ``paused``, the run is the generator of its raw ``(j, array)`` snapshots.
+    ``paused``, the run is the generator of its ``(j, state)`` snapshots.
 
     ``run_wave`` steps a ``WaveState`` and ``run_nls`` a field; ``term`` is
     their nonlinear term: the sign mu for NLS, the ``Nonlinearity`` for waves.
@@ -332,14 +289,13 @@ def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1, observe=None,
 
 
 def _reference_pass(phase, initial, term, tau, t_end, n_out, consume) -> object:
-    """The reference run: hands its snapshots before the terminal one, wrapped
-    as the runners record them, to ``consume(i, state)`` and returns the
-    terminal one once the run and its stepper are gone."""
-    wrap = _full_pair if isinstance(initial, WaveState) else SpectralField
+    """The reference run: hands its snapshots before the terminal one to
+    ``consume(i, state)`` and returns the terminal one once the run and its
+    stepper are gone."""
     index, kept = itertools.count(), []
 
-    def observe(j, raw):
-        i, state = next(index), wrap(initial.grid, raw)
+    def observe(j, state):
+        i = next(index)
         if i < n_out:
             consume(i, state)
         else:
@@ -350,22 +306,22 @@ def _reference_pass(phase, initial, term, tau, t_end, n_out, consume) -> object:
     return kept[0]
 
 
-def cross_validate_reference(problem, tau_ref: float, *, norm_fn=None, tol: float | None = None) -> dict:
+def cross_validate_reference(problem, tau_ref: float, *, tol: float | None = None) -> dict:
     """Run the designated reference scheme at tau_ref and check it against
     the Strang comparator (see ``_reference_run``).
 
     Returns a validation record with the terminal-state distance; raises
     ``ValidationError`` unless the distance is at most ``tol`` (an absolute
     tolerance; the caller usually supplies rel_tol * initial_norm), so a NaN
-    distance or tolerance never passes.
+    distance or tolerance never passes.  t_end = 0, with no run, is refused.
     """
-    if tau_ref <= 0:
-        raise ConfigError("tau_ref must be > 0")
+    if tau_ref <= 0 or problem.t_end <= 0:
+        raise ConfigError(f"tau_ref ({tau_ref}) and t_end ({problem.t_end}) must be > 0")
     if isinstance(problem, NlsProblem):
         initial, term = problem.u0, problem.mu
     else:
         initial, term = problem.initial, problem.nonlinearity
-    norm_fn = norm_fn or _norm_fn(initial)
+    norm_fn = _norm_fn(initial)
     if tol is None:
         tol = 1e-6 * norm_fn(initial)
     return _reference_run(initial, term, problem.t_end, tau_ref, norm_fn, tol)[1]
@@ -414,41 +370,37 @@ def _sweeps(phase, config: StudyConfig, initial, term, taus, r: float, n_ref: in
     """Paused runs of ``config.scheme`` at each step in ``taus``, driven by
     ``compare(i, ref)`` with each of n_ref + 1 equispaced reference snapshots
     in turn: each run due there steps to its time and is compared.  Returns
-    ``compare`` and the list it fills with the errors in the study norm, the
-    largest over every step when ``every_step``, else the terminal one, or a
-    run's ``BlowUpError`` for ``_settled`` to raise."""
+    ``compare`` and the list it fills with the errors in the study norm, each
+    ``norm(difference(state, ref))``, the largest over every step when
+    ``every_step``, else the terminal one, or a run's ``BlowUpError`` for ``_settled``."""
     n_outs = [steps_for(config.t_end, tau) if every_step else 1 for tau in taus]
     runs = [None] * len(taus)
     errors = [None] * len(taus)
-    distance = None
+    norm = _norm_fn(initial, r)
 
     def compare(i, ref):
-        nonlocal distance
         for k, tau in enumerate(taus):
             # Run k's snapshot m is at the time of reference snapshot
             # m * n_ref / n_outs[k]; its first, the initial state, is skipped.
             if not i or i * n_outs[k] % n_ref or isinstance(errors[k], BlowUpError):
                 continue
-            # A run and the distance's buffers live from their first comparison
-            # to the last, so a terminal study holds one run at a time.
-            distance = distance or _distance_fn(initial, r)
+            # A run lives from its first comparison to its last, so a
+            # terminal study holds one run at a time.
             try:
                 if runs[k] is None:
                     runs[k] = _run_scheme(phase, initial, config.scheme, term, tau,
                                           config.t_end, n_outs[k], paused=True)
                     next(runs[k])
-                raw = next(runs[k])[1]
+                state = next(runs[k])[1]
             except BlowUpError as exc:
                 name = f"{phase.format(tau)} run ({config.scheme})"
                 errors[k], runs[k] = BlowUpError(f"{name}: {exc}"), None
                 continue
-            e = distance(raw, ref)
+            e = norm(difference(state, ref))
             if errors[k] is None or e > errors[k]:
                 errors[k] = e
             if i == n_ref:
                 runs[k] = None
-        if i == n_ref:
-            distance = None
 
     return compare, errors
 

@@ -64,12 +64,14 @@ def series_mask(y: np.ndarray, branch: str | None, radius: float) -> np.ndarray:
 
 
 def steps_for(span: float, tau: float) -> int:
-    """Number of steps of size tau in span; tau must divide span."""
+    """Whole number of steps of size tau in span, at least one if span > 0."""
     n = span / tau
     if not math.isfinite(n):
         raise ValueError(f"{span} / {tau} is not a finite step count")
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"step size {tau} does not divide the horizon {span}")
+    if span > 0 and round(n) == 0:
+        raise ValueError(f"step size {tau} takes no step in the horizon {span}")
     return round(n)
 
 
@@ -84,7 +86,7 @@ def evolve(state, step, size, n_steps, record_every) -> Iterator[tuple[int, np.n
     the array after step j, at each snapshot: the initial state (j = 0) and
     every ``record_every``-th one, or just the terminal state when
     ``record_every`` is unset.  The array may be the stepper's own buffer,
-    overwritten by a later step, so a caller that keeps it copies it.
+    overwritten by a later step: the paused runs hand out a copy as a state.
     """
     if not np.all(np.isfinite(state.view(np.float64))):
         raise BlowUpError("non-finite coefficients in stepper input")
@@ -531,22 +533,21 @@ def dealiased_product(
     return SpectralField(grid, pair.coeffs(np.prod(values, axis=0)), False)
 
 
+@functools.cache
 def _sobolev_weights(grid: TorusGrid, r: float) -> np.ndarray:
-    """The weights (1+k^2)^r of ``sobolev_norm``, in FFT order."""
-    return (1.0 + grid.freqs.astype(np.float64) ** 2) ** r
-
-
-def _weighted_norm(weights: np.ndarray, c: np.ndarray) -> float:
-    """sqrt(sum weights * |c|^2) of raw coefficients, as ``sobolev_norm`` sums it."""
-    a = np.abs(c)
-    a *= a
-    a *= weights
-    return math.sqrt(np.add.reduce(a))
+    """The weights (1+k^2)^r of ``sobolev_norm``, in FFT order; built once per
+    (grid, r) and read-only, since every caller shares it."""
+    weights = (1.0 + grid.freqs.astype(np.float64) ** 2) ** r
+    weights.setflags(write=False)
+    return weights
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:
     """Coefficient-weighted norm sqrt(sum (1+k^2)^r |u_hat[k]|^2)."""
-    return _weighted_norm(_sobolev_weights(f.grid, r), f.coeffs)
+    a = np.abs(f.coeffs)
+    a *= a
+    a *= _sobolev_weights(f.grid, r)
+    return math.sqrt(np.add.reduce(a))
 
 
 def lebesgue_norm(f: SpectralField, p: float) -> float:

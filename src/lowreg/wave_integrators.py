@@ -24,15 +24,17 @@ a corrected step makes one 2-row synthesis of (u, v) and one 2-row analysis
 of (g(u), g'(u) v), a plain step one single-row call each way, and the
 nonlinear maps one 3-row synthesis of (u, v, u_x), with the u_x row i*k
 times the stored u row, and one analysis per map.  ``run_wave`` steps the
-stored array of its initial state and keeps a copy of the stepper's array
-for each snapshot; its growth guard weighs each half-spectrum entry by the
-number of full coefficients it stands for, so it still measures
-``H^1 x L^2``.
+stored array of its initial state and hands out each snapshot as a new
+``WaveState``, a copy of the stepper's array; its growth guard, like
+``wave_state_norm``, weighs each half-spectrum entry by the number of full
+coefficients it stands for, so it still measures ``H^1 x L^2``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -43,11 +45,11 @@ from .torus_spectral import (
     WaveState,
     _full_pair,
     _half_pair,
+    _sobolev_weights,
     _solve,
     evolve,
     series_mask,
     sin_over,
-    sobolev_norm,
 )
 
 
@@ -200,17 +202,14 @@ class _WaveWork:
         self.tau = tau
         self.nl = nl
         self.corrected = corrected
-        half = grid.nyquist_index + 1
         self.flow = _flow_table(grid, tau)
         self.phi2 = _phi2_table(grid, tau)
         self.pair = RealPaddedPair(grid.n_modes, rows=2)
-        # A half-spectrum entry stands for 1 coefficient at k = 0, for the
-        # +-k pair inside, and for the Nyquist coefficient at twice its size.
-        # Each weight appears twice, for the real and the imaginary part.
-        k = np.arange(half, dtype=np.float64)
-        count = np.full(half, 2.0)
-        count[0], count[-1] = 1.0, 4.0
-        self.weights = np.repeat(np.stack([count * (1.0 + k * k), count]), 2, axis=1)
+        # The weights of ``wave_state_norm``, doubled where an entry stands for
+        # the +-k pair, each twice: for the real and the imaginary part.
+        count = np.full(grid.nyquist_index + 1, 2.0)
+        count[0] = count[-1] = 1.0
+        self.weights = np.repeat(_norm_weights(grid) * count, 2, axis=1)
 
     def size(self, s: np.ndarray) -> float:
         """H^1 x L^2 size of a stacked half-spectrum pair, as ``wave_state_norm``."""
@@ -288,16 +287,38 @@ def lie_step_wave(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
     return run_wave(w_n, tau, 1, nl, corrected=False)[-1]
 
 
+@functools.cache
+def _norm_weights(grid: TorusGrid) -> np.ndarray:
+    """Weights of the squared moduli of a stored half pair in ``wave_state_norm``:
+    (1+k^2) on the u row, 1 on the v row, times 4 on the halved Nyquist entry."""
+    h = grid.nyquist_index
+    weights = np.stack([_sobolev_weights(grid, 1.0)[: h + 1], np.ones(h + 1)])
+    weights[:, h] *= 4.0
+    weights.setflags(write=False)
+    return weights
+
+
 def wave_state_norm(w: WaveState) -> float:
-    """H^1 norm of u plus L^2 norm of v; the natural size of a wave state."""
-    return sobolev_norm(w.u, 1.0) + sobolev_norm(w.v, 0.0)
+    """H^1 norm of u plus L^2 norm of v; the natural size of a wave state.
+
+    Summed from the stored half pair, bit for bit as ``sobolev_norm(w.u, 1.0)
+    + sobolev_norm(w.v, 0.0)`` short of subnormal squares: the squared moduli
+    weighted (times 4 at the doubled Nyquist entry) and k = 1..N/2-1 mirrored
+    into FFT order, so that ``np.add.reduce`` adds the same terms in order."""
+    h = w.grid.nyquist_index
+    sq = np.abs(_half_pair(w))
+    sq *= sq
+    sq *= _norm_weights(w.grid)
+    u_sq, v_sq = np.add.reduce(np.concatenate([sq, sq[:, h - 1 : 0 : -1]], axis=1), axis=1)
+    return math.sqrt(u_sq) + math.sqrt(v_sq)
 
 
 def _wave_snapshots(w0, tau, n_steps, nl, corrected=True, record_every=None):
-    """The snapshots of ``run_wave`` as ``evolve`` yields them, ``(j, s)``: a
-    paused run, whose workspace is built when the first one is asked for."""
+    """The snapshots of ``run_wave`` as ``(j, w)``, each a new state: a paused
+    run, whose workspace is built when the first one is asked for."""
     work = _WaveWork(w0.grid, tau, nl, corrected)
-    yield from evolve(_half_pair(w0), work.step, work.size, n_steps, record_every)
+    for j, s in evolve(_half_pair(w0), work.step, work.size, n_steps, record_every):
+        yield j, _full_pair(w0.grid, s)
 
 
 def run_wave(
@@ -311,15 +332,15 @@ def run_wave(
 ) -> list[WaveState]:
     """Advance n_steps of size tau, recording every ``record_every`` steps.
 
-    An ``observe(j, s)`` given in place of the recording sees the stacked
-    half-spectrum pair of each snapshot instead (see ``evolve``), and the
-    list comes back empty.  Raises ``BlowUpError`` when a state exceeds
+    An ``observe(j, w)`` given in place of the recording is shown each
+    snapshot instead, the same state the list would keep, and the list comes
+    back empty.  Raises ``BlowUpError`` when a state exceeds
     ``BLOWUP_FACTOR`` times the initial combined norm or turns non-finite.
     """
     states = []
-    observe = observe or (lambda j, s: states.append(_full_pair(w0.grid, s)))
-    for j, s in _wave_snapshots(w0, tau, n_steps, nl, corrected, record_every):
-        observe(j, s)
+    observe = observe or (lambda j, w: states.append(w))
+    for j, w in _wave_snapshots(w0, tau, n_steps, nl, corrected, record_every):
+        observe(j, w)
     return states
 
 

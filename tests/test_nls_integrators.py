@@ -261,6 +261,14 @@ def test_reference_solve_rejects_incompatible_steps(grid16):
         nls_reference_solve(problem, 0, 1e-3)
 
 
+def test_reference_solve_refuses_a_step_longer_than_the_horizon(grid16):
+    # A snapshot spacing of 0.25 holds 2.5e-301 steps of 1e300, within the
+    # divisibility tolerance of 0 steps: no step at all is refused too.
+    problem = NlsProblem(1, rough_field_on(grid16, 6), 1.0)
+    with pytest.raises(ValueError, match="takes no step"):
+        nls_reference_solve(problem, 4, 1e300)
+
+
 def test_reference_solve_conserves_mass():
     grid = TorusGrid(32)
     f = smooth_field(grid, 9, amplitude=0.1)

@@ -104,7 +104,8 @@ def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
     """No run of a max-over-steps study, the reference included, returns more
     than 2 states; at every comparison at most 2 of the reference snapshots
     compared so far are alive (the current one and, in the 2N spatial check,
-    the study's terminal state); and every step of every sweep is compared."""
+    the study's terminal state); and every step of every sweep is compared,
+    as is the reference with its comparator."""
     returned, alive, seen = [], weakref.WeakSet(), []
     for name in ("run_nls", "run_wave"):
         def counting_run(*args, _run=getattr(study_cli, name), **kwargs):
@@ -114,22 +115,18 @@ def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
 
         monkeypatch.setattr(study_cli, name, counting_run)
 
-    def counting_distance_fn(initial, r=0.0, _distance_fn=study_cli._distance_fn):
-        distance = _distance_fn(initial, r)
+    def counting_difference(state, ref, _difference=study_cli.difference):
+        alive.add(ref)
+        seen.append(len(alive))
+        return _difference(state, ref)
 
-        def counted(raw, ref):
-            alive.add(ref)
-            seen.append(len(alive))
-            return distance(raw, ref)
-
-        return counted
-
-    monkeypatch.setattr(study_cli, "_distance_fn", counting_distance_fn)
+    monkeypatch.setattr(study_cli, "difference", counting_difference)
     config = StudyConfig(output_path=None, **CONFIGS[f"{equation}_max"])
     run_convergence_study(config)
     assert returned and max(returned) <= 2
-    # Each sweep step, and the spatial check's one terminal error at N and at 2N.
-    assert len(seen) == sum(round(config.t_end / tau) for tau in config.tau_list) + 2
+    # Each sweep step, the validation's one comparison, and the spatial
+    # check's one terminal error at N and at 2N.
+    assert len(seen) == sum(round(config.t_end / tau) for tau in config.tau_list) + 3
     assert max(seen) <= 2
 
 

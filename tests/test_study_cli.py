@@ -47,7 +47,6 @@ from lowreg import (
 from lowreg import study_cli
 from lowreg.study_cli import (
     _datum,
-    _distance_fn,
     _norm_fn,
     _run_scheme,
     _sweeps,
@@ -58,7 +57,7 @@ from lowreg.study_cli import (
     smooth_data_spec,
     _study_config_from_args,
 )
-from lowreg.torus_spectral import _full_pair, difference, rough_wave_state
+from lowreg.torus_spectral import difference, rough_wave_state
 from oracles import nls_plane_wave_coefficient
 
 
@@ -419,6 +418,18 @@ def test_cross_validation_never_passes_a_nan_tolerance():
     assert exc.value.record["passed"] is False
 
 
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_cross_validation_refuses_a_zero_horizon(equation):
+    grid = TorusGrid(16)
+    if equation == "nls":
+        problem = NlsProblem(1, mode_field(grid, 1, 0.1), 0.0)
+    else:
+        w0 = rough_wave_state(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
+        problem = WaveProblem(Nonlinearity.preset("quadratic"), w0, 0.0)
+    with pytest.raises(ConfigError, match=r"and t_end \(0.0\) must be > 0"):
+        cross_validate_reference(problem, 2.0**-6)
+
+
 # --- the Strang comparator -----------------------------------------------------------
 
 
@@ -537,27 +548,6 @@ def test_max_over_steps_error_peaks_where_the_reference_is_off(equation):
 
     assert errors(False) == [0.0]
     assert errors(True) == [peak]
-
-
-@pytest.mark.parametrize("n", [8, 32, 1024])
-@pytest.mark.parametrize("equation, r", [("nls", 0.0), ("nls", 0.75), ("wave", 0.0)])
-def test_raw_distance_is_the_norm_of_the_difference_bit_for_bit(equation, r, n):
-    grid, rng = TorusGrid(n), np.random.default_rng(n)
-
-    def draw(shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    initial = _datum(equation, grid, RoughDataSpec(theta=1.0, seed=2))
-    distance, norm = _distance_fn(initial, r), _norm_fn(initial, r)
-    for _ in range(20):
-        if equation == "nls":
-            raw = draw(n)
-            state, ref = SpectralField(grid, raw), SpectralField(grid, draw(n))
-        else:
-            # Imaginary parts at k = 0 and N/2, which the state does not keep.
-            raw = draw((2, n // 2 + 1))
-            state, ref = _full_pair(grid, raw), _full_pair(grid, draw((2, n // 2 + 1)))
-        assert distance(raw, ref) == norm(difference(state, ref))
 
 
 @pytest.mark.parametrize("ref_factor, factor", [(17, 1), (18, 2), (20, 4)])
@@ -738,6 +728,9 @@ def test_cli_rejects_bad_configuration(capsys):
         "diagnose-strichartz --modes 1125899906842624",
         "local-error-check --equation nls --modes 1125899906842624",
         "wave-converge --nonlinearity ''",
+        # Steps longer than the horizon, which would take no step at all.
+        "nls-converge --taus 1e300,2^-4 --modes 16 --no-spatial-check --cross-val-tol 1",
+        "diagnose-strichartz --modes 16 --samples 4 --tau-ref 1e300",
     ],
 )
 def test_cli_bad_input_exits_4_without_a_traceback(argv):

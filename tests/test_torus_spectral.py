@@ -43,7 +43,6 @@ from lowreg.torus_spectral import (
     PaddedPair,
     RealPaddedPair,
     _conj_perm,
-    _full_pair,
     _half_pair,
     evolve,
     field_like,
@@ -478,6 +477,17 @@ def test_every_multi_step_run_goes_through_solve():
     }
 
 
+# One snapshot type and one distance: the stacked half pair of a wave state is
+# read and wrapped only by the modules that step and measure it, and the study
+# driver measures every error as norm(difference(state, ref)), so it names
+# none of the raw-array norm helpers.
+def test_only_the_wave_modules_touch_the_stacked_half_pair():
+    users = {module for module, *_ in package_references({"_half_pair", "_full_pair"})}
+    assert users <= {"torus_spectral.py", "wave_integrators.py", "diagnostics.py"}
+    assert [use for use in package_references({"_sobolev_weights", "_weighted_norm"})
+            if use[0] == "study_cli.py"] == []
+
+
 # --- derivative ----------------------------------------------------------------
 
 
@@ -893,20 +903,21 @@ def test_an_observer_sees_the_arrays_that_recording_keeps(equation):
     if equation == "nls":
         run = functools.partial(run_nls, rough_field_on(grid, 4, amplitude=0.5), 0.01, 8, 1)
 
-        def arrays(c):
-            return [c.coeffs] if isinstance(c, SpectralField) else [c]
+        def arrays(u):
+            return [u.coeffs]
     else:
         w = rough_wave_state(RoughDataSpec(theta=1.0, seed=4, amplitude=0.5), grid)
         run = functools.partial(run_wave, w, 0.01, 8, Nonlinearity.preset("quadratic"))
 
-        def arrays(s):
-            state = s if isinstance(s, WaveState) else _full_pair(grid, s)
-            return [state.u.coeffs, state.v.coeffs]
+        def arrays(w):
+            return [w.u.coeffs, w.v.coeffs]
     seen = []
-    assert run(record_every=2, observe=lambda j, a: seen.append((j, a.copy()))) == []
+    # The observed states are kept as they come: no later step overwrites them.
+    assert run(record_every=2, observe=lambda j, state: seen.append((j, state))) == []
     assert [j for j, _ in seen] == [0, 2, 4, 6, 8]
-    for (_, a), state in zip(seen, run(record_every=2)):
-        for got, want in zip(arrays(a), arrays(state)):
+    for (_, observed), state in zip(seen, run(record_every=2), strict=True):
+        assert type(observed) is type(state)
+        for got, want in zip(arrays(observed), arrays(state)):
             assert np.array_equal(got, want)
     seen.clear()
     run(observe=lambda j, a: seen.append(j))
