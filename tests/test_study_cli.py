@@ -57,7 +57,7 @@ from lowreg.study_cli import (
     smooth_data_spec,
     _study_config_from_args,
 )
-from lowreg.torus_spectral import difference, rough_wave_state
+from lowreg.torus_spectral import _full_pair, difference, rough_wave_state
 from oracles import nls_plane_wave_coefficient
 
 
@@ -548,6 +548,25 @@ def test_max_over_steps_error_peaks_where_the_reference_is_off(equation):
 
     assert errors(False) == [0.0]
     assert errors(True) == [peak]
+
+
+# The wave sweep error, the study norm of difference(state, ref) summed over
+# the stored half pair, has the bits of the two full-spectrum norms.
+@pytest.mark.parametrize("n", [8, 32, 1024])
+@pytest.mark.parametrize("equation, r", [("wave", 0.0)])
+def test_raw_distance_is_the_norm_of_the_difference_bit_for_bit(equation, r, n):
+    grid, rng = TorusGrid(n), np.random.default_rng(n)
+
+    def draw():
+        # Nonzero imaginary parts at k = 0 and N/2, which the state drops.
+        raw = rng.standard_normal((2, n // 2 + 1)) + 1j * rng.standard_normal((2, n // 2 + 1))
+        assert raw[:, :: n // 2].imag.all()
+        return _full_pair(grid, raw)
+
+    norm = _norm_fn(_datum(equation, grid, RoughDataSpec(theta=1.0, seed=2)), r)
+    for _ in range(20):
+        d = difference(draw(), draw())
+        assert norm(d) == sobolev_norm(d.u, 1.0) + sobolev_norm(d.v, 0.0)
 
 
 @pytest.mark.parametrize("ref_factor, factor", [(17, 1), (18, 2), (20, 4)])

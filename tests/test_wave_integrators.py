@@ -27,13 +27,12 @@ from lowreg import (
     phi2_entry_q,
     phi2_entry_r,
     run_wave,
-    sobolev_norm,
     wave_flow,
     wave_reference_solve,
     wave_state_norm,
     zero_field,
 )
-from lowreg.torus_spectral import _full_pair, half_spectrum
+from lowreg.torus_spectral import half_spectrum
 from lowreg.wave_integrators import _WaveWork, _flow_table, _phi2_table
 from oracles import (
     corrected_lie_zero_mode,
@@ -430,17 +429,6 @@ def test_half_spectrum_guard_size_is_the_state_norm(n, data):
     size = work.size(np.stack([half_spectrum(u.coeffs), half_spectrum(v.coeffs)]))
     expected = wave_state_norm(WaveState(u, v))
     assert abs(size - expected) <= 1e-13 * expected
-
-
-@pytest.mark.parametrize("n", [8, 32, 1024])
-def test_state_norm_of_the_half_pair_is_the_full_spectrum_norm_bit_for_bit(n):
-    grid, rng = TorusGrid(n), np.random.default_rng(n)
-    for _ in range(20):
-        # Nonzero imaginary parts at k = 0 and N/2, which the state drops.
-        raw = rng.standard_normal((2, n // 2 + 1)) + 1j * rng.standard_normal((2, n // 2 + 1))
-        assert raw[:, :: n // 2].imag.all()
-        w = _full_pair(grid, raw)
-        assert wave_state_norm(w) == sobolev_norm(w.u, 1.0) + sobolev_norm(w.v, 0.0)
 
 
 def test_zero_mode_trajectory_matches_the_scalar_ode():
