@@ -19,6 +19,7 @@ import sys
 from lowreg.study_cli import (
     _exit_code,
     _input_errors,
+    _report_files,
     _require_out_dir,
     _study_config_from_args,
     build_parser,
@@ -33,10 +34,11 @@ def run(argv):
     )
     with _input_errors():
         config = _study_config_from_args(args, "wave")
-        _require_out_dir(config.output_path)
+        outs = {scheme: config.output_path and f"{config.output_path}-{scheme}"
+                for scheme in ("corrected_lie", "lie")}
+        _require_out_dir(*(path for out in outs.values() for path in _report_files(out)))
     reports = {}
-    for scheme in ("corrected_lie", "lie"):
-        out = config.output_path and f"{config.output_path}-{scheme}"
+    for scheme, out in outs.items():
         rep = reports[scheme] = run_convergence_study(
             dataclasses.replace(config, scheme=scheme, output_path=out)
         )

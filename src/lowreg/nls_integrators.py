@@ -186,22 +186,16 @@ def run_nls(
     mu: float,
     kind: NlsStepperKind = NlsStepperKind.LOW_REGULARITY,
     record_every: int | None = None,
-    observe=None,
 ) -> list[SpectralField]:
     """Advance n_steps of size tau, recording every ``record_every`` steps.
 
     Returns the recorded snapshots (always including the initial state when
-    recording, otherwise just the terminal state).  An ``observe(j, u)``
-    given in place of the recording is shown each of them instead, the same
-    field the list would keep, and the list comes back empty.  Raises
-    ``BlowUpError`` when a state's H^1 norm exceeds ``BLOWUP_FACTOR`` times
-    the initial one or turns non-finite.
+    recording, otherwise just the terminal state): the fields of the paused
+    run ``_nls_snapshots``, kept as a list.  Raises ``BlowUpError`` when a
+    state's H^1 norm exceeds ``BLOWUP_FACTOR`` times the initial one or turns
+    non-finite.
     """
-    states = []
-    observe = observe or (lambda j, u: states.append(u))
-    for j, u in _nls_snapshots(u0, tau, n_steps, mu, kind, record_every):
-        observe(j, u)
-    return states
+    return [u for _, u in _nls_snapshots(u0, tau, n_steps, mu, kind, record_every)]
 
 
 def nls_reference_solve(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -27,9 +26,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
-    _nullform_sample,
-    _strichartz_sample,
     nls_local_error_oracle,
+    null_form_field,
     trajectory_of,
     wave_local_error_oracle,
 )
@@ -38,7 +36,6 @@ from .nls_integrators import (
     NlsStepperKind,
     _nls_snapshots,
     free_flow,
-    run_nls,
 )
 from .torus_spectral import (
     V_SEED_OFFSET,  # re-exported: scripts and tests draw wave data with it
@@ -47,18 +44,18 @@ from .torus_spectral import (
     TorusGrid,
     WaveState,
     _solve,
-    _time_norm,
+    derivative,
     difference,
     random_rough_field,
     regrid,
     rough_wave_state,
     sobolev_norm,
+    spacetime_norm,
     steps_for,
 )
 from .wave_integrators import (
     Nonlinearity,
     _wave_snapshots,
-    run_wave,
     wave_flow,
     wave_state_norm,
 )
@@ -251,59 +248,40 @@ def _reference_scheme(initial) -> str:
     return _EQUATIONS["wave" if isinstance(initial, WaveState) else "nls"][0][0]
 
 
-def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1, observe=None,
-                paused=False):
-    """The n_out + 1 equispaced snapshots on [0, t_end] of one scheme run at
-    step tau, or, given ``observe``, none: the run shows them to it instead
-    (see ``evolve``).  A blow-up names the phase and the scheme.  When
-    ``paused``, the run is the generator of its ``(j, state)`` snapshots.
-
-    ``run_wave`` steps a ``WaveState`` and ``run_nls`` a field; ``term`` is
-    their nonlinear term: the sign mu for NLS, the ``Nonlinearity`` for waves.
+def _run_scheme(phase, initial, scheme, term, tau, t_end, n_out=1):
+    """One scheme run at step tau: the generator of its n_out + 1 equispaced
+    ``(j, state)`` snapshots on [0, t_end], stepping only when asked for the
+    next.  A blow-up names the phase and the scheme.  ``term`` is the
+    nonlinear term: the sign mu for NLS, the ``Nonlinearity`` for waves.
 
     ``strang`` is the ``lie`` run conjugated by half a linear flow,
     F(-tau/2) (F(tau) K)^n F(tau/2): second-order Strang splitting with no
     stepper of its own.  Its snapshots after the first get the -tau/2 flow
-    too; the first is ``initial`` itself, so it is not for ``observe``.
+    too; the first is ``initial`` itself.
     """
     wave = isinstance(initial, WaveState)
     strang = scheme == "strang"
     flow = wave_flow if wave else free_flow
-    start = flow(initial, 0.5 * tau) if strang else initial
     kind = "lie" if strang else scheme
-    # run_wave and run_nls are looked up per call, so that wrapping them in
-    # this module (as a tracer does) reaches every run that is not paused.
     if wave:
-        runs, args = (run_wave, _wave_snapshots), (term, kind != "lie")
+        run, args = _wave_snapshots, (term, kind != "lie")
     else:
-        runs, args = (run_nls, _nls_snapshots), (term, NlsStepperKind(kind))
-    if paused:
-        return _solve(runs[1], start, t_end, n_out, tau, *args)
+        run, args = _nls_snapshots, (term, NlsStepperKind(kind))
+    start = flow(initial, 0.5 * tau) if strang else initial
     try:
-        states = _solve(runs[0], start, t_end, n_out, tau, *args, observe=observe)
+        for j, state in _solve(run, start, t_end, n_out, tau, *args):
+            if strang:
+                state = flow(state, -0.5 * tau) if j else initial
+            yield j, state
     except BlowUpError as exc:
         raise BlowUpError(f"{phase} run ({scheme}): {exc}") from exc
-    if strang:
-        states = [initial] + [flow(s, -0.5 * tau) for s in states[1:]]
-    return states
 
 
-def _reference_pass(phase, initial, term, tau, t_end, n_out, consume) -> object:
-    """The reference run: hands its snapshots before the terminal one to
-    ``consume(i, state)`` and returns the terminal one once the run and its
-    stepper are gone."""
-    index, kept = itertools.count(), []
-
-    def observe(j, state):
-        i = next(index)
-        if i < n_out:
-            consume(i, state)
-        else:
-            kept.append(state)
-
-    _run_scheme(phase, initial, _reference_scheme(initial), term, tau, t_end, n_out,
-                observe)
-    return kept[0]
+def _terminal(run):
+    """The last snapshot of ``run``, once the run has ended."""
+    for _, state in run:
+        pass
+    return state
 
 
 def cross_validate_reference(problem, tau_ref: float, *, tol: float | None = None) -> dict:
@@ -332,7 +310,8 @@ def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1,
     """Reference pass at tau_ref, cross-validated against Strang splitting.
 
     Its n_out + 1 snapshots go to ``compare`` (see ``_sweeps``), the last
-    once the reference is validated.  The comparator is second order and
+    once the reference is validated; the reference run and its stepper are
+    gone before the comparator starts.  The comparator is second order and
     shares neither the phi1 filter nor the phi2 correction with the
     reference, so it runs at factor * tau_ref with factor = gcd(n_steps, 4):
     a quarter of the reference's steps whenever 4 divides them.  Returns the
@@ -341,9 +320,12 @@ def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1,
     ``tol``.
     """
     canonical = _reference_scheme(initial)
-    terminal = _reference_pass("reference", initial, term, tau_ref, t_end, n_out, compare)
+    run = _run_scheme("reference", initial, canonical, term, tau_ref, t_end, n_out)
+    for i, (_, terminal) in enumerate(run):
+        if i < n_out:
+            compare(i, terminal)
     factor = math.gcd(steps_for(t_end, tau_ref), 4)
-    comp = _run_scheme("comparator", initial, "strang", term, factor * tau_ref, t_end)[-1]
+    comp = _terminal(_run_scheme("comparator", initial, "strang", term, factor * tau_ref, t_end))
     distance = norm_fn(difference(terminal, comp))
     record = {
         "tau_ref": tau_ref,
@@ -388,13 +370,12 @@ def _sweeps(phase, config: StudyConfig, initial, term, taus, r: float, n_ref: in
             # terminal study holds one run at a time.
             try:
                 if runs[k] is None:
-                    runs[k] = _run_scheme(phase, initial, config.scheme, term, tau,
-                                          config.t_end, n_outs[k], paused=True)
+                    runs[k] = _run_scheme(phase.format(tau), initial, config.scheme, term,
+                                          tau, config.t_end, n_outs[k])
                     next(runs[k])
                 state = next(runs[k])[1]
             except BlowUpError as exc:
-                name = f"{phase.format(tau)} run ({config.scheme})"
-                errors[k], runs[k] = BlowUpError(f"{name}: {exc}"), None
+                errors[k], runs[k] = exc, None
                 continue
             e = norm(difference(state, ref))
             if errors[k] is None or e > errors[k]:
@@ -429,8 +410,8 @@ def _spatial_check(config: StudyConfig, initial, term, r, tau_ref, ref_terminal)
     def error_on(state0, terminal=None):
         compare, errors = _sweeps("spatial check", config, state0, term, (tau_c,), r, 1)
         if terminal is None:
-            terminal = _reference_pass("spatial check", state0, term, tau_mini,
-                                       config.t_end, 1, compare)
+            terminal = _terminal(_run_scheme("spatial check", state0, _reference_scheme(state0),
+                                             term, tau_mini, config.t_end))
         compare(1, terminal)
         return _settled(errors)[0]
 
@@ -488,10 +469,14 @@ def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
         spatially_resolved=resolved,
         spatial_change=change,
     )
-    if config.output_path:
-        emit_report(report, "csv", config.output_path + ".csv")
-        emit_report(report, "json", config.output_path + ".json")
+    for path in _report_files(config.output_path):
+        emit_report(report, path.rpartition(".")[2], path)
     return report
+
+
+def _report_files(stem: str | None) -> list[str]:
+    """The files a study with the output stem ``stem`` writes."""
+    return [stem + ".csv", stem + ".json"] if stem else []
 
 
 def _atomic_write(path: str, payload: str) -> None:
@@ -551,10 +536,14 @@ def _input_errors():
         raise ConfigError(str(exc)) from exc
 
 
-def _require_out_dir(path: str | None) -> None:
-    """Refuse an output path whose directory is missing before any solve runs."""
-    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise ConfigError(f"output directory of {path} does not exist")
+def _require_out_dir(*paths: str | None) -> None:
+    """Refuse, before any solve runs, an output file that is a directory or
+    whose directory is missing; an unset path writes nothing."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ConfigError(f"output file {path} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"output directory of {path} does not exist")
 
 
 def parse_step(text: str) -> float:
@@ -703,15 +692,14 @@ def _print_report(report: ConvergenceReport) -> None:
     if report.spatially_resolved is not None:
         label = "yes" if report.spatially_resolved else "NO (spatially under-resolved)"
         print(f"spatially_resolved {label} (change {report.spatial_change:.3e})")
-    if report.config.get("output_path"):
-        print(f"wrote {report.config['output_path']}.csv")
-        print(f"wrote {report.config['output_path']}.json")
+    for path in _report_files(report.config.get("output_path")):
+        print(f"wrote {path}")
 
 
 def _cmd_converge(args, equation: str) -> None:
     with _input_errors():
         config = _study_config_from_args(args, equation)
-        _require_out_dir(config.output_path)
+        _require_out_dir(*_report_files(config.output_path))
     _print_report(run_convergence_study(config))
 
 
@@ -732,20 +720,18 @@ def _cmd_diagnose(args, functional: str) -> None:
         spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(modes), spec)
         if equation == "nls":
-            term, sample, p = args.mu, _strichartz_sample, 4
+            term, field, p = args.mu, lambda u: derivative(u, 1), 4
         else:
-            term = Nonlinearity.preset(args.nonlinearity or "quadratic")
-            sample, p = _nullform_sample, 2
+            term = Nonlinearity.preset(args.nonlinearity)
+            field, p = null_form_field, 2
             results["nonlinearity"] = term.tag
 
     def value_on(state, n_out):
         # One pass: each snapshot leaves only its sample norm.  t_end / n_out
         # is bit for bit the dt of a trajectory_of the snapshots.
-        norms = []
-        terminal = _reference_pass(f"{functional} reference", state, term, tau_ref, t_end,
-                                   n_out, lambda i, snapshot: norms.append(sample(snapshot)))
-        norms.append(sample(terminal))
-        return _time_norm(norms, t_end / n_out, p)
+        run = _run_scheme(f"{functional} reference", state, _reference_scheme(state), term,
+                          tau_ref, t_end, n_out)
+        return spacetime_norm((field(s) for _, s in run), t_end / n_out, p, p)
 
     value = value_on(datum, samples)
     print(f"{functional} {value!r}")
@@ -775,12 +761,12 @@ def _cmd_local_error_check(args) -> None:
         if equation == "nls":
             term, scheme, oracle = 1, "strang", nls_local_error_oracle
         else:
-            term = Nonlinearity.preset(args.nonlinearity or "quadratic")
+            term = Nonlinearity.preset(args.nonlinearity)
             scheme, oracle = "corrected_lie", wave_local_error_oracle
     n_out = 4 * quad_order
-    states = _run_scheme("local-error reference", datum, scheme, term,
-                         tau / (16 * n_out), tau, n_out)
-    traj = trajectory_of(states, 0.0, tau)
+    run = _run_scheme("local-error reference", datum, scheme, term, tau / (16 * n_out), tau,
+                      n_out)
+    traj = trajectory_of([s for _, s in run], 0.0, tau)
     pairs = [oracle(traj, tau, term, q) for q in (quad_order, 4 * quad_order)]
     norm_fn = _norm_fn(datum)
     scale = norm_fn(pairs[0][0])
@@ -843,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose-nullform",
                        help="space-time L2 null-form functional on a wave trajectory")
     add_diag_flags(p)
-    p.add_argument("--nonlinearity")
+    p.add_argument("--nonlinearity", default="quadratic")
     p.set_defaults(handler=lambda a: _cmd_diagnose(a, "nullform_norm"))
 
     p = sub.add_parser("local-error-check",
@@ -854,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-order", type=int, default=64)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--amplitude", type=float, default=0.5)
-    p.add_argument("--nonlinearity")
+    p.add_argument("--nonlinearity", default="quadratic")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_local_error_check)
 

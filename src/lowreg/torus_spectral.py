@@ -104,17 +104,16 @@ def evolve(state, step, size, n_steps, record_every) -> Iterator[tuple[int, np.n
         yield n_steps, state
 
 
-def _solve(run, initial, t_end: float, n_out: int, tau: float, *args, **kwargs):
+def _solve(run, initial, t_end: float, n_out: int, tau: float, *args):
     """Every multi-step run: ``run`` from ``initial`` at step tau, with n_out+1
-    equispaced snapshots on [0, t_end]; tau must divide t_end/n_out.  Returns
-    what ``run`` returns: a runner's list of snapshots (empty when ``kwargs``
-    give it an ``observe``) or a paused run's generator of them."""
+    equispaced snapshots on [0, t_end] (one, taking no step, when t_end = 0);
+    tau must divide t_end/n_out.  Returns what ``run`` returns: a runner's
+    list of snapshots for a reference solve, a paused run's generator of
+    ``(j, state)`` for the study driver."""
     if n_out < 1:
         raise ValueError("n_out must be >= 1")
-    if t_end == 0:
-        return [initial]
     per = steps_for(t_end / n_out, tau)
-    return run(initial, tau, n_out * per, *args, record_every=per, **kwargs)
+    return run(initial, tau, n_out * per, *args, record_every=per)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -561,21 +560,6 @@ def lebesgue_norm(f: SpectralField, p: float) -> float:
     return float((TWO_PI / m * np.sum(values**p)) ** (1.0 / p))
 
 
-def _time_norm(norms: list[float], dt: float, p_time: float) -> float:
-    """L^p_time norm in time of per-sample spatial norms spaced dt apart:
-    composite trapezoid rule on the norms raised to ``p_time``, then the root."""
-    if len(norms) < 2:
-        raise ValueError("spacetime_norm needs at least 2 samples")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    a = np.array(norms)
-    if p_time == np.inf:
-        return float(a.max())
-    powered = a**p_time
-    integral = dt * (powered.sum() - 0.5 * (powered[0] + powered[-1]))
-    return float(integral ** (1.0 / p_time))
-
-
 def spacetime_norm(
     samples: Iterable[SpectralField],
     dt: float,
@@ -584,8 +568,19 @@ def spacetime_norm(
 ) -> float:
     """Mixed L^p_t L^p_x norm over a uniformly sampled time interval, in one
     pass that keeps only each sample's ``lebesgue_norm``: a generator of
-    samples need never hold more than one.  ``_time_norm`` integrates in time."""
-    return _time_norm([lebesgue_norm(s, p_space) for s in samples], dt, p_time)
+    samples, such as the fields of a paused run's snapshots, need never hold
+    more than one.  In time: the composite trapezoid rule on the norms raised
+    to ``p_time``, then the root."""
+    a = np.array([lebesgue_norm(s, p_space) for s in samples])
+    if a.size < 2:
+        raise ValueError("spacetime_norm needs at least 2 samples")
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    if p_time == np.inf:
+        return float(a.max())
+    powered = a**p_time
+    integral = dt * (powered.sum() - 0.5 * (powered[0] + powered[-1]))
+    return float(integral ** (1.0 / p_time))
 
 
 # Deterministic per-mode random streams.

@@ -23,11 +23,11 @@ through the ``rfft``/``irfft`` padded pair, ``torus_spectral.RealPaddedPair``:
 a corrected step makes one 2-row synthesis of (u, v) and one 2-row analysis
 of (g(u), g'(u) v), a plain step one single-row call each way, and the
 nonlinear maps one 3-row synthesis of (u, v, u_x), with the u_x row i*k
-times the stored u row, and one analysis per map.  ``run_wave`` steps the
-stored array of its initial state and hands out each snapshot as a new
-``WaveState``, a copy of the stepper's array; its growth guard, like
-``wave_state_norm``, weighs each half-spectrum entry by the number of full
-coefficients it stands for, so it still measures ``H^1 x L^2``.
+times the stored u row, and one analysis per map.  ``_wave_snapshots``, the
+paused run that ``run_wave`` lists, steps the stored array of its initial
+state and hands out each snapshot as a new ``WaveState``, a copy of the
+stepper's array; its growth guard, like ``wave_state_norm``, weighs each
+half-spectrum entry by the number of full coefficients it stands for.
 """
 
 from __future__ import annotations
@@ -328,20 +328,14 @@ def run_wave(
     nl: Nonlinearity,
     corrected: bool = True,
     record_every: int | None = None,
-    observe=None,
 ) -> list[WaveState]:
     """Advance n_steps of size tau, recording every ``record_every`` steps.
 
-    An ``observe(j, w)`` given in place of the recording is shown each
-    snapshot instead, the same state the list would keep, and the list comes
-    back empty.  Raises ``BlowUpError`` when a state exceeds
-    ``BLOWUP_FACTOR`` times the initial combined norm or turns non-finite.
+    Returns the states of the paused run ``_wave_snapshots``, kept as a list.
+    Raises ``BlowUpError`` when a state exceeds ``BLOWUP_FACTOR`` times the
+    initial combined norm or turns non-finite.
     """
-    states = []
-    observe = observe or (lambda j, w: states.append(w))
-    for j, w in _wave_snapshots(w0, tau, n_steps, nl, corrected, record_every):
-        observe(j, w)
-    return states
+    return [w for _, w in _wave_snapshots(w0, tau, n_steps, nl, corrected, record_every)]
 
 
 def wave_reference_solve(

@@ -86,34 +86,70 @@ def test_report_bytes_are_pinned(name, tmp_path):
         assert digest == EXPECTED[name, fmt], f"{name} {fmt} report bytes changed"
 
 
+def watch_runs(monkeypatch):
+    """Wrap the two paused runs that ``study_cli`` starts.  Returns the runs,
+    one dict each with the run's ``n`` (modes), ``tau``, ``steps`` and
+    ``held``, the most of its snapshots alive at once, and the events
+    ``("open" | "close", run index)`` in order: a run opens at its first
+    snapshot and closes in a ``finally``, when it ends or is dropped."""
+    runs, events = [], []
+    for name in ("_nls_snapshots", "_wave_snapshots"):
+        def watched(state, tau, n_steps, *args, _run=getattr(study_cli, name), **kwargs):
+            k, alive, opened = len(runs), weakref.WeakSet(), False
+            runs.append(dict(n=state.grid.n_modes, tau=tau, steps=n_steps, held=0))
+            try:
+                for j, snapshot in _run(state, tau, n_steps, *args, **kwargs):
+                    if not opened:
+                        opened = True
+                        events.append(("open", k))
+                    alive.add(snapshot)
+                    runs[k]["held"] = max(runs[k]["held"], len(alive))
+                    yield j, snapshot
+            finally:
+                if opened:
+                    events.append(("close", k))
+
+        monkeypatch.setattr(study_cli, name, watched)
+    return runs, events
+
+
 def test_spatial_check_reuses_the_reference_run(monkeypatch):
-    run_nls, runs = study_cli.run_nls, []
-
-    def counting_run_nls(u0, tau, n_steps, *args, **kwargs):
-        runs.append((u0.grid.n_modes, tau))
-        return run_nls(u0, tau, n_steps, *args, **kwargs)
-
-    monkeypatch.setattr(study_cli, "run_nls", counting_run_nls)
+    runs, _ = watch_runs(monkeypatch)
     run_convergence_study(StudyConfig(output_path=None, **CONFIGS["nls_reuse"]))
+    runs = [(run["n"], run["tau"]) for run in runs]
     assert runs.count((32, 2.0**-10)) == 1  # the reference; no N-grid mini-reference
     assert runs.count((64, 2.0**-10)) == 1  # the 2N mini-reference still runs
 
 
 @pytest.mark.parametrize("equation", ["nls", "wave"])
-def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
-    """No run of a max-over-steps study, the reference included, returns more
-    than 2 states; at every comparison at most 2 of the reference snapshots
-    compared so far are alive (the current one and, in the 2N spatial check,
-    the study's terminal state); and every step of every sweep is compared,
-    as is the reference with its comparator."""
-    returned, alive, seen = [], weakref.WeakSet(), []
-    for name in ("run_nls", "run_wave"):
-        def counting_run(*args, _run=getattr(study_cli, name), **kwargs):
-            states = _run(*args, **kwargs)
-            returned.append(len(states))
-            return states
+def test_a_terminal_study_holds_one_run_at_a_time(equation, monkeypatch):
+    """At most one run is open at any time, and the reference run has closed
+    before its comparator opens."""
+    runs, events = watch_runs(monkeypatch)
+    config = StudyConfig(output_path=None, **CONFIGS[equation])
+    report = run_convergence_study(config)
+    open_runs = set()
+    for event, k in events:
+        if event == "open":
+            assert not open_runs, f"run {k} opened while {open_runs} were open"
+            open_runs.add(k)
+        else:
+            open_runs.remove(k)
+    assert not open_runs
+    grid_and_step = [(run["n"], run["tau"]) for run in runs]
+    reference = grid_and_step.index((config.n_modes, report.validation["tau_ref"]))
+    comparator = grid_and_step.index((config.n_modes, report.validation["comparator_tau"]))
+    assert events.index(("close", reference)) < events.index(("open", comparator))
 
-        monkeypatch.setattr(study_cli, name, counting_run)
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
+    """No run of a max-over-steps study, the reference included, has more
+    than 2 of its states alive at once; at every comparison at most 2 of the
+    reference snapshots compared so far are alive (the current one and, in
+    the 2N spatial check, the study's terminal state); and every step of
+    every sweep is compared, as is the reference with its comparator."""
+    (runs, _), alive, seen = watch_runs(monkeypatch), weakref.WeakSet(), []
 
     def counting_difference(state, ref, _difference=study_cli.difference):
         alive.add(ref)
@@ -123,7 +159,7 @@ def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
     monkeypatch.setattr(study_cli, "difference", counting_difference)
     config = StudyConfig(output_path=None, **CONFIGS[f"{equation}_max"])
     run_convergence_study(config)
-    assert returned and max(returned) <= 2
+    assert runs and max(run["held"] for run in runs) <= 2
     # Each sweep step, the validation's one comparison, and the spatial
     # check's one terminal error at N and at 2N.
     assert len(seen) == sum(round(config.t_end / tau) for tau in config.tau_list) + 3
@@ -149,16 +185,12 @@ def test_diagnose_record_bytes_are_pinned(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["diagnose-strichartz", "diagnose-nullform"])
 def test_diagnose_runs_keep_no_state_lists(command, monkeypatch, capsys):
-    returned = []
-    for name in ("run_nls", "run_wave"):
-        def counting_run(*args, _run=getattr(study_cli, name), **kwargs):
-            states = _run(*args, **kwargs)
-            returned.append(states)
-            return states
-
-        monkeypatch.setattr(study_cli, name, counting_run)
+    runs, _ = watch_runs(monkeypatch)
     assert study_cli.main([command, *DIAGNOSE_ARGS.split(), "--refine"]) == 0
-    assert returned == [[], []]  # the run at N and the refined one at 2N
+    # The run at N and the refined one at 2N, each holding at most its
+    # current snapshot and the one before.
+    assert [run["n"] for run in runs] == [64, 128]
+    assert max(run["held"] for run in runs) <= 2
 
 
 # The local-error records of the test_cli_local_error_check configuration.
@@ -180,17 +212,11 @@ def test_local_error_record_bytes_are_pinned(equation, tmp_path, capsys):
 
 @pytest.mark.parametrize("equation", ["nls", "wave"])
 def test_local_error_reference_steps_16_per_sample(equation, monkeypatch, capsys):
-    name = "run_nls" if equation == "nls" else "run_wave"
-    run, runs = getattr(study_cli, name), []
-
-    def counting_run(state, tau, n_steps, *args, **kwargs):
-        runs.append((tau, n_steps))
-        return run(state, tau, n_steps, *args, **kwargs)
-
-    monkeypatch.setattr(study_cli, name, counting_run)
+    runs, _ = watch_runs(monkeypatch)
     argv = ["local-error-check", "--equation", equation, *LOCAL_ERROR_ARGS.split()]
     assert study_cli.main(argv) == 0
-    assert runs == [(2.0**-6 / 256, 256)]  # 16 steps for each of the 4q = 16 samples
+    # 16 steps for each of the 4q = 16 samples
+    assert [(run["tau"], run["steps"]) for run in runs] == [(2.0**-6 / 256, 256)]
 
 
 # Trajectory files of five snapshots of a 16-step run at N = 32.

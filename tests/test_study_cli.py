@@ -442,7 +442,7 @@ def smooth_datum(equation, grid, seed=3):
 
 def strang(equation, initial, tau, t_end, n_out=1):
     term = Nonlinearity.preset("quadratic") if equation == "wave" else 1
-    return _run_scheme("test", initial, "strang", term, tau, t_end, n_out)
+    return [s for _, s in _run_scheme("test", initial, "strang", term, tau, t_end, n_out)]
 
 
 def distance(a, b):
@@ -457,12 +457,12 @@ def test_strang_comparator_without_nonlinearity_is_the_free_flow(equation):
     if equation == "nls":
         initial = random_rough_field(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
         # mu = 0 leaves the Lie step only its free flow.
-        out = _run_scheme("test", initial, "strang", 0, tau, n_steps * tau)[-1]
+        out = [s for _, s in _run_scheme("test", initial, "strang", 0, tau, n_steps * tau)][-1]
         exact = free_flow(initial, n_steps * tau)
     else:
         initial = rough_wave_state(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
-        out = _run_scheme("test", initial, "strang", Nonlinearity.preset("zero"), tau,
-                          n_steps * tau)[-1]
+        out = [s for _, s in _run_scheme("test", initial, "strang", Nonlinearity.preset("zero"),
+                                         tau, n_steps * tau)][-1]
         exact = wave_flow(initial, n_steps * tau)
     assert distance(out, exact) <= 1e-13
 
@@ -531,7 +531,7 @@ def test_max_over_steps_error_peaks_where_the_reference_is_off(equation):
     config = StudyConfig(equation, (tau,), n_modes=16, spatial_check=False)
     initial = _datum(equation, grid, RoughDataSpec(theta=1.0, seed=3, amplitude=0.5))
     term = 1 if equation == "nls" else Nonlinearity.preset("quadratic")
-    ref = _run_scheme("reference", initial, config.scheme, term, tau, 1.0, 8)
+    ref = [s for _, s in _run_scheme("reference", initial, config.scheme, term, tau, 1.0, 8)]
     original, one = ref[3], np.eye(16)[0]  # moved by 1 at k = 0
     if equation == "nls":
         ref[3] = SpectralField(grid, original.coeffs + one)
@@ -692,6 +692,16 @@ def test_wave_order_script_bad_input_exits_4_without_a_traceback(argv):
     assert done.stderr.count("\n") == 1
 
 
+def test_wave_order_script_refuses_an_output_file_that_is_a_directory(tmp_path, capsys):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "wave_order_study.py")
+    (tmp_path / "study-lie.json").mkdir()
+    with pytest.raises(ConfigError, match="study-lie.json is a directory"):
+        runpy.run_path(script)["run"](["--modes", "32", "--out", str(tmp_path / "study")])
+    assert capsys.readouterr().out == ""  # before either study ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study-lie.json"]
+
+
 def test_cli_study_happy_path(tmp_path, capsys):
     stem = tmp_path / "study"
     code = main([
@@ -747,6 +757,8 @@ def test_cli_rejects_bad_configuration(capsys):
         "diagnose-strichartz --modes 1125899906842624",
         "local-error-check --equation nls --modes 1125899906842624",
         "wave-converge --nonlinearity ''",
+        "diagnose-nullform --nonlinearity ''",
+        "local-error-check --equation wave --nonlinearity ''",
         # Steps longer than the horizon, which would take no step at all.
         "nls-converge --taus 1e300,2^-4 --modes 16 --no-spatial-check --cross-val-tol 1",
         "diagnose-strichartz --modes 16 --samples 4 --tau-ref 1e300",
@@ -777,17 +789,29 @@ def test_cli_bad_input_exits_4_without_a_traceback(argv):
 def test_cli_missing_output_directory_exits_4_before_solving(argv, tmp_path):
     src = os.path.dirname(os.path.dirname(lowreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = tmp_path / "missing" / "report"
-    done = subprocess.run(
-        [sys.executable, "-c", "from lowreg.study_cli import console_entry; console_entry()",
-         *argv.split(), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+
+    def cli(out):
+        return subprocess.run(
+            [sys.executable, "-c", "from lowreg.study_cli import console_entry; console_entry()",
+             *argv.split(), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    done = cli(tmp_path / "missing" / "report")
     assert done.returncode == 4
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("configuration error: output directory")
     assert done.stdout == ""
     assert not (tmp_path / "missing").exists()
+    # An output file that is an existing directory: a study's <out>.csv, the
+    # other commands' --out itself.
+    taken = tmp_path / ("taken.csv" if argv.startswith("nls-converge") else "taken")
+    taken.mkdir()
+    done = cli(tmp_path / "taken")
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr == f"configuration error: output file {taken} is a directory\n"
+    assert done.stdout == ""
 
 
 def test_python_m_lowreg_is_the_module_entry():

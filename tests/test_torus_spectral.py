@@ -39,6 +39,7 @@ from lowreg import (
     zero_field,
 )
 from lowreg import torus_spectral, wave_integrators
+from lowreg.nls_integrators import _nls_snapshots
 from lowreg.torus_spectral import (
     PaddedPair,
     RealPaddedPair,
@@ -51,6 +52,7 @@ from lowreg.torus_spectral import (
     rough_wave_state,
     unit_uniform,
 )
+from lowreg.wave_integrators import _wave_snapshots
 from oracles import convolution_project, decay_norm_sq
 
 TWO_PI = 2.0 * np.pi
@@ -455,6 +457,8 @@ def test_only_the_padded_pairs_and_the_point_evaluations_call_the_fft():
 # The one run path: the runners are called only by the one-step maps, the
 # paused runs that they drain only by the runners, evolve only by the paused
 # runs, and every multi-step run hands its horizon and snapshot count to _solve.
+# The study driver runs a scheme only as a paused run, so it names neither
+# runner, and no run shows its snapshots to an observer.
 def test_every_multi_step_run_goes_through_solve():
     assert callers({"run_nls", "run_wave"}) == {
         "nls_integrators.py:lri_step",
@@ -475,6 +479,17 @@ def test_every_multi_step_run_goes_through_solve():
         "wave_integrators.py:wave_reference_solve",
         "study_cli.py:_run_scheme",
     }
+    assert [use for use in package_references({"run_nls", "run_wave"})
+            if use[0] == "study_cli.py"] == []
+    package = pathlib.Path(lowreg.__file__).parent
+    observed = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(a, ast.arg) and a.arg == "observe" for a in ast.walk(node.args))
+    ]
+    assert observed == []
 
 
 # One snapshot type and one distance: the stacked half pair of a wave state is
@@ -898,27 +913,30 @@ def test_evolve_steps_only_when_asked_for_a_snapshot():
 
 
 @pytest.mark.parametrize("equation", ["nls", "wave"])
-def test_an_observer_sees_the_arrays_that_recording_keeps(equation):
+def test_a_paused_run_hands_out_snapshots_no_later_step_overwrites(equation):
     grid = TorusGrid(16)
     if equation == "nls":
-        run = functools.partial(run_nls, rough_field_on(grid, 4, amplitude=0.5), 0.01, 8, 1)
+        u0 = rough_field_on(grid, 4, amplitude=0.5)
+        paused = functools.partial(_nls_snapshots, u0, 0.01, 8, 1)
+        run = functools.partial(run_nls, u0, 0.01, 8, 1)
 
         def arrays(u):
             return [u.coeffs]
     else:
         w = rough_wave_state(RoughDataSpec(theta=1.0, seed=4, amplitude=0.5), grid)
-        run = functools.partial(run_wave, w, 0.01, 8, Nonlinearity.preset("quadratic"))
+        nl = Nonlinearity.preset("quadratic")
+        paused = functools.partial(_wave_snapshots, w, 0.01, 8, nl)
+        run = functools.partial(run_wave, w, 0.01, 8, nl)
 
         def arrays(w):
             return [w.u.coeffs, w.v.coeffs]
-    seen = []
-    # The observed states are kept as they come: no later step overwrites them.
-    assert run(record_every=2, observe=lambda j, state: seen.append((j, state))) == []
-    assert [j for j, _ in seen] == [0, 2, 4, 6, 8]
-    for (_, observed), state in zip(seen, run(record_every=2), strict=True):
-        assert type(observed) is type(state)
-        for got, want in zip(arrays(observed), arrays(state)):
-            assert np.array_equal(got, want)
-    seen.clear()
-    run(observe=lambda j, a: seen.append(j))
-    assert seen == [8]  # without a stride, just the terminal state
+    # The snapshots are kept as they come, each with a copy of its arrays
+    # taken then: no later step overwrites them.
+    kept = [(j, state, [a.copy() for a in arrays(state)])
+            for j, state in paused(record_every=2)]
+    assert [j for j, *_ in kept] == [0, 2, 4, 6, 8]
+    for (_, state, copies), recorded in zip(kept, run(record_every=2), strict=True):
+        assert type(state) is type(recorded)
+        for got, then, want in zip(arrays(state), copies, arrays(recorded)):
+            assert np.array_equal(got, then) and np.array_equal(got, want)
+    assert [j for j, _ in paused()] == [8]  # without a stride, just the terminal state
