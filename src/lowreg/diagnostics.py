@@ -161,7 +161,9 @@ def nls_local_error_oracle(
 
     with P2(t) the multiplier of exp(2*i*t*dxx).  Both integrals use composite
     trapezoid rules whose nodes are trajectory samples; ``quad_order`` panels
-    per step.
+    per step.  The sum is linear in the transforms, so it takes one pass over
+    the inner nodes j, each pushed once by S_j = sum over outer nodes l >= j
+    of both trapezoid weights times P2(sigma_j - s_l): O(q) transforms.
     """
     if traj.is_wave:
         raise ValueError("nls_local_error_oracle expects scalar fields")
@@ -169,41 +171,27 @@ def nls_local_error_oracle(
     grid = traj.grid
     n = grid.n_modes
     k2 = grid.freqs.astype(np.float64) ** 2
-    nodes = traj.states[::stride]
     pair = PaddedPair(n, rows=3)
-    # Rows: coefficients of |u|^2 conj(u), of conj(u) and of conj(u_x).
-    fac: list[np.ndarray] = []
-    mul_a: list[np.ndarray] = []  # physical factor mu * u^2
-    mul_c: list[np.ndarray] = []  # physical factor -2*(mu*u^2*|u|^2 + u_x^2)
-    mul_e: list[np.ndarray] = []  # physical factor -4 * u * u_x
-    for node in nodes:
-        ux = derivative(node, 1)
-        up, uxp = pair.values(node.coeffs, ux.coeffs)
-        absu2 = np.abs(up) ** 2
-        fac.append(np.stack([
-            pair.coeffs(absu2 * np.conj(up)),
-            conjugate(node).coeffs,
-            conjugate(ux).coeffs,
-        ]))
-        mul_a.append(mu * up * up)
-        mul_c.append(-2.0 * (mu * up * up * absu2 + uxp * uxp))
-        mul_e.append(-4.0 * up * uxp)
-
     # exp(2i*(sigma - s)*dxx) has multiplier exp(2i*(s - sigma)*k^2); the
     # outer propagator exp(i*(tau - sigma)*dxx) has exp(-i*(tau - sigma)*k^2).
     shift = [np.exp(2j * (d * h) * k2) for d in range(quad_order + 1)]
-    prop = [np.exp(-1j * (tau - j * h) * k2) for j in range(quad_order + 1)]
 
     total = np.zeros(n, dtype=np.complex128)
-    for l in range(1, quad_order + 1):
-        inner = np.zeros(n, dtype=np.complex128)
-        for j in range(l + 1):
-            pa, pc, pe = pair.values(*(shift[l - j] * fac[j]))
-            integrand = pair.coeffs(mul_a[j] * pa + mul_c[j] * pc + mul_e[j] * pe)
-            w_in = 0.5 * h if j in (0, l) else h
-            inner += w_in * (prop[j] * integrand)
-        w_out = 0.5 * h if l == quad_order else h
-        total += w_out * inner
+    for j, node in enumerate(traj.states[::stride]):
+        s_j = sum((0.5 * h if l == quad_order else h) * (0.5 * h if j in (0, l) else h)
+                  * shift[l - j] for l in range(max(j, 1), quad_order + 1))
+        ux = derivative(node, 1)
+        up, uxp = pair.values(node.coeffs, ux.coeffs).copy()  # values() reuses its buffer
+        absu2 = np.abs(up) ** 2
+        # Rows: |u|^2 conj(u), conj(u) and conj(u_x), each pushed by S_j.
+        pa, pc, pe = pair.values(
+            s_j * pair.coeffs(absu2 * np.conj(up)),
+            s_j * conjugate(node).coeffs,
+            s_j * conjugate(ux).coeffs,
+        )
+        mu_u2 = mu * up * up
+        integrand = mu_u2 * pa - 2.0 * (mu_u2 * absu2 + uxp * uxp) * pc - 4.0 * up * uxp * pe
+        total += np.exp(-1j * (tau - j * h) * k2) * pair.coeffs(integrand)
     integral = SpectralField(grid, mu * total, False)
     return difference(traj.states[-1], lri_step(traj.states[0], tau, mu)), integral
 

@@ -90,7 +90,7 @@ class StudyConfig:
 
     equation: str
     tau_list: tuple[float, ...]
-    scheme: str = ""
+    scheme: str | None = None
     mu: int = 1
     nonlinearity: str = "quadratic"
     theta: float = 1.0
@@ -99,7 +99,7 @@ class StudyConfig:
     amplitude: float = 0.5
     n_modes: int = 1024
     t_end: float = 1.0
-    error_norm: str = ""
+    error_norm: str | None = None
     norm_r: float = 0.75
     ref_factor: int = 64
     cross_val_tol: float = 1e-6
@@ -111,15 +111,13 @@ class StudyConfig:
         if self.equation not in _EQUATIONS:
             raise ConfigError(f"equation must be 'nls' or 'wave', got {self.equation!r}")
         schemes, norms, _ = _EQUATIONS[self.equation]
-        object.__setattr__(self, "scheme", self.scheme or schemes[0])
-        if self.scheme not in schemes:
-            raise ConfigError(f"scheme for {self.equation} must be one of {schemes}")
-        object.__setattr__(self, "error_norm", self.error_norm or norms[0])
-        if self.error_norm not in norms:
-            raise ConfigError(
-                f"error_norm for {self.equation} must be one of {norms}, "
-                f"got {self.error_norm!r}"
-            )
+        # None picks the equation's first name; any other unknown name is refused.
+        for key, names in (("scheme", schemes), ("error_norm", norms)):
+            value = names[0] if getattr(self, key) is None else getattr(self, key)
+            if value not in names:
+                raise ConfigError(f"{key} for {self.equation} must be one of {names}, "
+                                  f"got {value!r}")
+            object.__setattr__(self, key, value)
         if self.mu not in (-1, 1):
             raise ConfigError("mu must be +1 or -1")
         if not all(map(math.isfinite, (self.t_end, self.cross_val_tol, self.norm_r))):
@@ -582,7 +580,10 @@ def parse_norm(text: str) -> tuple[str, float | None]:
 
 def _parse_switch(text) -> bool:
     """On or off, from a config-file word or from a switch flag's bool."""
-    return str(text).lower() in ("1", "true", "yes", "on")
+    word = str(text).lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected on or off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 # Study settings by config-file key, which is also the flag's long name with

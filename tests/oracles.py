@@ -382,6 +382,64 @@ def two_array_wave_steps(uh, vh, flow, phi2, tau, g, g1, corrected, n_steps):
     return states
 
 
+# --- local-error double integral ---------------------------------------------
+
+
+def nls_local_error_double_loop(nodes, freqs, tau: float, mu: float) -> np.ndarray:
+    """mu * int_0^tau int_0^s P(tau - sigma) D(sigma, s) dsigma ds, as the
+    coefficients of the NLS one-step error's integral representation.
+
+    ``nodes`` are the q + 1 equispaced coefficient arrays of u on [0, tau];
+    both integrals are composite trapezoid rules over them, evaluated term by
+    term: one padded transform pair per node pair (l, j), O(q^2) in all.
+    Products are formed plainly on the 2N grid, u_x drops the Nyquist mode
+    and conj(u) has coefficients conj(u_hat[-k]).
+    """
+    q = len(nodes) - 1
+    n = nodes[0].size
+    m = 2 * n
+    h = tau / q
+    k = freqs.astype(np.float64)
+    k2 = k * k
+    ik = 1j * k
+    ik[n // 2] = 0.0
+    rev = (-np.arange(n)) % n
+
+    def values(c):
+        return np.fft.ifft(_pad(c, m)) * m
+
+    def coeffs(vals):
+        return _fold(np.fft.fft(vals) / m, n)
+
+    # Rows: coefficients of |u|^2 conj(u), of conj(u) and of conj(u_x).
+    fac, mul_a, mul_c, mul_e = [], [], [], []
+    for c in nodes:
+        cx = ik * c
+        up, uxp = values(c), values(cx)
+        absu2 = np.abs(up) ** 2
+        fac.append([coeffs(absu2 * np.conj(up)), np.conj(c[rev]), np.conj(cx[rev])])
+        mul_a.append(mu * up * up)
+        mul_c.append(-2.0 * (mu * up * up * absu2 + uxp * uxp))
+        mul_e.append(-4.0 * up * uxp)
+
+    # exp(2i*(sigma - s)*dxx) has multiplier exp(2i*(s - sigma)*k^2); the
+    # outer propagator exp(i*(tau - sigma)*dxx) has exp(-i*(tau - sigma)*k^2).
+    shift = [np.exp(2j * (d * h) * k2) for d in range(q + 1)]
+    prop = [np.exp(-1j * (tau - j * h) * k2) for j in range(q + 1)]
+
+    total = np.zeros(n, dtype=np.complex128)
+    for l in range(1, q + 1):
+        inner = np.zeros(n, dtype=np.complex128)
+        for j in range(l + 1):
+            pa, pc, pe = (values(shift[l - j] * row) for row in fac[j])
+            integrand = coeffs(mul_a[j] * pa + mul_c[j] * pc + mul_e[j] * pe)
+            w_in = 0.5 * h if j in (0, l) else h
+            inner += w_in * (prop[j] * integrand)
+        w_out = 0.5 * h if l == q else h
+        total += w_out * inner
+    return mu * total
+
+
 # --- closed forms ------------------------------------------------------------
 
 

@@ -45,7 +45,12 @@ from lowreg import (
     write_wave_state,
     zero_field,
 )
-from oracles import scalar_second_order_ode, semidiscrete_nls_states
+from lowreg import diagnostics, study_cli
+from oracles import (
+    nls_local_error_double_loop,
+    scalar_second_order_ode,
+    semidiscrete_nls_states,
+)
 
 QUADRATIC = Nonlinearity.preset("quadratic")
 ZERO = Nonlinearity.preset("zero")
@@ -354,6 +359,45 @@ def test_nls_oracle_on_smooth_data_against_an_independent_solver():
             SpectralField(grid, direct.coeffs - integral.coeffs), 0.0) / scale)
     assert gaps[0] <= 1e-3
     assert gaps[1] <= gaps[0] / 4.0
+
+
+def strang_trajectory(n, tau, mu, n_out):
+    """A Strang reference trajectory as ``local-error-check`` builds it."""
+    datum = study_cli._datum("nls", TorusGrid(n), study_cli.smooth_data_spec(7, amplitude=0.5))
+    run = study_cli._run_scheme("test", datum, "strang", mu, tau / (16 * n_out), tau, n_out)
+    return trajectory_of([s for _, s in run], 0.0, tau)
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+def test_nls_oracle_integral_matches_the_double_loop(mu):
+    tau = 2.0**-6
+    traj = strang_trajectory(32, tau, mu, 64)
+    for q in (4, 16, 64):
+        _, integral = nls_local_error_oracle(traj, tau, mu, q)
+        nodes = [s.coeffs for s in traj.states[:: 64 // q]]
+        expected = nls_local_error_double_loop(nodes, traj.grid.freqs, tau, mu)
+        assert np.linalg.norm(expected) > 0.0
+        gap = np.linalg.norm(integral.coeffs - expected) / np.linalg.norm(expected)
+        assert gap <= 1e-14, (q, gap)
+
+
+def test_nls_oracle_makes_a_linear_number_of_transforms(monkeypatch):
+    calls = []
+
+    class Counting(diagnostics.PaddedPair):
+        def values(self, *rows):
+            calls.append(len(rows))
+            return super().values(*rows)
+
+    monkeypatch.setattr(diagnostics, "PaddedPair", Counting)
+    tau = 2.0**-6
+    traj = strang_trajectory(32, tau, 1, 16)
+    for q in (4, 16):
+        calls.clear()
+        nls_local_error_oracle(traj, tau, 1, q)
+        # one call for u and u_x, one for the three pushed rows, per node;
+        # the double loop made (q + 1) + q(q + 3)/2, 169 at q = 16
+        assert len(calls) == 2 * (q + 1), q
 
 
 # --- local error oracle, wave ------------------------------------------------------

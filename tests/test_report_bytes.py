@@ -197,7 +197,7 @@ def test_diagnose_runs_keep_no_state_lists(command, monkeypatch, capsys):
 LOCAL_ERROR_ARGS = "--modes 32 --quad-order 4 --seed 7"
 LOCAL_ERROR_EXPECTED = {
     "wave": "4c7c7baec855299f1d2f364a446cf3da875a9464e75d701e98c198232e6e685c",
-    "nls": "d1fb140c15668e7a9f8599b8ab38faddf4a0b153e21bf53101b14a4132ea338c",
+    "nls": "f1700763cc218e03be2b478ff6fcf24e2ed9d6ea5d1d41e3ce6940d89d2b3c1f",
 }
 
 

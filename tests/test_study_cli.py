@@ -171,6 +171,8 @@ def test_config_sobolev_norm_label():
         dict(ref_factor=8),
         dict(cross_val_tol=0.0),
         dict(error_norm="L4"),
+        dict(scheme=""),
+        dict(error_norm=""),
     ],
 )
 def test_config_rejects_bad_settings(overrides):
@@ -276,6 +278,11 @@ def test_read_config_file_reports_position_of_unknown_keys(tmp_path):
     path.write_text("modes = many\n")
     with pytest.raises(ConfigError):
         read_config_file(str(path))
+    # A mistyped switch is refused, not read as off.
+    path.write_text("max_over_steps = off\nspatial_check = flase\n")
+    with pytest.raises(ConfigError) as exc:
+        read_config_file(str(path))
+    assert f"{path}:2" in str(exc.value)
     with pytest.raises(ConfigError):
         read_config_file(str(tmp_path / "missing.cfg"))
 
@@ -759,6 +766,10 @@ def test_cli_rejects_bad_configuration(capsys):
         "wave-converge --nonlinearity ''",
         "diagnose-nullform --nonlinearity ''",
         "local-error-check --equation wave --nonlinearity ''",
+        "nls-converge --scheme '' --modes 16 --taus 2^-2..2^-5 --no-spatial-check "
+        "--cross-val-tol 1",
+        "wave-converge --norm '' --modes 16 --taus 2^-2..2^-5 --no-spatial-check "
+        "--cross-val-tol 1",
         # Steps longer than the horizon, which would take no step at all.
         "nls-converge --taus 1e300,2^-4 --modes 16 --no-spatial-check --cross-val-tol 1",
         "diagnose-strichartz --modes 16 --samples 4 --tau-ref 1e300",
