@@ -39,7 +39,6 @@ from .study_cli import (
     ConvergenceReport,
     StudyConfig,
     ValidationError,
-    cross_validate_reference,
     emit_report,
     fit_rate,
     main,
@@ -54,21 +53,16 @@ from .torus_spectral import (
     WaveState,
     dealiased_product,
     derivative,
-    field_like,
     from_physical,
     hermitian_defect,
     hermitian_part,
     lebesgue_norm,
     random_rough_field,
-    read_field,
-    read_wave_state,
     regrid,
     sobolev_norm,
     spacetime_norm,
     to_physical,
     translate,
-    write_field,
-    write_wave_state,
     zero_field,
 )
 from .wave_integrators import (

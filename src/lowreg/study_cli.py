@@ -3,7 +3,8 @@
 A convergence study builds seeded rough data, computes a cross-validated
 fine-step reference, sweeps the configured step sizes, measures terminal
 or max-over-steps errors in the study norm, fits the order by least squares
-on the log-log cloud, and emits deterministic CSV/JSON reports.
+on the log-log cloud, and emits deterministic CSV/JSON reports.  Studies
+of several schemes on one datum share one reference pass.
 
 Exit codes of the command-line driver: 0 success, 2 reference validation
 failure, 3 blow-up, 4 configuration error.
@@ -32,7 +33,6 @@ from .diagnostics import (
     wave_local_error_oracle,
 )
 from .nls_integrators import (
-    NlsProblem,
     NlsStepperKind,
     _nls_snapshots,
     free_flow,
@@ -214,10 +214,6 @@ def fit_rate(pairs: Sequence[tuple[float, float]]) -> tuple[float, float]:
     return float(slope), float(r_squared)
 
 
-def _count_usable(pairs) -> int:
-    return sum(1 for _, e in pairs if FIT_FLOOR <= e <= FIT_CEILING)
-
-
 def smooth_data_spec(seed: int, delta: float = 0.01, amplitude: float = 1.0) -> RoughDataSpec:
     """Complex-field spec whose coefficient magnitudes decay like (1+|k|)^-6
     exactly; ``rough_wave_state`` draws real fields from it."""
@@ -280,27 +276,6 @@ def _terminal(run):
     for _, state in run:
         pass
     return state
-
-
-def cross_validate_reference(problem, tau_ref: float, *, tol: float | None = None) -> dict:
-    """Run the designated reference scheme at tau_ref and check it against
-    the Strang comparator (see ``_reference_run``).
-
-    Returns a validation record with the terminal-state distance; raises
-    ``ValidationError`` unless the distance is at most ``tol`` (an absolute
-    tolerance; the caller usually supplies rel_tol * initial_norm), so a NaN
-    distance or tolerance never passes.  t_end = 0, with no run, is refused.
-    """
-    if tau_ref <= 0 or problem.t_end <= 0:
-        raise ConfigError(f"tau_ref ({tau_ref}) and t_end ({problem.t_end}) must be > 0")
-    if isinstance(problem, NlsProblem):
-        initial, term = problem.u0, problem.mu
-    else:
-        initial, term = problem.initial, problem.nonlinearity
-    norm_fn = _norm_fn(initial)
-    if tol is None:
-        tol = 1e-6 * norm_fn(initial)
-    return _reference_run(initial, term, problem.t_end, tau_ref, norm_fn, tol)[1]
 
 
 def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1,
@@ -392,84 +367,105 @@ def _settled(errors) -> list[float]:
     return [float(e) for e in errors]
 
 
-def _spatial_check(config: StudyConfig, initial, term, r, tau_ref, ref_terminal):
+def _spatial_check(config: StudyConfig, term, r, minis):
     """Error at the largest step, recomputed at N and 2N from the same datum.
 
     Both errors use a dedicated mini-reference at tau_max/max(ref_factor, 256)
-    so the comparison isolates the spatial layer.  When that step is the
-    study's ``tau_ref``, the N-grid mini-reference is the study reference run
-    on the same datum, grid and horizon, so its terminal state
-    ``ref_terminal`` stands in for it bit for bit; the 2N one is always run.
-    Returns (resolved, change).
+    so the comparison isolates the spatial layer.  ``minis`` holds the N-
+    and 2N-grid ``(start, terminal)`` pairs; a terminal state still None is
+    run on first use and kept, so every scheme checked on one datum shares
+    both mini-references.  Returns (resolved, change).
     """
     tau_c = config.tau_list[0]
-    tau_mini = tau_c / max(config.ref_factor, 256)
-
-    def error_on(state0, terminal=None):
-        compare, errors = _sweeps("spatial check", config, state0, term, (tau_c,), r, 1)
+    found = []
+    for k, (start, terminal) in enumerate(minis):
+        compare, errors = _sweeps("spatial check", config, start, term, (tau_c,), r, 1)
         if terminal is None:
-            terminal = _terminal(_run_scheme("spatial check", state0, _reference_scheme(state0),
-                                             term, tau_mini, config.t_end))
+            terminal = _terminal(_run_scheme(
+                "spatial check", start, _reference_scheme(start), term,
+                tau_c / max(config.ref_factor, 256), config.t_end))
+            minis[k] = start, terminal
         compare(1, terminal)
-        return _settled(errors)[0]
-
-    e_base = error_on(initial, ref_terminal if tau_mini == tau_ref else None)
-    e_fine = error_on(regrid(initial, TorusGrid(2 * config.n_modes)))
+        found.append(_settled(errors)[0])
+    e_base, e_fine = found
     change = abs(e_fine - e_base) / max(e_base, 1e-300)
     return bool(change < 0.01), float(change)
 
 
+def _studies(configs: Sequence[StudyConfig]):
+    """Studies of each scheme in ``configs`` on one datum, as a generator of
+    their reports in config order, each written before it is yielded.
+
+    One reference pass, with its comparator, drives the sweeps of every
+    scheme in turn.  The configs may differ only in scheme, output path and
+    spatial check, and name each scheme at most once.  A validation failure
+    outranks every sweep blow-up, and each scheme's blow-up is raised after
+    the reports of the schemes before it.
+    """
+    first = configs[0]
+    for config in configs:
+        differ = [f.name for f in dataclasses.fields(config)
+                  if f.name not in ("scheme", "output_path", "spatial_check")
+                  and getattr(config, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ConfigError(f"studies on one reference pass differ in {', '.join(differ)}")
+    if len({config.scheme for config in configs}) < len(configs):
+        schemes = ",".join(config.scheme for config in configs)
+        raise ConfigError(f"scheme list {schemes} names a scheme twice")
+
+    # The reference step: the datum, and one pass over it for every sweep.
+    grid = TorusGrid(first.n_modes)
+    initial = _datum(first.equation, grid, RoughDataSpec(
+        theta=first.theta, seed=first.seed, delta=first.delta, amplitude=first.amplitude,
+    ))
+    term = Nonlinearity.preset(first.nonlinearity) if first.equation == "wave" else first.mu
+    r = first.norm_r if first.error_norm == "Hr" else 0.0
+    norm_fn = _norm_fn(initial, r)
+    tau_ref = first.tau_list[-1] / first.ref_factor
+    n_ref = steps_for(first.t_end, first.tau_list[-1]) if first.max_over_steps else 1
+    sweeps = [_sweeps("sweep tau={:g}", config, initial, term, config.tau_list, r, n_ref,
+                      config.max_over_steps) for config in configs]
+
+    def compare(i, ref):
+        for each, _ in sweeps:
+            each(i, ref)
+
+    ref_terminal, validation = _reference_run(
+        initial, term, first.t_end, tau_ref, norm_fn,
+        first.cross_val_tol * norm_fn(initial), n_ref, compare,
+    )
+    # The spatial check's mini-references; the reference's terminal state is
+    # kept only where it stands in bit for bit for the N-grid one (at tau_ref).
+    tau_mini = first.tau_list[0] / max(first.ref_factor, 256)
+    minis = [(initial, ref_terminal if tau_mini == tau_ref else None),
+             (regrid(initial, TorusGrid(2 * first.n_modes)), None)]
+    del ref_terminal
+
+    # The report step of each scheme: its errors, its certification margin
+    # on the shared validation record, its fitted order and spatial check.
+    distance = validation["distance"]
+    for config, (_, errors) in zip(configs, sweeps):
+        errors = _settled(errors)
+        usable = sum(FIT_FLOOR <= e <= FIT_CEILING for e in errors)
+        fit = fit_rate(list(zip(config.tau_list, errors))) if usable >= 4 else (None, None)
+        spatial = _spatial_check(config, term, r, minis) if config.spatial_check else (None, None)
+        report = ConvergenceReport(
+            equation=config.equation, scheme=config.scheme, seed=config.seed,
+            norm_label=config.norm_label, taus=list(config.tau_list), errors=errors,
+            fitted_order=fit[0], r_squared=fit[1],
+            validation=dict(validation,
+                            certification_margin=min(errors) / distance if distance else None),
+            config=dict(dataclasses.asdict(config), tau_list=list(config.tau_list)),
+            spatially_resolved=spatial[0], spatial_change=spatial[1],
+        )
+        for path in _report_files(config.output_path):
+            emit_report(report, path.rpartition(".")[2], path)
+        yield report
+
+
 def run_convergence_study(config: StudyConfig) -> ConvergenceReport:
     """Execute one full study; see the module docstring for the pipeline."""
-    grid = TorusGrid(config.n_modes)
-    initial = _datum(config.equation, grid, RoughDataSpec(
-        theta=config.theta, seed=config.seed, delta=config.delta,
-        amplitude=config.amplitude,
-    ))
-    term = Nonlinearity.preset(config.nonlinearity) if config.equation == "wave" else config.mu
-    r = config.norm_r if config.error_norm == "Hr" else 0.0
-    norm_fn = _norm_fn(initial, r)
-    tau_ref = config.tau_list[-1] / config.ref_factor
-
-    n_ref = steps_for(config.t_end, config.tau_list[-1]) if config.max_over_steps else 1
-    compare, errors = _sweeps("sweep tau={:g}", config, initial, term, config.tau_list, r,
-                              n_ref, config.max_over_steps)
-    ref_terminal, validation = _reference_run(
-        initial, term, config.t_end, tau_ref, norm_fn,
-        config.cross_val_tol * norm_fn(initial), n_ref, compare,
-    )
-    errors = _settled(errors)
-    distance = validation["distance"]
-    validation["certification_margin"] = min(errors) / distance if distance else None
-
-    pairs = list(zip(config.tau_list, errors))
-    fitted_order = r_squared = None
-    if _count_usable(pairs) >= 4:
-        fitted_order, r_squared = fit_rate(pairs)
-
-    resolved = change = None
-    if config.spatial_check:
-        resolved, change = _spatial_check(config, initial, term, r, tau_ref, ref_terminal)
-
-    config_echo = dataclasses.asdict(config)
-    config_echo["tau_list"] = list(config.tau_list)
-    report = ConvergenceReport(
-        equation=config.equation,
-        scheme=config.scheme,
-        seed=config.seed,
-        norm_label=config.norm_label,
-        taus=list(config.tau_list),
-        errors=errors,
-        fitted_order=fitted_order,
-        r_squared=r_squared,
-        validation=validation,
-        config=config_echo,
-        spatially_resolved=resolved,
-        spatial_change=change,
-    )
-    for path in _report_files(config.output_path):
-        emit_report(report, path.rpartition(".")[2], path)
-    return report
+    return next(_studies([config]))
 
 
 def _report_files(stem: str | None) -> list[str]:
@@ -535,13 +531,19 @@ def _input_errors():
 
 
 def _require_out_dir(*paths: str | None) -> None:
-    """Refuse, before any solve runs, an output file that is a directory or
-    whose directory is missing; an unset path writes nothing."""
+    """Refuse, before any solve runs, an output file that is a directory,
+    whose directory is missing or whose name is longer than that directory
+    allows; an unset path writes nothing."""
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise ConfigError(f"output file {path} is a directory")
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
             raise ConfigError(f"output directory of {path} does not exist")
+        name_max = os.pathconf(directory, "PC_NAME_MAX")
+        if 0 < name_max < len(os.fsencode(os.path.basename(path))):
+            raise ConfigError(f"output file name {os.path.basename(path)[:16]}... is longer "
+                              f"than the {name_max} bytes its directory allows")
 
 
 def parse_step(text: str) -> float:
@@ -640,9 +642,9 @@ def read_config_file(path: str) -> dict:
 
 
 def _add_study_flags(p: argparse.ArgumentParser) -> None:
-    # No type= here: _study_config_from_args parses flag and file values alike.
+    # No type= here: _study_configs_from_args parses flag and file values alike.
     p.add_argument("--config", help="plain-text key/value file; flags override it")
-    p.add_argument("--scheme", help="integrator under study")
+    p.add_argument("--scheme", help="integrator under study, or a comma list of them")
     p.add_argument("--theta", help="data regularity exponent")
     p.add_argument("--delta", help="extra coefficient decay margin")
     p.add_argument("--seed", help="64-bit data seed")
@@ -653,17 +655,20 @@ def _add_study_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--norm", help="error norm: L2, H1xL2, or Hr:<r>")
     p.add_argument("--ref-factor", help="tau_min / tau_ref ratio")
     p.add_argument("--cross-val-tol", help="relative two-scheme agreement tolerance")
-    p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json")
+    p.add_argument("--out", help="output path stem; writes <out>.csv and <out>.json "
+                                 "(<out>-<scheme>.* for each of several schemes)")
     p.add_argument("--max-over-steps", action="store_true", default=None,
                    help="measure the maximum error over all steps, not just the end")
     p.add_argument("--no-spatial-check", dest="spatial_check", action="store_false",
                    default=None, help="skip the 2N spatial-resolution certification")
 
 
-def _study_config_from_args(args, equation: str) -> StudyConfig:
+def _study_configs_from_args(args, equation: str) -> list[StudyConfig]:
     """The config file's values, overridden by each flag given; every
     setting that neither names keeps its ``StudyConfig`` default.  The other
-    equation's key (``mu`` or ``nonlinearity``) of a shared file is ignored."""
+    equation's key (``mu`` or ``nonlinearity``) of a shared file is ignored.
+    One config per scheme of a comma list, each with the output stem
+    ``<out>-<scheme>`` when the list names two or more."""
     values = read_config_file(args.config) if args.config else {}
     for key, parse in _CONFIG_KEYS.items():
         given = getattr(args, key, None)
@@ -680,7 +685,12 @@ def _study_config_from_args(args, equation: str) -> StudyConfig:
             kwargs["norm_r"] = norm_r
     # tau_list is the one setting without a StudyConfig default.
     kwargs.setdefault("tau_list", parse_taus("2^-4..2^-10"))
-    return StudyConfig(equation, **kwargs)
+    schemes = kwargs.pop("scheme", None)
+    if schemes is None or "," not in schemes:
+        return [StudyConfig(equation, scheme=schemes, **kwargs)]
+    out = kwargs.pop("output_path", None)
+    return [StudyConfig(equation, scheme=scheme, output_path=out and f"{out}-{scheme}", **kwargs)
+            for scheme in schemes.split(",")]
 
 
 def _print_report(report: ConvergenceReport) -> None:
@@ -698,10 +708,21 @@ def _print_report(report: ConvergenceReport) -> None:
 
 
 def _cmd_converge(args, equation: str) -> None:
+    """One study, or one per listed scheme under a ``scheme`` line and then
+    the first order less the second."""
     with _input_errors():
-        config = _study_config_from_args(args, equation)
-        _require_out_dir(*_report_files(config.output_path))
-    _print_report(run_convergence_study(config))
+        configs = _study_configs_from_args(args, equation)
+        _require_out_dir(*(path for config in configs
+                           for path in _report_files(config.output_path)))
+    orders = []
+    for report in _studies(configs):
+        if len(configs) > 1:
+            print(f"scheme {report.scheme}")
+        _print_report(report)
+        orders.append(report.fitted_order)
+    if len(orders) > 1:
+        gap = None if None in orders else orders[0] - orders[1]
+        print(f"order gap {gap!r}")
 
 
 def _cmd_diagnose(args, functional: str) -> None:

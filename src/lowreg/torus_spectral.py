@@ -277,13 +277,6 @@ def zero_field(grid: TorusGrid, is_real: bool = True) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.n_modes, dtype=np.complex128), is_real)
 
 
-def field_like(f: SpectralField, coeffs: np.ndarray, is_real: bool | None = None) -> SpectralField:
-    """Wrap raw coefficients on the grid of ``f``; autodetect realness if unset."""
-    if is_real is None:
-        is_real = hermitian_defect(coeffs) <= HERMITIAN_TOL
-    return SpectralField(f.grid, coeffs, is_real)
-
-
 def difference(a, b):
     """a - b for two fields or two wave states on one grid."""
     if isinstance(a, WaveState):
@@ -676,10 +669,11 @@ def regrid(f: SpectralField | WaveState, grid: TorusGrid):
     return SpectralField(grid, truncate_coeffs(f.coeffs, n_new), f.is_real)
 
 
-# Serialization: plain-text records.  A field is written as a header line
-# "field <N> <is_real>" followed by N lines "<re> <im>" in ascending
-# wavenumber order -N/2 .. N/2-1; a wave state is "wavestate" plus two field
-# records.  Floats are written with shortest round-trip repr.
+# Serialization: the plain-text records of trajectory files.  A field is
+# written as a header line "field <N> <is_real>" followed by N lines
+# "<re> <im>" in ascending wavenumber order -N/2 .. N/2-1; a wave state is
+# "wavestate" plus two field records.  Floats are written with shortest
+# round-trip repr.
 
 
 def field_to_lines(f: SpectralField) -> list[str]:
@@ -734,21 +728,3 @@ def _parse_file(path, parse: Callable[[Iterator[str]], object]):
             raise ValueError(f"{path}, line {read + 1}: unexpected end of file") from None
         except (ValueError, IndexError) as exc:
             raise ValueError(f"{path}, line {read}: {exc}") from exc
-
-
-def write_field(f: SpectralField, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(field_to_lines(f)) + "\n")
-
-
-def read_field(path) -> SpectralField:
-    return _parse_file(path, field_from_lines)
-
-
-def write_wave_state(w: WaveState, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(wave_state_to_lines(w)) + "\n")
-
-
-def read_wave_state(path) -> WaveState:
-    return _parse_file(path, wave_state_from_lines)

@@ -28,9 +28,7 @@ from lowreg import (
     regrid,
     nullform_norm,
     random_rough_field,
-    read_field,
     read_trajectory,
-    read_wave_state,
     run_wave,
     sobolev_norm,
     strichartz_l4,
@@ -40,9 +38,7 @@ from lowreg import (
     wave_flow,
     wave_local_error_oracle,
     wave_state_norm,
-    write_field,
     write_trajectory,
-    write_wave_state,
     zero_field,
 )
 from lowreg import diagnostics, study_cli
@@ -477,6 +473,7 @@ def test_scalar_trajectory_file_round_trip(tmp_path):
     assert back.meta == {"scheme": "lri", "seed": "7"}
     for ours, theirs in zip(traj.states, back.states):
         assert np.array_equal(ours.coeffs, theirs.coeffs)
+        assert theirs.is_real == ours.is_real
 
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
@@ -498,6 +495,8 @@ def test_scalar_trajectory_file_round_trip(tmp_path):
         (4, "dt 0.125 0.125", "expected 'dt <value>'"),
         (5, "metas 2", "expected 'meta <value>'"),
         (2, "samples 3", "text after the 3 declared samples"),
+        (8, "field 16", "malformed field header"),
+        (13, "0.5", "not enough values to unpack"),
     ]:
         bad = lines.copy()
         bad[index] = line
@@ -527,10 +526,17 @@ def test_wave_trajectory_file_round_trip(tmp_path):
     path.write_text("\n".join(lines[:20]) + "\n")
     with pytest.raises(ValueError, match=r"wave_traj\.txt, line 21: unexpected end"):
         read_trajectory(path)
-    lines[1] = "kind"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"wave_traj\.txt, line 2: "):
-        read_trajectory(path)
+    # Seven header lines (one meta entry), then five 35-line records.
+    for index, line, error in [
+        (1, "kind", "expected 'kind <value>'"),
+        (7, "wavestates", "malformed wave state header"),
+        (35, "1.0 2.0 3.0", "too many values to unpack"),
+    ]:
+        bad = lines.copy()
+        bad[index] = line
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=rf"wave_traj\.txt, line {index + 1}: {error}"):
+            read_trajectory(path)
 
 
 @pytest.mark.parametrize(
@@ -552,10 +558,10 @@ def test_read_trajectory_rejects_other_files(tmp_path):
         read_trajectory(path)
 
 
-def _written_lines(write, obj) -> list[str]:
+def _written_lines(traj) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/record.txt"
-        write(obj, path)
+        write_trajectory(traj, path)
         with open(path, encoding="ascii") as fh:
             return fh.read().splitlines()
 
@@ -564,10 +570,8 @@ def _valid_records() -> list[list[str]]:
     grid = TorusGrid(8)
     w = rough_wave_state_on(grid, 3, amplitude=0.3)
     return [
-        _written_lines(write_field, w.u),
-        _written_lines(write_wave_state, w),
-        _written_lines(write_trajectory, trajectory_of([w.u, w.v, w.u], 0.0, 1.0, seed=3)),
-        _written_lines(write_trajectory, trajectory_of([w, w, w], 0.0, 1.0)),
+        _written_lines(trajectory_of([w.u, w.v, w.u], 0.0, 1.0, seed=3)),
+        _written_lines(trajectory_of([w, w, w], 0.0, 1.0)),
     ]
 
 
@@ -598,11 +602,10 @@ _FILES = st.one_of(
 @settings(max_examples=400)
 @given(lines=_FILES)
 def test_readers_raise_only_value_errors_on_small_malformed_files(lines):
-    """Each reader either reads the file or raises a ValueError."""
+    """The reader either reads the file or raises a ValueError."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/malformed.txt"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        for reader in (read_field, read_wave_state, read_trajectory):
-            with contextlib.suppress(ValueError):
-                reader(path)
+        with contextlib.suppress(ValueError):
+            read_trajectory(path)

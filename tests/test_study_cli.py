@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import dataclasses
 import io
 import json
 import os
+import pathlib
 import runpy
 import shlex
 import subprocess
@@ -27,7 +29,6 @@ from lowreg import (
     ValidationError,
     WaveProblem,
     WaveState,
-    cross_validate_reference,
     emit_report,
     fit_rate,
     free_flow,
@@ -48,14 +49,16 @@ from lowreg import study_cli
 from lowreg.study_cli import (
     _datum,
     _norm_fn,
+    _reference_run,
     _run_scheme,
+    _studies,
+    _study_configs_from_args,
     _sweeps,
     build_parser,
     parse_norm,
     parse_taus,
     read_config_file,
     smooth_data_spec,
-    _study_config_from_args,
 )
 from lowreg.torus_spectral import _full_pair, difference, rough_wave_state
 from oracles import nls_plane_wave_coefficient
@@ -294,7 +297,7 @@ def test_command_line_flags_override_config_file(tmp_path):
     args = parser.parse_args(
         ["nls-converge", "--config", str(path), "--seed", "9", "--mu", "-1"]
     )
-    config = _study_config_from_args(args, "nls")
+    [config] = _study_configs_from_args(args, "nls")
     assert config.seed == 9  # flag wins
     assert config.n_modes == 32  # file-only value survives
     assert config.spatial_check is False
@@ -305,9 +308,9 @@ def test_command_line_flags_override_config_file(tmp_path):
 @pytest.mark.parametrize("equation", ["nls", "wave"])
 def test_command_line_defaults_are_the_study_config_defaults(equation):
     args = build_parser().parse_args([f"{equation}-converge"])
-    assert _study_config_from_args(args, equation) == StudyConfig(
+    assert _study_configs_from_args(args, equation) == [StudyConfig(
         equation, tau_list=parse_taus("2^-4..2^-10")
-    )
+    )]
 
 
 def test_a_shared_config_file_keeps_each_equation_key_to_its_equation(tmp_path):
@@ -316,11 +319,11 @@ def test_a_shared_config_file_keeps_each_equation_key_to_its_equation(tmp_path):
     parser = build_parser()
     taus = parse_taus("2^-4..2^-10")
     nls = parser.parse_args(["nls-converge", "--config", str(path)])
-    assert _study_config_from_args(nls, "nls") == StudyConfig("nls", taus, mu=-1)
+    assert _study_configs_from_args(nls, "nls") == [StudyConfig("nls", taus, mu=-1)]
     wave = parser.parse_args(["wave-converge", "--config", str(path)])
-    assert _study_config_from_args(wave, "wave") == StudyConfig(
+    assert _study_configs_from_args(wave, "wave") == [StudyConfig(
         "wave", taus, nonlinearity="sine"
-    )
+    )]
 
 
 _SETTING_WORDS = st.one_of(
@@ -362,7 +365,7 @@ def test_config_files_and_flags_fail_only_as_config_or_value_errors(
         try:
             read_config_file(path)
             args = build_parser().parse_args(argv + ["--config", path])
-            _study_config_from_args(args, equation)
+            _study_configs_from_args(args, equation)
         except ValueError:  # ConfigError included
             pass
 
@@ -370,13 +373,21 @@ def test_config_files_and_flags_fail_only_as_config_or_value_errors(
 # --- reference cross-validation ------------------------------------------------------
 
 
+def cross_validate(initial, term, t_end, tau_ref, tol=None):
+    """The validation record of a reference pass at tau_ref; the absolute
+    tolerance defaults to 1e-6 of the initial norm."""
+    norm_fn = _norm_fn(initial)
+    if tol is None:
+        tol = 1e-6 * norm_fn(initial)
+    return _reference_run(initial, term, t_end, tau_ref, norm_fn, tol)[1]
+
+
 def test_cross_validation_passes_on_the_linear_wave():
     grid = TorusGrid(16)
     c = np.zeros(16, dtype=np.complex128)
     c[1], c[-1] = -0.5j, 0.5j  # sin(x)
     w0 = WaveState(SpectralField(grid, c, is_real=True), zero_field(grid))
-    problem = WaveProblem(Nonlinearity.preset("zero"), w0, 0.5)
-    record = cross_validate_reference(problem, 2.0**-6)
+    record = cross_validate(w0, Nonlinearity.preset("zero"), 0.5, 2.0**-6)
     assert record["passed"]
     assert record["distance"] <= 1e-12
     assert record["reference_scheme"] == "corrected_lie"
@@ -387,11 +398,11 @@ def test_cross_validation_passes_on_the_linear_wave():
 def test_cross_validation_passes_on_the_plane_wave():
     grid = TorusGrid(16)
     a, k, mu = 0.1, 1, 1
-    problem = NlsProblem(mu, mode_field(grid, k, a), 1.0)
+    u0 = mode_field(grid, k, a)
     # The splitting comparator is exact on plane waves, so the two-scheme
     # distance is the exponential integrator's own O(tau) error; 5e-5 leaves
     # a factor-two margin under the default relative tolerance.
-    record = cross_validate_reference(problem, 5e-5)
+    record = cross_validate(u0, mu, 1.0, 5e-5)
     assert record["passed"]
     exact = nls_plane_wave_coefficient(a, k, mu, 1.0)
     for kind in ("lri", "lie"):
@@ -401,7 +412,7 @@ def test_cross_validation_passes_on_the_plane_wave():
             NlsStepperKind.LOW_REGULARITY if kind == "lri"
             else NlsStepperKind.LIE_SPLITTING
         )
-        out = run_nls(problem.u0, 1e-4, 10_000, mu, stepper)[-1]
+        out = run_nls(u0, 1e-4, 10_000, mu, stepper)[-1]
         assert abs(out.coeffs[k] - exact) <= 1e-6
 
 
@@ -410,9 +421,8 @@ def test_cross_validation_failure_carries_its_record():
     u0 = random_rough_field(
         smooth_data_spec(seed=3, amplitude=0.5), grid
     )
-    problem = NlsProblem(1, u0, 1.0)
     with pytest.raises(ValidationError) as exc:
-        cross_validate_reference(problem, 2.0**-4, tol=1e-300)
+        cross_validate(u0, 1, 1.0, 2.0**-4, tol=1e-300)
     record = exc.value.record
     assert record["passed"] is False
     assert record["distance"] > record["tolerance"]
@@ -421,20 +431,18 @@ def test_cross_validation_failure_carries_its_record():
 def test_cross_validation_never_passes_a_nan_tolerance():
     u0 = random_rough_field(smooth_data_spec(seed=3, amplitude=0.5), TorusGrid(32))
     with pytest.raises(ValidationError) as exc:
-        cross_validate_reference(NlsProblem(1, u0, 1.0), 2.0**-4, tol=float("nan"))
+        cross_validate(u0, 1, 1.0, 2.0**-4, tol=float("nan"))
     assert exc.value.record["passed"] is False
 
 
+# A study is the one way to a reference pass, and it refuses t_end = 0 before
+# any run.
 @pytest.mark.parametrize("equation", ["nls", "wave"])
-def test_cross_validation_refuses_a_zero_horizon(equation):
-    grid = TorusGrid(16)
-    if equation == "nls":
-        problem = NlsProblem(1, mode_field(grid, 1, 0.1), 0.0)
-    else:
-        w0 = rough_wave_state(RoughDataSpec(theta=1.0, seed=2, amplitude=0.5), grid)
-        problem = WaveProblem(Nonlinearity.preset("quadratic"), w0, 0.0)
-    with pytest.raises(ConfigError, match=r"and t_end \(0.0\) must be > 0"):
-        cross_validate_reference(problem, 2.0**-6)
+def test_cross_validation_refuses_a_zero_horizon(equation, capsys):
+    with pytest.raises(ConfigError, match=r"^t_end must be > 0$"):
+        StudyConfig(equation, (2.0**-6,), n_modes=16, t_end=0.0)
+    assert main([f"{equation}-converge", "--modes", "16", "--t-end", "0"]) == 4
+    assert capsys.readouterr().err == "configuration error: t_end must be > 0\n"
 
 
 # --- the Strang comparator -----------------------------------------------------------
@@ -666,31 +674,180 @@ def test_reports_are_never_empty(tmp_path):
         emit_report(report, "csv", str(tmp_path / "empty.csv"))
 
 
+# --- several schemes on one reference pass -------------------------------------------
+
+
+def scheme_pair(equation, max_over_steps, out=None):
+    """N = 32 studies of both schemes of ``equation`` on one datum, each
+    with its spatial check."""
+    return [StudyConfig(equation, (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5), scheme=scheme,
+                        n_modes=32, seed=3, ref_factor=16, cross_val_tol=1.0,
+                        max_over_steps=max_over_steps,
+                        output_path=out and f"{out}-{scheme}")
+            for scheme in study_cli._EQUATIONS[equation][0]]
+
+
+SCHEME_PAIRS = pytest.mark.parametrize(
+    "equation, max_over_steps",
+    [(equation, every) for equation in ("nls", "wave") for every in (False, True)],
+    ids=lambda v: {False: "terminal", True: "max-over-steps"}.get(v, v),
+)
+
+
+@SCHEME_PAIRS
+def test_one_reference_pass_reports_the_bytes_of_separate_studies(
+    equation, max_over_steps, tmp_path
+):
+    configs = scheme_pair(equation, max_over_steps, str(tmp_path / "study"))
+    separate = {}
+    for config in configs:
+        run_convergence_study(config)
+        for path in study_cli._report_files(config.output_path):
+            separate[path] = pathlib.Path(path).read_bytes()
+    reports = list(_studies(configs))
+    assert [report.scheme for report in reports] == [config.scheme for config in configs]
+    assert all(report.spatially_resolved is not None for report in reports)
+    assert {path: pathlib.Path(path).read_bytes() for path in separate} == separate
+
+
+@SCHEME_PAIRS
+def test_one_reference_pass_runs_each_reference_once(equation, max_over_steps, monkeypatch):
+    """One reference and one comparator run, at most one spatial
+    mini-reference per grid, and each scheme's own sweeps and spatial check."""
+    configs = scheme_pair(equation, max_over_steps)
+    runs = []
+
+    def watched(phase, initial, scheme, term, tau, t_end, n_out=1, _run=_run_scheme):
+        runs.append((phase, scheme, tau, initial.grid.n_modes))
+        return _run(phase, initial, scheme, term, tau, t_end, n_out)
+
+    monkeypatch.setattr(study_cli, "_run_scheme", watched)
+    list(_studies(configs))
+    phases = [phase for phase, *_ in runs]
+    assert phases.count("reference") == 1
+    assert phases.count("comparator") == 1
+    tau_c = configs[0].tau_list[0]
+    minis = [n for phase, _, tau, n in runs if phase == "spatial check" and tau == tau_c / 256]
+    assert minis.count(32) <= 1 and minis.count(64) == 1
+    for config in configs:
+        mine = [(phase, tau, n) for phase, scheme, tau, n in runs if scheme == config.scheme]
+        sweeps = [tau for phase, tau, _ in mine if phase.startswith("sweep")]
+        assert sorted(sweeps, reverse=True) == list(config.tau_list)
+        assert [(tau, n) for phase, tau, n in mine if phase == "spatial check"
+                and tau == tau_c] == [(tau_c, 32), (tau_c, 64)]
+
+
+class ReachedTheReference(Exception):
+    pass
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=4), dict(n_modes=64), dict(tau_list=(2.0**-2, 2.0**-3)),
+    dict(max_over_steps=True), dict(cross_val_tol=0.5), dict(ref_factor=32),
+    dict(nonlinearity="sine"), dict(equation="nls", scheme="lie", error_norm="L2"),
+], ids=lambda change: ",".join(change))
+def test_one_reference_pass_refuses_configs_that_differ_in_more_than_the_scheme(
+    change, monkeypatch
+):
+    def reached(*args, **kwargs):
+        raise ReachedTheReference
+
+    monkeypatch.setattr(study_cli, "_reference_run", reached)
+    first, second = scheme_pair("wave", False)
+    with pytest.raises(ConfigError, match=f"differ in .*{next(iter(change))}"):
+        next(_studies([first, dataclasses.replace(second, **change)]))
+    # The scheme, the output stem and the spatial check may differ.
+    with pytest.raises(ReachedTheReference):
+        next(_studies([first, dataclasses.replace(second, output_path="x",
+                                                  spatial_check=False)]))
+    with pytest.raises(ConfigError, match="names a scheme twice"):
+        next(_studies([first, dataclasses.replace(first, output_path="x")]))
+
+
+@pytest.mark.parametrize("schemes", ["lie,lie", "corrected_lie,", ",lie"])
+def test_cli_scheme_lists_with_a_repeated_or_empty_name_exit_4(schemes, capsys):
+    argv = f"wave-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --scheme {schemes}"
+    assert main(argv.split()) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+# Amplitude 2 on 16 modes: every sweep of the plain NLS splitting ends, and
+# the LRI sweep at 2^-2 trips its guard (see BLOWN_SWEEPS below).
+@pytest.mark.parametrize("schemes", ["lie,lri", "lri,lie"])
+def test_cli_names_the_scheme_whose_sweep_blew_up(schemes, capsys):
+    argv = ("nls-converge --modes 16 --amplitude 2 --taus 2^-1..2^-4 --ref-factor 16 "
+            f"--no-spatial-check --cross-val-tol 1e10 --scheme {schemes}")
+    assert main(argv.split()) == 3
+    out, err = capsys.readouterr()
+    assert err == "blow-up: sweep tau=0.25 run (lri): norm guard tripped at step 4\n"
+    # The plain splitting is reported when it comes first.
+    assert out.startswith("scheme lie\n") == schemes.startswith("lie")
+    assert "order gap" not in out
+
+
+# Amplitude 5 with the cubic_minus term: the sweeps of both schemes blow up.
+@pytest.mark.parametrize("schemes", ["corrected_lie,lie", "lie,corrected_lie"])
+def test_cli_reports_the_blowup_of_the_first_listed_scheme(schemes, capsys):
+    argv = ("wave-converge --modes 16 --amplitude 5 --nonlinearity cubic_minus "
+            "--taus 2^-1..2^-4 --ref-factor 16 --no-spatial-check --cross-val-tol 1e10 "
+            f"--scheme {schemes}")
+    assert main(argv.split()) == 3
+    out, err = capsys.readouterr()
+    first = schemes.split(",")[0]
+    assert err == f"blow-up: sweep tau=0.25 run ({first}): norm guard tripped at step 3\n"
+    assert out == ""
+
+
 # --- command line ------------------------------------------------------------------
 
 
-def test_wave_order_script_reports_the_orders_of_two_direct_studies(capsys):
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                          "wave_order_study.py")
-    reports = runpy.run_path(script)["run"](["--modes", "32", "--ref-factor", "16"])
-    out = capsys.readouterr().out
-    for scheme in ("corrected_lie", "lie"):
+WAVE_ORDER = pathlib.Path(__file__).parent.parent / "scripts" / "wave_order_study.py"
+
+
+def run_wave_order_script(argv, monkeypatch, capsys):
+    """Exit code, stdout and stderr of the comparator script run in this
+    process."""
+    monkeypatch.setattr(sys, "argv", [str(WAVE_ORDER), *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(WAVE_ORDER), run_name="__main__")
+    return done.value.code, *capsys.readouterr()
+
+
+def printed_orders(out) -> dict:
+    """The fitted order printed under each ``scheme`` line."""
+    orders, scheme = {}, None
+    for line in out.splitlines():
+        key, _, value = line.partition(" ")
+        if key == "scheme":
+            scheme = value
+        elif key == "fitted_order":
+            orders[scheme] = None if value == "None" else float(value)
+    return orders
+
+
+def test_wave_order_script_reports_the_orders_of_two_direct_studies(monkeypatch, capsys):
+    code, out, _ = run_wave_order_script(["--modes", "32", "--ref-factor", "16"],
+                                         monkeypatch, capsys)
+    assert code == 0
+    orders = printed_orders(out)
+    assert list(orders) == ["corrected_lie", "lie"]
+    for scheme in orders:
         direct = run_convergence_study(StudyConfig(
             "wave", parse_taus("2^-4..2^-10"), scheme=scheme, n_modes=32,
             ref_factor=16, cross_val_tol=1e-4, spatial_check=False,
         ))
         assert direct.fitted_order is not None
-        assert reports[scheme].fitted_order == direct.fitted_order
-        assert f"{scheme}: order {direct.fitted_order:.3f}" in out
+        assert orders[scheme] == direct.fitted_order
+    assert out.endswith(f"order gap {orders['corrected_lie'] - orders['lie']!r}\n")
 
 
 @pytest.mark.parametrize("argv", ["--theta nan", "--nonlinearity bogus"])
 def test_wave_order_script_bad_input_exits_4_without_a_traceback(argv):
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                          "wave_order_study.py")
     src = os.path.dirname(os.path.dirname(lowreg.__file__))
     done = subprocess.run(
-        [sys.executable, script, *argv.split()], capture_output=True, text=True,
+        [sys.executable, str(WAVE_ORDER), *argv.split()], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert done.returncode == 4
@@ -699,13 +856,16 @@ def test_wave_order_script_bad_input_exits_4_without_a_traceback(argv):
     assert done.stderr.count("\n") == 1
 
 
-def test_wave_order_script_refuses_an_output_file_that_is_a_directory(tmp_path, capsys):
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                          "wave_order_study.py")
+def test_wave_order_script_refuses_an_output_file_that_is_a_directory(
+    tmp_path, monkeypatch, capsys
+):
     (tmp_path / "study-lie.json").mkdir()
-    with pytest.raises(ConfigError, match="study-lie.json is a directory"):
-        runpy.run_path(script)["run"](["--modes", "32", "--out", str(tmp_path / "study")])
-    assert capsys.readouterr().out == ""  # before either study ran
+    code, out, err = run_wave_order_script(["--modes", "32", "--out", str(tmp_path / "study")],
+                                           monkeypatch, capsys)
+    assert code == 4
+    taken = tmp_path / "study-lie.json"
+    assert err == f"configuration error: output file {taken} is a directory\n"
+    assert out == ""  # before either study ran
     assert sorted(p.name for p in tmp_path.iterdir()) == ["study-lie.json"]
 
 
@@ -823,6 +983,52 @@ def test_cli_missing_output_directory_exits_4_before_solving(argv, tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr == f"configuration error: output file {taken} is a directory\n"
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, suffix",
+    [
+        # The stem leaves room for <out>.csv but not for <out>.json.
+        ("nls-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --no-spatial-check", 4),
+        ("wave-converge --modes 16 --taus 2^-2..2^-5 --scheme corrected_lie,lie", 0),
+        ("diagnose-strichartz --modes 16 --samples 4", -1),
+        ("diagnose-nullform --modes 16 --samples 4", -1),
+        ("local-error-check --equation nls --modes 16 --quad-order 2", -1),
+    ],
+)
+def test_cli_refuses_an_output_name_too_long_for_its_directory_before_solving(
+    argv, suffix, tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(study_cli, "_run_scheme", no_solve)
+    name = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - suffix)
+    assert main([*argv.split(), "--out", str(tmp_path / name)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: output file name xxx")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+# Scripts use the package's public names only.
+def test_no_script_imports_a_private_package_name():
+    scripts = sorted((pathlib.Path(__file__).parent.parent / "scripts").glob("*.py"))
+    assert WAVE_ORDER in scripts
+    private = []
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] == "lowreg"
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert private == []
 
 
 def test_python_m_lowreg_is_the_module_entry():

@@ -25,8 +25,7 @@ from lowreg import (
     hermitian_part,
     lebesgue_norm,
     random_rough_field,
-    read_field,
-    read_wave_state,
+    read_trajectory,
     regrid,
     run_nls,
     run_wave,
@@ -34,8 +33,6 @@ from lowreg import (
     spacetime_norm,
     to_physical,
     translate,
-    write_field,
-    write_wave_state,
     zero_field,
 )
 from lowreg import torus_spectral, wave_integrators
@@ -46,7 +43,6 @@ from lowreg.torus_spectral import (
     _conj_perm,
     _half_pair,
     evolve,
-    field_like,
     full_spectrum,
     half_spectrum,
     rough_wave_state,
@@ -805,79 +801,36 @@ def test_embedding_preserves_shared_node_values(grid32):
 # --- serialization -------------------------------------------------------------
 
 
-def test_field_file_round_trip(tmp_path, grid32):
-    f = rough_field_on(grid32, 21)
-    path = tmp_path / "field.txt"
-    write_field(f, path)
-    g = read_field(path)
-    assert g.grid.n_modes == 32
-    assert g.is_real == f.is_real
-    assert np.array_equal(g.coeffs, f.coeffs)
-
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:10]) + "\n")
-    with pytest.raises(ValueError, match=r"field\.txt, line 11: unexpected end of file"):
-        read_field(path)
-    lines[5] = "0.5"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"field\.txt, line 6: "):
-        read_field(path)
+# The field and wave-state records are read only as trajectory samples (see
+# tests/test_diagnostics.py for the round trips).  A trajectory header of
+# three NLS samples, whose first record is the one under test.
+TRAJECTORY_HEADER = ["trajectory", "kind nls", "samples 3", "t0 0.0", "dt 1.0", "meta 0"]
 
 
 def test_field_reader_does_not_trust_the_header_size(tmp_path):
     # Building the array from the header's N would ask for petabytes here.
-    path = tmp_path / "field.txt"
-    path.write_text("field 1000000000000000 0\n0.5 0.0\n")
-    with pytest.raises(ValueError, match=r"field\.txt, line 3: unexpected end of file"):
-        read_field(path)
+    path = tmp_path / "traj.txt"
+    path.write_text("\n".join([*TRAJECTORY_HEADER, "field 1000000000000000 0", "0.5 0.0"]) + "\n")
+    with pytest.raises(ValueError, match=r"traj\.txt, line 9: unexpected end of file"):
+        read_trajectory(path)
 
 
 def test_field_reader_refuses_an_overflowing_real_record(tmp_path):
     # k = -4..3: 1e308 at k = 1 with no partner at k = -1, and i at k = 2.
     records = ["0 0"] * 5 + ["1e308 0", "0 1", "0 0"]
-    path = tmp_path / "field.txt"
-    path.write_text("\n".join(["field 8 1", *records]) + "\n")
-    with pytest.raises(ValueError, match=r"field\.txt, line 9: .*Hermitian symmetry"):
-        read_field(path)
+    path = tmp_path / "traj.txt"
+    path.write_text("\n".join([*TRAJECTORY_HEADER, "field 8 1", *records]) + "\n")
+    with pytest.raises(ValueError, match=r"traj\.txt, line 15: .*Hermitian symmetry"):
+        read_trajectory(path)
 
 
 def test_field_reader_refuses_a_real_record_with_a_nan_defect(tmp_path):
     # k = -4..3: inf at k = 1 with no partner at k = -1, and i at k = 2.
     records = ["0 0"] * 5 + ["inf 0", "0 1", "0 0"]
-    path = tmp_path / "field.txt"
-    path.write_text("\n".join(["field 8 1", *records]) + "\n")
-    with pytest.raises(ValueError, match=r"field\.txt, line 9: .*Hermitian symmetry.*nan"):
-        read_field(path)
-
-
-def test_wave_state_file_round_trip(tmp_path, grid32):
-    w = WaveState(
-        rough_field_on(grid32, 4, real_valued=True),
-        rough_field_on(grid32, 5, theta=0.0, real_valued=True),
-    )
-    path = tmp_path / "state.txt"
-    write_wave_state(w, path)
-    back = read_wave_state(path)
-    assert np.array_equal(back.u.coeffs, w.u.coeffs)
-    assert np.array_equal(back.v.coeffs, w.v.coeffs)
-
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:40]) + "\n")
-    with pytest.raises(ValueError, match=r"state\.txt, line 41: unexpected end of file"):
-        read_wave_state(path)
-    lines[35] = "1.0 2.0 3.0"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"state\.txt, line 36: "):
-        read_wave_state(path)
-
-
-def test_field_like_autodetects_realness(grid16):
-    base = zero_field(grid16)
-    sym = field_like(base, hermitian_part(np.ones(16, dtype=np.complex128)))
-    assert sym.is_real
-    skew = np.zeros(16, dtype=np.complex128)
-    skew[1] = 1.0
-    assert not field_like(base, skew).is_real
+    path = tmp_path / "traj.txt"
+    path.write_text("\n".join([*TRAJECTORY_HEADER, "field 8 1", *records]) + "\n")
+    with pytest.raises(ValueError, match=r"traj\.txt, line 15: .*Hermitian symmetry.*nan"):
+        read_trajectory(path)
 
 
 # --- the evolve loop -------------------------------------------------------------
