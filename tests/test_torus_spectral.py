@@ -32,7 +32,9 @@ from lowreg import (
     sobolev_norm,
     spacetime_norm,
     to_physical,
+    trajectory_of,
     translate,
+    write_trajectory,
     zero_field,
 )
 from lowreg import torus_spectral, wave_integrators
@@ -801,10 +803,34 @@ def test_embedding_preserves_shared_node_values(grid32):
 # --- serialization -------------------------------------------------------------
 
 
-# The field and wave-state records are read only as trajectory samples (see
-# tests/test_diagnostics.py for the round trips).  A trajectory header of
-# three NLS samples, whose first record is the one under test.
+# The field and wave-state records are read only as trajectory samples.  A
+# trajectory header of three NLS samples, whose first record is the one under test.
 TRAJECTORY_HEADER = ["trajectory", "kind nls", "samples 3", "t0 0.0", "dt 1.0", "meta 0"]
+
+
+def test_field_file_round_trip(tmp_path, grid32):
+    f = rough_field_on(grid32, 21)
+    path = tmp_path / "field.txt"
+    write_trajectory(trajectory_of([f, f, f], 0.0, 1.0), path)
+    g = read_trajectory(path).states[0]
+    assert g.grid.n_modes == 32
+    assert g.is_real == f.is_real
+    assert np.array_equal(g.coeffs, f.coeffs)
+
+    # Six header lines, then the first field record.
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:16]) + "\n")
+    with pytest.raises(ValueError, match=r"field\.txt, line 17: unexpected end of file"):
+        read_trajectory(path)
+    for index, line, error in [
+        (6, "field 32", "malformed field header"),
+        (11, "0.5", "not enough values to unpack"),
+    ]:
+        bad = lines.copy()
+        bad[index] = line
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=rf"field\.txt, line {index + 1}: {error}"):
+            read_trajectory(path)
 
 
 def test_field_reader_does_not_trust_the_header_size(tmp_path):
@@ -831,6 +857,33 @@ def test_field_reader_refuses_a_real_record_with_a_nan_defect(tmp_path):
     path.write_text("\n".join([*TRAJECTORY_HEADER, "field 8 1", *records]) + "\n")
     with pytest.raises(ValueError, match=r"traj\.txt, line 15: .*Hermitian symmetry.*nan"):
         read_trajectory(path)
+
+
+def test_wave_state_file_round_trip(tmp_path, grid32):
+    w = WaveState(
+        rough_field_on(grid32, 4, real_valued=True),
+        rough_field_on(grid32, 5, theta=0.0, real_valued=True),
+    )
+    path = tmp_path / "state.txt"
+    write_trajectory(trajectory_of([w, w, w], 0.0, 1.0), path)
+    back = read_trajectory(path).states[0]
+    assert np.array_equal(back.u.coeffs, w.u.coeffs)
+    assert np.array_equal(back.v.coeffs, w.v.coeffs)
+
+    # Six header lines, then the first wave-state record.
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:46]) + "\n")
+    with pytest.raises(ValueError, match=r"state\.txt, line 47: unexpected end of file"):
+        read_trajectory(path)
+    for index, line, error in [
+        (6, "wavestates", "malformed wave state header"),
+        (41, "1.0 2.0 3.0", "too many values to unpack"),
+    ]:
+        bad = lines.copy()
+        bad[index] = line
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=rf"state\.txt, line {index + 1}: {error}"):
+            read_trajectory(path)
 
 
 # --- the evolve loop -------------------------------------------------------------
