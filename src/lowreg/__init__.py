@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .diagnostics import (
     Trajectory,
-    dalembert_split,
     nls_local_error_oracle,
     null_form_field,
     nullform_norm,
@@ -27,7 +26,6 @@ from .nls_integrators import (
     NlsProblem,
     NlsStepperKind,
     free_flow,
-    lie_step_nls,
     lri_step,
     nls_reference_solve,
     phi1_apply,
@@ -51,7 +49,6 @@ from .torus_spectral import (
     SpectralField,
     TorusGrid,
     WaveState,
-    dealiased_product,
     derivative,
     from_physical,
     hermitian_defect,
@@ -62,7 +59,6 @@ from .torus_spectral import (
     sobolev_norm,
     spacetime_norm,
     to_physical,
-    translate,
     zero_field,
 )
 from .wave_integrators import (
@@ -71,9 +67,7 @@ from .wave_integrators import (
     a_apply,
     b_map,
     corrected_lie_step,
-    g_map,
     h_map,
-    lie_step_wave,
     phi2_apply,
     phi2_entry_q,
     phi2_entry_r,

@@ -22,17 +22,11 @@ from .torus_spectral import (
     WaveState,
     _full_pair,
     _half_pair,
-    _parse_file,
     conjugate,
     derivative,
     difference,
-    field_from_lines,
-    field_to_lines,
     full_spectrum,
-    hermitian_part,
     spacetime_norm,
-    wave_state_from_lines,
-    wave_state_to_lines,
 )
 from .wave_integrators import (
     Nonlinearity,
@@ -59,6 +53,8 @@ class Trajectory:
         if times.size != len(self.states):
             raise ValueError("one state per time sample is required")
         steps = np.diff(times)
+        if not np.all(steps > 0):
+            raise ValueError("time samples must increase")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("time samples must be uniformly spaced")
         grids = {s.grid.n_modes for s in self.states}
@@ -113,21 +109,6 @@ def nullform_norm(traj: Trajectory) -> float:
     if not traj.is_wave:
         raise ValueError("nullform_norm expects a trajectory of wave states")
     return spacetime_norm((null_form_field(w) for w in traj.states), traj.dt, 2, 2)
-
-
-def dalembert_split(w: WaveState) -> tuple[SpectralField, SpectralField]:
-    """Left/right mover data (u_x + v)/2 and (u_x - v)/2.
-
-    For the homogeneous flow from (u, v), the first profile travels left and
-    the second right: v(t, x) = left(x + t) - right(x - t).
-    """
-    ux = derivative(w.u, 1)
-    half_sum = hermitian_part(0.5 * (ux.coeffs + w.v.coeffs))
-    half_diff = hermitian_part(0.5 * (ux.coeffs - w.v.coeffs))
-    return (
-        SpectralField(w.grid, half_sum, True),
-        SpectralField(w.grid, half_diff, True),
-    )
 
 
 def _quadrature_layout(traj: Trajectory, tau: float, quad_order: int):
@@ -231,8 +212,20 @@ def wave_local_error_oracle(
 
 
 # Trajectory files: a "trajectory" header, kind, sample count, time grid and
-# meta lines, followed by one field or wave-state record per sample.  Meta
-# keys are single words and values single lines; both are read back as str.
+# meta lines, followed by one record per sample.  Meta keys are single words
+# and values single lines; both are read back as str.  A field record is a
+# line "field <N> <is_real>" followed by N lines "<re> <im>" in ascending
+# wavenumber order -N/2 .. N/2-1, floats in shortest round-trip repr; a
+# wave-state record is a line "wavestate" followed by the records of u and v.
+
+
+def _record(state) -> list[str]:
+    """The lines of one field or wave-state record."""
+    if isinstance(state, WaveState):
+        return ["wavestate", *_record(state.u), *_record(state.v)]
+    lines = [f"field {state.grid.n_modes} {int(state.is_real)}"]
+    lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in np.fft.fftshift(state.coeffs))
+    return lines
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
@@ -256,13 +249,30 @@ def write_trajectory(traj: Trajectory, path) -> None:
                 "must be one word, values one line, both ASCII"
             )
         lines.append(f"{key_text} {value_text}")
-    to_lines = wave_state_to_lines if traj.is_wave else field_to_lines
     with open(path, "w", encoding="ascii") as fh:
         # One record at a time: the whole file as a list of lines would be
         # the largest transient allocation of a trajectory round trip.
         fh.write("\n".join(lines) + "\n")
         for state in traj.states:
-            fh.write("\n".join(to_lines(state)) + "\n")
+            fh.write("\n".join(_record(state)) + "\n")
+
+
+def _read_record(lines: Iterator[str], wave: bool):
+    """The next field record of ``lines``, or with ``wave`` the next wave-state record."""
+    if wave:
+        header = next(lines).strip()
+        if header != "wavestate":
+            raise ValueError(f"malformed wave state header: {header!r}")
+        return WaveState(_read_record(lines, False), _read_record(lines, False))
+    header = next(lines).split()
+    if len(header) != 3 or header[0] != "field" or header[2] not in ("0", "1"):
+        raise ValueError(f"malformed field header: {header}")
+    n = int(header[1])
+    shifted = []
+    for _ in range(n):
+        re, im = next(lines).split()
+        shifted.append(complex(float(re), float(im)))
+    return SpectralField(TorusGrid(n), np.fft.ifftshift(np.array(shifted)), header[2] == "1")
 
 
 def _header_value(lines: Iterator[str], key: str) -> str:
@@ -282,13 +292,14 @@ def _trajectory_from_lines(lines: Iterator[str]) -> Trajectory:
     count = int(_header_value(lines, "samples"))
     t0 = float(_header_value(lines, "t0"))
     dt = float(_header_value(lines, "dt"))
+    if not dt > 0:
+        raise ValueError(f"dt {dt!r} must be > 0")
     n_meta = int(_header_value(lines, "meta"))
     meta = {}
     for _ in range(n_meta):
         key, _, value = next(lines).partition(" ")
         meta[key] = value
-    reader = wave_state_from_lines if kind == "wave" else field_from_lines
-    states = [reader(lines) for _ in range(count)]
+    states = [_read_record(lines, kind == "wave") for _ in range(count)]
     if any(line.strip() for line in lines):
         raise ValueError(f"text after the {count} declared samples")
     times = t0 + dt * np.arange(count)
@@ -296,4 +307,22 @@ def _trajectory_from_lines(lines: Iterator[str]) -> Trajectory:
 
 
 def read_trajectory(path) -> Trajectory:
-    return _parse_file(path, _trajectory_from_lines)
+    """Read a trajectory file a line at a time, so a large file never sits in
+    memory as a whole.  A record that ends early or a line that does not
+    parse raises a ValueError naming the file and the line where reading stopped.
+    """
+    read = 0
+
+    def lines(fh):
+        nonlocal read
+        for line in fh:
+            read += 1
+            yield line.rstrip("\n")
+
+    with open(path, encoding="ascii") as fh:
+        try:
+            return _trajectory_from_lines(lines(fh))
+        except StopIteration:
+            raise ValueError(f"{path}, line {read + 1}: unexpected end of file") from None
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}, line {read}: {exc}") from exc

@@ -1,6 +1,6 @@
 """Time steppers for the cubic Schrödinger equation i*u_t + u_xx = mu*|u|^2*u.
 
-Two one-step maps are provided: an exponential-type integrator whose
+Two schemes run through ``run_nls``: an exponential-type integrator whose
 nonlinear term is filtered by a phi1 Fourier multiplier, and a classical
 exponential Lie splitting; conjugated by half a free flow, the Lie run is
 the Strang comparator of the study driver.  Both advance Fourier
@@ -158,16 +158,6 @@ def lri_step(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
     space.  ``mu = 0`` reduces the map to the free flow.
     """
     return run_nls(u_n, tau, 1, mu, NlsStepperKind.LOW_REGULARITY)[-1]
-
-
-def lie_step_nls(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
-    """One step of exponential Lie splitting.
-
-    The nonlinear substep multiplies by the exact phase exp(-i*tau*mu*|u|^2)
-    pointwise on the 2x grid (then truncates); the linear substep is the free
-    flow.
-    """
-    return run_nls(u_n, tau, 1, mu, NlsStepperKind.LIE_SPLITTING)[-1]
 
 
 def _nls_snapshots(u0, tau, n_steps, mu, kind=NlsStepperKind.LOW_REGULARITY,

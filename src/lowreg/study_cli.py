@@ -140,17 +140,21 @@ class StudyConfig:
             raise ConfigError("all step sizes must be > 0")
         if any(a <= b for a, b in zip(taus, taus[1:])):
             raise ConfigError("tau_list must be strictly decreasing")
-        # The sweep, the reference and the max-over-steps strides need these.
+        if self.ref_factor < 16:
+            raise ConfigError("ref_factor must be >= 16")
+        # The sweep, the max-over-steps strides and the reference need these.
         try:
             for t in taus:
                 steps_for(self.t_end, t)
                 if self.max_over_steps:
                     steps_for(t, taus[-1])
+            steps_for(self.t_end, taus[-1] / self.ref_factor)
+        except OverflowError:
+            raise ConfigError("ref_factor is too large: tau_list[-1] / ref_factor "
+                              "is below every float") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "tau_list", taus)
-        if self.ref_factor < 16:
-            raise ConfigError("ref_factor must be >= 16")
         if self.cross_val_tol <= 0:
             raise ConfigError("cross_val_tol must be > 0")
 
@@ -775,6 +779,8 @@ def _cmd_local_error_check(args) -> None:
         _require_out_dir(args.out)
         if quad_order < 2:
             raise ConfigError("--quad-order must be >= 2")
+        n_out = 4 * quad_order
+        steps_for(tau / n_out, tau / (16 * n_out))
         spec = smooth_data_spec(args.seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(args.modes), spec, v_theta=spec.theta)
         # Both second-order references take 16 steps per sample. Finer is worse:
@@ -785,7 +791,6 @@ def _cmd_local_error_check(args) -> None:
         else:
             term = Nonlinearity.preset(args.nonlinearity)
             scheme, oracle = "corrected_lie", wave_local_error_oracle
-    n_out = 4 * quad_order
     run = _run_scheme("local-error reference", datum, scheme, term, tau / (16 * n_out), tau,
                       n_out)
     traj = trajectory_of([s for _, s in run], 0.0, tau)

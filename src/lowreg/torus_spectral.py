@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,6 +65,8 @@ def series_mask(y: np.ndarray, branch: str | None, radius: float) -> np.ndarray:
 
 def steps_for(span: float, tau: float) -> int:
     """Whole number of steps of size tau in span, at least one if span > 0."""
+    if tau == 0 or not math.isfinite(tau):
+        raise ValueError(f"step size {tau} is zero or not finite")
     n = span / tau
     if not math.isfinite(n):
         raise ValueError(f"{span} / {tau} is not a finite step count")
@@ -466,18 +468,6 @@ def conjugate(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, c, f.is_real)
 
 
-def translate(f: SpectralField, shift: float) -> SpectralField:
-    """Return x -> f(x + shift).
-
-    For real fields the unpaired Nyquist cosine keeps only the representable
-    part of its translate, cos(k(x + shift)) -> cos(k*shift) * cos(kx).
-    """
-    c = f.coeffs * np.exp(1j * f.grid.freqs * shift)
-    if f.is_real:
-        c = hermitian_part(c)
-    return SpectralField(f.grid, c, f.is_real)
-
-
 def derivative(f: SpectralField, order: int) -> SpectralField:
     """Spectral derivative; order 1 zeroes the Nyquist mode to stay real."""
     if order not in (1, 2):
@@ -489,40 +479,6 @@ def derivative(f: SpectralField, order: int) -> SpectralField:
     else:
         symbol = -(k.astype(np.float64) ** 2)
     return SpectralField(f.grid, f.coeffs * symbol, f.is_real)
-
-
-def dealiased_product(
-    factors: Sequence[SpectralField],
-    conjugate_flags: Sequence[bool] | None = None,
-) -> SpectralField:
-    """Alias-free pointwise product of 2 or 3 fields on one grid.
-
-    Factors flagged in ``conjugate_flags`` enter as their complex conjugate
-    (taken in coefficient space).  The product is formed on the 2x-oversampled
-    grid and truncated back, which is exact for quadratic and cubic products.
-    Real factors go through the real pair as half-spectra, so their Nyquist
-    mode is a cosine, as ``regrid`` embeds it, and the product is real.
-    """
-    if len(factors) not in (2, 3):
-        raise ValueError("dealiased_product takes 2 or 3 factors")
-    grid = factors[0].grid
-    if any(f.grid != grid for f in factors):
-        raise ValueError("all factors must share one grid")
-    if conjugate_flags is None:
-        conjugate_flags = [False] * len(factors)
-    if len(conjugate_flags) != len(factors):
-        raise ValueError("one conjugation flag per factor is required")
-    arrays = [
-        conjugate(f).coeffs if flag else f.coeffs
-        for f, flag in zip(factors, conjugate_flags)
-    ]
-    if all(f.is_real for f in factors):
-        pair = RealPaddedPair(grid.n_modes, len(arrays))
-        values = pair.values(np.stack([half_spectrum(c) for c in arrays]))
-        return SpectralField(grid, full_spectrum(pair.coeffs(np.prod(values, axis=0))), True)
-    pair = PaddedPair(grid.n_modes, len(arrays))
-    values = pair.values(*arrays)
-    return SpectralField(grid, pair.coeffs(np.prod(values, axis=0)), False)
 
 
 @functools.cache
@@ -667,64 +623,3 @@ def regrid(f: SpectralField | WaveState, grid: TorusGrid):
             c[n_old // 2] = 0.5 * np.conj(nyq)
         return SpectralField(grid, c, f.is_real)
     return SpectralField(grid, truncate_coeffs(f.coeffs, n_new), f.is_real)
-
-
-# Serialization: the plain-text records of trajectory files.  A field is
-# written as a header line "field <N> <is_real>" followed by N lines
-# "<re> <im>" in ascending wavenumber order -N/2 .. N/2-1; a wave state is
-# "wavestate" plus two field records.  Floats are written with shortest
-# round-trip repr.
-
-
-def field_to_lines(f: SpectralField) -> list[str]:
-    lines = [f"field {f.grid.n_modes} {int(f.is_real)}"]
-    shifted = np.fft.fftshift(f.coeffs)
-    lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in shifted)
-    return lines
-
-
-def field_from_lines(lines: Iterator[str]) -> SpectralField:
-    header = next(lines).split()
-    if len(header) != 3 or header[0] != "field":
-        raise ValueError(f"malformed field header: {header}")
-    n, is_real = int(header[1]), bool(int(header[2]))
-    shifted = []
-    for _ in range(n):
-        re, im = next(lines).split()
-        shifted.append(complex(float(re), float(im)))
-    return SpectralField(TorusGrid(n), np.fft.ifftshift(np.array(shifted)), is_real)
-
-
-def wave_state_to_lines(w: WaveState) -> list[str]:
-    return ["wavestate"] + field_to_lines(w.u) + field_to_lines(w.v)
-
-
-def wave_state_from_lines(lines: Iterator[str]) -> WaveState:
-    header = next(lines).strip()
-    if header != "wavestate":
-        raise ValueError(f"malformed wave state header: {header!r}")
-    return WaveState(field_from_lines(lines), field_from_lines(lines))
-
-
-def _parse_file(path, parse: Callable[[Iterator[str]], object]):
-    """Apply ``parse`` to an iterator over the lines of a text file.
-
-    The file is read a line at a time, so a large file never sits in memory
-    as a whole.  A record that ends early or a line that does not parse
-    raises a ValueError naming the file and the line where reading stopped.
-    """
-    read = 0
-
-    def lines(fh):
-        nonlocal read
-        for line in fh:
-            read += 1
-            yield line.rstrip("\n")
-
-    with open(path, encoding="ascii") as fh:
-        try:
-            return parse(lines(fh))
-        except StopIteration:
-            raise ValueError(f"{path}, line {read + 1}: unexpected end of file") from None
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}, line {read}: {exc}") from exc

@@ -6,10 +6,10 @@ block [[0, 1], [-k^2, 0]].  Provided maps:
 
 * ``wave_flow``       the group e^{tA} (per-mode rotation, shear at k = 0),
 * ``phi2_apply``      the averaged backward flow (1/tau^2) * int_0^tau (tau-s) e^{-2sA} ds,
-* ``g_map/h_map/b_map``  the nonlinear maps (0, g(u)), (-g(u), g'(u)v) and
+* ``h_map/b_map``  the nonlinear maps (-g(u), g'(u)v) and
   (0, g''(u)[v^2 - u_x^2] + g'(u)g(u)),
-* ``corrected_lie_step``  Lie splitting plus the tau^2 phi2 correction,
-* ``lie_step_wave``  plain Lie splitting.
+* ``corrected_lie_step``  Lie splitting plus the tau^2 phi2 correction, one
+  step of ``run_wave``; ``corrected=False`` runs the plain Lie splitting.
 
 The fields are real, so every map here works on real half-spectra
 (k = 0..N/2, see ``torus_spectral.half_spectrum``), stacked as one
@@ -252,14 +252,8 @@ def a_apply(w: WaveState) -> WaveState:
     return _full_pair(w.grid, np.stack([v, -k2 * u]))
 
 
-def g_map(w: WaveState, nl: Nonlinearity) -> WaveState:
-    """(0, g(u)), evaluated pointwise on the 2x grid and truncated."""
-    (gu,) = _nonlinear_coeffs(w, lambda u, v, ux: nl.g(u))
-    return _full_pair(w.grid, np.stack([np.zeros_like(gu), gu]))
-
-
 def h_map(w: WaveState, nl: Nonlinearity) -> WaveState:
-    """(-g(u), g'(u) * v), products dealiased as in ``g_map``."""
+    """(-g(u), g'(u) * v), evaluated pointwise on the 2x grid and truncated."""
     gu, g1v = _nonlinear_coeffs(
         w, lambda u, v, ux: nl.g(u), lambda u, v, ux: nl.g1(u) * v
     )
@@ -280,11 +274,6 @@ def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveStat
     U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n)) + tau^2 * phi2(-2 tau A)(-g(u_n), g'(u_n) v_n)].
     """
     return run_wave(w_n, tau, 1, nl, corrected=True)[-1]
-
-
-def lie_step_wave(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
-    """One plain Lie splitting step: U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n))]."""
-    return run_wave(w_n, tau, 1, nl, corrected=False)[-1]
 
 
 @functools.cache

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from lowreg import RoughDataSpec, TorusGrid, WaveState, random_rough_field
+from lowreg import (
+    RoughDataSpec, SpectralField, TorusGrid, WaveState, from_physical, random_rough_field,
+)
 
 settings.register_profile(
     "default",
@@ -32,6 +34,27 @@ def grid32():
 @pytest.fixture(scope="session")
 def grid64():
     return TorusGrid(64)
+
+
+def mode_field(grid, k, value=1.0):
+    c = np.zeros(grid.n_modes, dtype=np.complex128)
+    c[k % grid.n_modes] = value
+    return SpectralField(grid, c)
+
+
+def real_state(grid, u_fn, v_fn):
+    x = grid.points
+    return WaveState(
+        from_physical(np.asarray(u_fn(x), dtype=np.float64), grid),
+        from_physical(np.asarray(v_fn(x), dtype=np.float64), grid),
+    )
+
+
+def state_gap(a, b):
+    w = 1.0 + a.grid.freqs.astype(np.float64) ** 2
+    du = a.u.coeffs - b.u.coeffs
+    dv = a.v.coeffs - b.v.coeffs
+    return np.sqrt(float(w @ np.abs(du) ** 2)) + np.linalg.norm(dv)
 
 
 def rough_field_on(grid, seed, theta=1.0, amplitude=0.5, real_valued=False):

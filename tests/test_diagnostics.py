@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rough_wave_state_on
+from conftest import mode_field, real_state, rough_wave_state_on, state_gap
 from lowreg import (
     Nonlinearity,
     NlsProblem,
@@ -17,11 +17,10 @@ from lowreg import (
     Trajectory,
     WaveState,
     b_map,
-    dalembert_split,
-    dealiased_product,
     derivative,
     free_flow,
     from_physical,
+    hermitian_part,
     nls_local_error_oracle,
     nls_reference_solve,
     null_form_field,
@@ -34,7 +33,6 @@ from lowreg import (
     strichartz_l4,
     to_physical,
     trajectory_of,
-    translate,
     wave_flow,
     wave_local_error_oracle,
     wave_state_norm,
@@ -43,6 +41,7 @@ from lowreg import (
 )
 from lowreg import diagnostics, study_cli
 from oracles import (
+    convolution_project,
     nls_local_error_double_loop,
     scalar_second_order_ode,
     semidiscrete_nls_states,
@@ -52,18 +51,18 @@ QUADRATIC = Nonlinearity.preset("quadratic")
 ZERO = Nonlinearity.preset("zero")
 
 
-def mode_field(grid, k, value=1.0):
-    c = np.zeros(grid.n_modes, dtype=np.complex128)
-    c[k % grid.n_modes] = value
-    return SpectralField(grid, c)
+def translate(f, shift):
+    """x -> f(x + shift) for a real field, keeping only the representable part
+    of its translated Nyquist cosine."""
+    c = hermitian_part(f.coeffs * np.exp(1j * f.grid.freqs * shift))
+    return SpectralField(f.grid, c, True)
 
 
-def real_state(grid, u_fn, v_fn):
-    x = grid.points
-    return WaveState(
-        from_physical(np.asarray(u_fn(x), dtype=np.float64), grid),
-        from_physical(np.asarray(v_fn(x), dtype=np.float64), grid),
-    )
+def dalembert_split(w):
+    """Left/right mover data (u_x + v)/2 and (u_x - v)/2: along the homogeneous
+    flow from w, v(t, x) = left(x + t) - right(x - t)."""
+    ux, v = derivative(w.u, 1).coeffs, w.v.coeffs
+    return [SpectralField(w.grid, hermitian_part(0.5 * (ux + s * v)), True) for s in (1, -1)]
 
 
 def constant_nls_trajectory(grid, a, mu, tau, n_sub):
@@ -79,13 +78,6 @@ def flow_trajectory(w0, t_end, n_sub):
     return trajectory_of(states, 0.0, t_end)
 
 
-def state_gap(a, b):
-    w = 1.0 + a.grid.freqs.astype(np.float64) ** 2
-    du = a.u.coeffs - b.u.coeffs
-    dv = a.v.coeffs - b.v.coeffs
-    return np.sqrt(float(w @ np.abs(du) ** 2)) + np.linalg.norm(dv)
-
-
 # --- trajectory container -------------------------------------------------------
 
 
@@ -97,6 +89,11 @@ def test_trajectory_needs_three_uniform_samples(grid16):
         Trajectory(np.array([0.0, 0.5, 0.7]), [f, f, f])
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.5, 1.0]), [f, f])
+    for times in ([0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 1e-13, 0.0]):
+        with pytest.raises(ValueError, match="time samples must increase"):
+            Trajectory(np.array(times), [f, f, f])
+    with pytest.raises(ValueError, match="time samples must increase"):
+        trajectory_of([f, f, f], 0.0, 0.0)
 
 
 def test_trajectory_rejects_mixed_grids(grid16, grid32):
@@ -241,8 +238,9 @@ def test_null_form_factorizes_over_the_mover_split():
     for t in (0.3, 1.1):
         flowed = wave_flow(w0, t)
         q = null_form_field(flowed)
-        product = dealiased_product([translate(left, t), translate(right, -t)])
-        assert np.allclose(q.coeffs, -4.0 * product.coeffs, atol=1e-12)
+        movers = [translate(left, t).coeffs, translate(right, -t).coeffs]
+        product = convolution_project(movers, 64)
+        assert np.allclose(q.coeffs, -4.0 * product, atol=1e-12)
 
 
 # --- d'Alembert splitting ---------------------------------------------------------
@@ -492,6 +490,8 @@ def test_scalar_trajectory_file_round_trip(tmp_path):
         (2, "sample 5", "expected 'samples <value>'"),
         (3, "t1 0.0", "expected 't0 <value>'"),
         (4, "dt 0.125 0.125", "expected 'dt <value>'"),
+        (4, "dt 0", "dt 0.0 must be > 0"),
+        (4, "dt -0.5", "dt -0.5 must be > 0"),
         (5, "metas 2", "expected 'meta <value>'"),
         (2, "samples 3", "text after the 3 declared samples"),
     ]:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rough_field_on, seeds
+from conftest import mode_field, rough_field_on, seeds
 from lowreg import (
     BlowUpError,
     NlsProblem,
@@ -12,7 +12,6 @@ from lowreg import (
     SpectralField,
     TorusGrid,
     free_flow,
-    lie_step_nls,
     lri_step,
     nls_reference_solve,
     phi1_apply,
@@ -30,11 +29,8 @@ from oracles import (
     plain_nls_steps,
 )
 
-
-def mode_field(grid, k, value=1.0):
-    c = np.zeros(grid.n_modes, dtype=np.complex128)
-    c[k % grid.n_modes] = value
-    return SpectralField(grid, c)
+# One Lie splitting step is a one-step run of the scheme.
+LIE = NlsStepperKind.LIE_SPLITTING
 
 
 def smooth_field(grid, seed, amplitude=0.5):
@@ -167,14 +163,14 @@ def test_lri_step_rejects_non_finite_input(grid16):
 
 def test_lie_step_is_exact_on_constants(grid16):
     a = 0.7 - 0.2j
-    out = lie_step_nls(mode_field(grid16, 0, a), 0.3, -1)
+    out = run_nls(mode_field(grid16, 0, a), 0.3, 1, -1, LIE)[-1]
     assert out.coeffs[0] == pytest.approx(a * np.exp(0.3j * abs(a) ** 2), abs=1e-15)
 
 
 def test_lie_step_zero_mu_is_free_flow(grid16):
     f = rough_field_on(grid16, 3)
     assert np.allclose(
-        lie_step_nls(f, 0.2, 0).coeffs, free_flow(f, 0.2).coeffs, atol=1e-15
+        run_nls(f, 0.2, 1, 0, LIE)[-1].coeffs, free_flow(f, 0.2).coeffs, atol=1e-15
     )
 
 
@@ -185,7 +181,7 @@ def test_lie_step_preserves_mass_at_small_steps():
     # Both substeps are isometries except for the dealias truncation of the
     # rotated field, whose mass loss scales linearly with tau.
     defects = [
-        abs(sobolev_norm(lie_step_nls(f, tau, 1), 0.0) - before)
+        abs(sobolev_norm(run_nls(f, tau, 1, 1, LIE)[-1], 0.0) - before)
         for tau in (1e-4, 1e-5)
     ]
     assert defects[0] <= 1e-11 * before

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowreg
+from conftest import mode_field
 from lowreg import (
     ConfigError,
     ConvergenceReport,
@@ -62,12 +64,6 @@ from lowreg.study_cli import (
 )
 from lowreg.torus_spectral import _full_pair, difference, rough_wave_state
 from oracles import nls_plane_wave_coefficient
-
-
-def mode_field(grid, k, value=1.0):
-    c = np.zeros(grid.n_modes, dtype=np.complex128)
-    c[k % grid.n_modes] = value
-    return SpectralField(grid, c)
 
 
 def tiny_nls_config(**overrides):
@@ -443,6 +439,24 @@ def test_cross_validation_refuses_a_zero_horizon(equation, capsys):
         StudyConfig(equation, (2.0**-6,), n_modes=16, t_end=0.0)
     assert main([f"{equation}-converge", "--modes", "16", "--t-end", "0"]) == 4
     assert capsys.readouterr().err == "configuration error: t_end must be > 0\n"
+
+
+# A step that underflows to zero, a reference step that does not divide the
+# sample spacing, and a ref_factor whose reference step is below every float.
+HUGE = "1" + "0" * 320
+
+
+@pytest.mark.parametrize("argv", [
+    "local-error-check --equation nls --modes 8 --quad-order 2 --tau 2^-1074",
+    "local-error-check --equation nls --modes 8 --quad-order 2 --tau 1e-320",
+    f"nls-converge --modes 8 --taus 2^-2,2^-3 --no-spatial-check --ref-factor {HUGE}",
+    f"wave-converge --modes 8 --taus 2^-2,2^-3 --no-spatial-check --ref-factor {HUGE}",
+], ids=["local-error-zero-step", "local-error-subnormal", "nls-converge", "wave-converge"])
+def test_steps_below_every_float_exit_4(argv, capsys):
+    assert main(argv.split()) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 # --- the Strang comparator -----------------------------------------------------------
@@ -1012,23 +1026,57 @@ def test_cli_refuses_an_output_name_too_long_for_its_directory_before_solving(
     assert list(tmp_path.iterdir()) == []
 
 
-# Scripts use the package's public names only.
+# Scripts use the package's public names only, but for the listed uses: an
+# import of a private name, or a read of a private attribute of lowreg or of
+# a name imported from it.
+PRIVATE_USES = ["step_timing.py: study_cli._sweeps"]
+
+
 def test_no_script_imports_a_private_package_name():
     scripts = sorted((pathlib.Path(__file__).parent.parent / "scripts").glob("*.py"))
     assert WAVE_ORDER in scripts
     private = []
     for path in scripts:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()  # the script's names for lowreg and what it imports from it
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                pairs = [(f"{node.module}.{a.name}", a.asname or a.name) for a in node.names]
             elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                pairs = [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
             else:
                 continue
-            private += [f"{path.name}:{node.lineno} {name}" for name in names
-                        if name.split(".")[0] == "lowreg"
-                        and any(part.startswith("_") for part in name.split("."))]
-    assert private == []
+            for name, local in pairs:
+                if name.split(".")[0] == "lowreg":
+                    bound.add(local)
+                    if any(part.startswith("_") for part in name.split(".")):
+                        private.append(f"{path.name}: {name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in bound:
+                    private.append(f"{path.name}: {ast.unparse(node)}")
+    assert private == PRIVATE_USES
+
+
+# step_timing.py builds its cases on the private study_cli._sweeps: run every
+# case once, small, so that a change there fails here.
+def test_step_timing_runs_every_case(monkeypatch, capsys):
+    path = WAVE_ORDER.parent / "step_timing.py"
+    spec = importlib.util.spec_from_file_location("step_timing", path)
+    timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timing)
+    for name, value in [("STEPS", 4), ("CALLS", 2), ("REPEATS", 1), ("MODES", (16,)),
+                        ("SWEEP_MODES", 16), ("FLOW_MODES", (16,)), ("NORM_MODES", (16,))]:
+        monkeypatch.setattr(timing, name, value)
+    timing.main()
+    out = capsys.readouterr().out
+    for scheme in timing.SCHEMES:
+        assert f"  {scheme} N=16 max-over-steps " in out
+    assert out.count(" N=16 rows=") == 6
+    assert "wave_flow + null_form_field N=16 " in out and "wave_state_norm N=16 " in out
 
 
 def test_python_m_lowreg_is_the_module_entry():

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import hermitian_coeffs, rough_wave_state_on, seeds
+from conftest import hermitian_coeffs, real_state, rough_wave_state_on, seeds, state_gap
 from lowreg import (
     BlowUpError,
     Nonlinearity,
@@ -18,11 +18,8 @@ from lowreg import (
     b_map,
     corrected_lie_step,
     derivative,
-    from_physical,
     to_physical,
-    g_map,
     h_map,
-    lie_step_wave,
     phi2_apply,
     phi2_entry_q,
     phi2_entry_r,
@@ -59,13 +56,6 @@ def constant_state(grid, c, d):
     )
 
 
-def real_mode_state(grid, u_values_fn, v_values_fn):
-    x = grid.points
-    u = from_physical(np.asarray(u_values_fn(x), dtype=np.float64), grid)
-    v = from_physical(np.asarray(v_values_fn(x), dtype=np.float64), grid)
-    return WaveState(u, v)
-
-
 def blocks_of(op, grid):
     """Per-mode 2x2 blocks of a diagonal-in-k pair operator, one column at a
     time: all tables here are even in k, so all-ones input stays Hermitian."""
@@ -74,13 +64,6 @@ def blocks_of(op, grid):
     left = op(WaveState(ones, zero))
     right = op(WaveState(zero, ones))
     return left.u.coeffs, right.u.coeffs, left.v.coeffs, right.v.coeffs
-
-
-def state_gap(a, b):
-    w = 1.0 + a.grid.freqs.astype(np.float64) ** 2
-    du = a.u.coeffs - b.u.coeffs
-    dv = a.v.coeffs - b.v.coeffs
-    return np.sqrt(float(w @ np.abs(du) ** 2)) + np.linalg.norm(dv)
 
 
 # --- free wave flow ----------------------------------------------------------
@@ -217,7 +200,7 @@ def test_preset_derivatives_match_finite_differences(name):
 
 
 def test_a_apply_swaps_and_differentiates(grid16):
-    w = real_mode_state(grid16, np.cos, lambda x: np.sin(2.0 * x))
+    w = real_state(grid16, np.cos, lambda x: np.sin(2.0 * x))
     out = a_apply(w)
     assert np.allclose(out.u.coeffs, w.v.coeffs, atol=1e-15)
     assert np.allclose(out.v.coeffs, -from_cos_coeffs(grid16), atol=1e-14)
@@ -229,23 +212,6 @@ def from_cos_coeffs(grid):
     return c
 
 
-def test_g_map_examples(grid16):
-    c = constant_state(grid16, 0.4, -1.0)
-    out = g_map(c, QUADRATIC)
-    assert np.allclose(out.u.coeffs, 0.0, atol=1e-15)
-    assert out.v.coeffs[0] == pytest.approx(0.16, abs=1e-14)
-
-    rest = g_map(constant_state(grid16, 0.0, 1.0), SINE)
-    assert wave_state_norm(rest) <= 1e-15
-
-    w = real_mode_state(grid16, np.sin, lambda x: 0.0 * x)
-    out = g_map(w, QUADRATIC)
-    x = grid16.points
-    assert np.allclose(
-        to_physical(out.v), (1.0 - np.cos(2.0 * x)) / 2.0, atol=1e-13
-    )
-
-
 def test_h_map_examples(grid16):
     out = h_map(constant_state(grid16, 0.5, -0.3), QUADRATIC)
     assert out.u.coeffs[0] == pytest.approx(-0.25, abs=1e-14)
@@ -255,14 +221,14 @@ def test_h_map_examples(grid16):
     assert still.u.coeffs[0] == pytest.approx(-np.sin(0.3), abs=1e-14)
     assert np.allclose(still.v.coeffs, 0.0, atol=1e-15)
 
-    swing = h_map(real_mode_state(grid16, lambda x: 0.0 * x, np.cos), SINE)
+    swing = h_map(real_state(grid16, lambda x: 0.0 * x, np.cos), SINE)
     assert np.allclose(swing.u.coeffs, 0.0, atol=1e-15)
     assert np.allclose(to_physical(swing.v), np.cos(grid16.points), atol=1e-13)
 
 
 def test_b_map_examples(grid16):
     x = grid16.points
-    out = b_map(real_mode_state(grid16, np.sin, lambda t: 0.0 * t), QUADRATIC)
+    out = b_map(real_state(grid16, np.sin, lambda t: 0.0 * t), QUADRATIC)
     assert np.allclose(out.u.coeffs, 0.0, atol=1e-15)
     expected = -2.0 * np.cos(x) ** 2 + 2.0 * np.sin(x) ** 3
     assert np.allclose(to_physical(out.v), expected, atol=1e-13)
@@ -273,7 +239,7 @@ def test_b_map_examples(grid16):
 
 def test_b_map_drops_its_second_order_term_along_null_directions(grid16):
     # With v = u_x the factor v^2 - u_x^2 vanishes, leaving g'(u) g(u).
-    u = real_mode_state(grid16, np.cos, lambda x: 0.0 * x).u
+    u = real_state(grid16, np.cos, lambda x: 0.0 * x).u
     w = WaveState(u, derivative(u, 1))
     out = b_map(w, QUADRATIC)
     assert np.allclose(
@@ -299,7 +265,7 @@ def test_corrected_step_on_constant_data():
 
 def test_lie_step_on_constant_data():
     grid = TorusGrid(16)
-    out = lie_step_wave(constant_state(grid, 1.0, 0.0), 0.1, QUADRATIC)
+    out = run_wave(constant_state(grid, 1.0, 0.0), 0.1, 1, QUADRATIC, corrected=False)[-1]
     assert out.u.coeffs[0] == pytest.approx(1.01, abs=1e-15)
     assert out.v.coeffs[0] == pytest.approx(0.1, abs=1e-15)
     assert (out.u.coeffs[0].real, out.v.coeffs[0].real) == pytest.approx(
@@ -314,11 +280,12 @@ def test_zero_data_is_a_fixed_point(grid16):
         assert wave_state_norm(out) == 0.0
 
 
-@pytest.mark.parametrize("step", [corrected_lie_step, lie_step_wave])
-def test_steps_are_exact_without_forcing(step):
+@pytest.mark.parametrize("corrected", [True, False],
+                         ids=["corrected_lie_step", "lie_step_wave"])
+def test_steps_are_exact_without_forcing(corrected):
     grid = TorusGrid(32)
     w = rough_wave_state_on(grid, 8)
-    out = step(w, 0.3, ZERO)
+    out = run_wave(w, 0.3, 1, ZERO, corrected=corrected)[-1]
     assert state_gap(out, wave_flow(w, 0.3)) <= 1e-12 * wave_state_norm(w)
 
 
@@ -326,7 +293,8 @@ def test_steps_are_exact_without_forcing(step):
 def test_steps_keep_states_real(seed, name):
     w = rough_wave_state_on(TorusGrid(32), seed, amplitude=0.3)
     nl = Nonlinearity.preset(name)
-    for out in (corrected_lie_step(w, 0.05, nl), lie_step_wave(w, 0.05, nl)):
+    for corrected in (True, False):
+        out = run_wave(w, 0.05, 1, nl, corrected=corrected)[-1]
         assert out.u.is_real and out.v.is_real
 
 
@@ -442,13 +410,13 @@ def test_zero_mode_trajectory_matches_the_scalar_ode():
 
 def test_reference_solve_reproduces_the_linear_standing_wave():
     grid = TorusGrid(16)
-    w0 = real_mode_state(grid, np.sin, lambda x: 0.0 * x)
+    w0 = real_state(grid, np.sin, lambda x: 0.0 * x)
     problem = WaveProblem(ZERO, w0, 1.0)
     states = wave_reference_solve(problem, 4, 1e-3)
     assert len(states) == 5
     for j, state in enumerate(states):
         t = 0.25 * j
-        expected = real_mode_state(
+        expected = real_state(
             grid,
             lambda x: np.sin(x) * np.cos(t),
             lambda x: -np.sin(x) * np.sin(t),
@@ -493,6 +461,6 @@ def test_plain_lie_local_error_is_only_second_order_on_smooth_data():
     errs = []
     for tau in taus:
         ref = run_wave(w0, tau / 512, 512, QUADRATIC)[-1]
-        errs.append(state_gap(lie_step_wave(w0, tau, QUADRATIC), ref))
+        errs.append(state_gap(run_wave(w0, tau, 1, QUADRATIC, corrected=False)[-1], ref))
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2, (slope, errs)
