@@ -10,7 +10,11 @@ quadrature nodes snapped to the trajectory's own time samples.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
+import math
+import os
+import re
+import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -211,118 +215,87 @@ def wave_local_error_oracle(
     return direct, integral
 
 
-# Trajectory files: a "trajectory" header, kind, sample count, time grid and
-# meta lines, followed by one record per sample.  Meta keys are single words
-# and values single lines; both are read back as str.  A field record is a
-# line "field <N> <is_real>" followed by N lines "<re> <im>" in ascending
-# wavenumber order -N/2 .. N/2-1, floats in shortest round-trip repr; a
-# wave-state record is a line "wavestate" followed by the records of u and v.
+# Trajectory files: four arrays in numpy's .npy format, one after another: the
+# sample times, each sample's realness flag, the stacked coefficients and the
+# sorted meta as (key, value) rows of str.  A field is stored as its FFT-order
+# coefficients, a wave state as its (2, N/2 + 1) half-spectrum pair, so the
+# coefficients have shape (S, N) or (S, 2, N/2 + 1) and their rank gives the
+# kind.  Not np.savez: its zip container stamps the time into the bytes.
 
-
-def _record(state) -> list[str]:
-    """The lines of one field or wave-state record."""
-    if isinstance(state, WaveState):
-        return ["wavestate", *_record(state.u), *_record(state.v)]
-    lines = [f"field {state.grid.n_modes} {int(state.is_real)}"]
-    lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in np.fft.fftshift(state.coeffs))
-    return lines
+# The one header np.save writes (format 1.0) for each array, and the dtype
+# of each array in file order.
+_HEADER = re.compile(r"\{'descr': '([^']*)', 'fortran_order': False, "
+                     r"'shape': \(((?:\d+, )*\d+,?)?\), \} *\n")
+_DESCRS = ("<f8", r"\|b1", "<c16", r"<U[1-9]\d{0,7}")
 
 
 def write_trajectory(traj: Trajectory, path) -> None:
-    lines = [
-        "trajectory",
-        f"kind {'wave' if traj.is_wave else 'nls'}",
-        f"samples {len(traj.states)}",
-        f"t0 {float(traj.times[0])!r}",
-        f"dt {traj.dt!r}",
-        f"meta {len(traj.meta)}",
-    ]
-    for key in sorted(traj.meta):
-        key_text, value_text = str(key), str(traj.meta[key])
-        if not (
-            key_text.split() == [key_text]
-            and "".join(value_text.splitlines()) == value_text
-            and (key_text + value_text).isascii()
-        ):
-            raise ValueError(
-                f"meta entry {key!r}: {traj.meta[key]!r} cannot be written: keys "
-                "must be one word, values one line, both ASCII"
-            )
-        lines.append(f"{key_text} {value_text}")
-    with open(path, "w", encoding="ascii") as fh:
-        # One record at a time: the whole file as a list of lines would be
-        # the largest transient allocation of a trajectory round trip.
-        fh.write("\n".join(lines) + "\n")
-        for state in traj.states:
-            fh.write("\n".join(_record(state)) + "\n")
+    meta = sorted((str(key), str(value)) for key, value in traj.meta.items())
+    keys = [key for key, _ in meta]
+    for key, value in meta:
+        if not key or keys.count(key) > 1 or "\0" in key + value:
+            raise ValueError(f"meta entry {key!r}: {value!r} cannot be written: keys must "
+                             "be distinct and not empty as str, and no key or value may "
+                             "hold a NUL character")
+    if traj.is_wave:
+        coeffs = np.stack([_half_pair(w) for w in traj.states])
+    else:
+        coeffs = np.stack([f.coeffs for f in traj.states])
+    real = np.array([traj.is_wave or f.is_real for f in traj.states])
+    # Saving through the handle also keeps np.save from adding a .npy suffix.
+    with open(path, "wb") as fh:
+        for array in (traj.times, real, coeffs, np.array(meta, dtype=str).reshape(-1, 2)):
+            np.save(fh, array, allow_pickle=False)
 
 
-def _read_record(lines: Iterator[str], wave: bool):
-    """The next field record of ``lines``, or with ``wave`` the next wave-state record."""
-    if wave:
-        header = next(lines).strip()
-        if header != "wavestate":
-            raise ValueError(f"malformed wave state header: {header!r}")
-        return WaveState(_read_record(lines, False), _read_record(lines, False))
-    header = next(lines).split()
-    if len(header) != 3 or header[0] != "field" or header[2] not in ("0", "1"):
-        raise ValueError(f"malformed field header: {header}")
-    n = int(header[1])
-    shifted = []
-    for _ in range(n):
-        re, im = next(lines).split()
-        shifted.append(complex(float(re), float(im)))
-    return SpectralField(TorusGrid(n), np.fft.ifftshift(np.array(shifted)), header[2] == "1")
-
-
-def _header_value(lines: Iterator[str], key: str) -> str:
-    """The value of the next line, which must read ``<key> <value>``."""
-    words = next(lines).split()
-    if len(words) != 2 or words[0] != key:
-        raise ValueError(f"expected '{key} <value>', got {' '.join(words)!r}")
-    return words[1]
-
-
-def _trajectory_from_lines(lines: Iterator[str]) -> Trajectory:
-    if next(lines).strip() != "trajectory":
-        raise ValueError("not a trajectory file")
-    kind = _header_value(lines, "kind")
-    if kind not in ("nls", "wave"):
-        raise ValueError(f"unknown trajectory kind {kind!r}")
-    count = int(_header_value(lines, "samples"))
-    t0 = float(_header_value(lines, "t0"))
-    dt = float(_header_value(lines, "dt"))
-    if not dt > 0:
-        raise ValueError(f"dt {dt!r} must be > 0")
-    n_meta = int(_header_value(lines, "meta"))
-    meta = {}
-    for _ in range(n_meta):
-        key, _, value = next(lines).partition(" ")
-        meta[key] = value
-    states = [_read_record(lines, kind == "wave") for _ in range(count)]
-    if any(line.strip() for line in lines):
-        raise ValueError(f"text after the {count} declared samples")
-    times = t0 + dt * np.arange(count)
-    return Trajectory(times, states, meta)
+def _next_array(fh, size: int, descr: str) -> np.ndarray:
+    """The next array of ``fh``, once its header is one np.save writes for
+    dtype ``descr`` and the file holds the bytes that header declares."""
+    start = fh.tell()
+    prefix = fh.read(10)
+    if prefix[:8] != b"\x93NUMPY\x01\x00" or len(prefix) < 10:
+        raise ValueError(f"no .npy 1.0 array at byte {start}")
+    header = fh.read(int.from_bytes(prefix[8:], "little")).decode("latin1")
+    match = _HEADER.fullmatch(header)
+    if match is None or not re.fullmatch(descr, match[1]):
+        raise ValueError(f"unexpected array header at byte {start}: {header.strip()!r}")
+    shape = [int(n) for n in (match[2] or "").split(",") if n.strip()]
+    # No dimension of an array in the file, even an empty one, exceeds its size.
+    declared, left = math.prod(shape) * np.dtype(match[1]).itemsize, size - fh.tell()
+    if declared > left or max(shape, default=0) > size:
+        raise ValueError(f"the array at byte {start} declares shape {tuple(shape)} and "
+                         f"{declared} bytes; {left} are left")
+    fh.seek(start)
+    return np.load(fh, allow_pickle=False)
 
 
 def read_trajectory(path) -> Trajectory:
-    """Read a trajectory file a line at a time, so a large file never sits in
-    memory as a whole.  A record that ends early or a line that does not
-    parse raises a ValueError naming the file and the line where reading stopped.
-    """
-    read = 0
-
-    def lines(fh):
-        nonlocal read
-        for line in fh:
-            read += 1
-            yield line.rstrip("\n")
-
-    with open(path, encoding="ascii") as fh:
-        try:
-            return _trajectory_from_lines(lines(fh))
-        except StopIteration:
-            raise ValueError(f"{path}, line {read + 1}: unexpected end of file") from None
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}, line {read}: {exc}") from exc
+    """Read a trajectory file; malformed input raises a ValueError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            times, real, coeffs, meta = [_next_array(fh, size, d) for d in _DESCRS]
+            if fh.tell() != size:
+                raise ValueError(f"{size - fh.tell()} bytes follow the four arrays")
+        count = times.shape
+        if (len(count) != 1 or real.shape != count or coeffs.shape[:1] != count
+                or coeffs.ndim not in (2, 3) or meta.ndim != 2 or meta.shape[1] != 2):
+            raise ValueError(f"array shapes {times.shape}, {real.shape}, {coeffs.shape} "
+                             f"and {meta.shape} do not make a trajectory")
+        if real.view(np.uint8).max(initial=0) > 1:
+            raise ValueError("a realness flag is neither 0 nor 1")
+        if meta.view(np.uint32).max(initial=0) > sys.maxunicode:
+            raise ValueError("meta holds a code point beyond Unicode")
+        if coeffs.ndim == 2:
+            grid = TorusGrid(coeffs.shape[1])
+            states = [SpectralField(grid, c, bool(r)) for c, r in zip(coeffs, real)]
+        else:
+            grid = TorusGrid(2 * (coeffs.shape[2] - 1))
+            if coeffs.shape[1] != 2 or not real.all():
+                raise ValueError("a wave state is a real (u, v) pair")
+            if np.any(coeffs[:, :, :: grid.nyquist_index].imag != 0):
+                raise ValueError("a wave state's k = 0 or N/2 entry is not real")
+            states = [_full_pair(grid, s) for s in coeffs]
+        return Trajectory(times, states, dict(meta.tolist()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

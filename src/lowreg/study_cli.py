@@ -743,6 +743,7 @@ def _cmd_diagnose(args, functional: str) -> None:
         if samples < 2:
             raise ConfigError("--samples must be >= 2")
         steps_for(t_end / (2 * samples if args.refine else samples), tau_ref)
+        steps_for(t_end, tau_ref)
         spec = RoughDataSpec(theta=args.theta, seed=seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(modes), spec)
         if equation == "nls":
@@ -781,6 +782,7 @@ def _cmd_local_error_check(args) -> None:
             raise ConfigError("--quad-order must be >= 2")
         n_out = 4 * quad_order
         steps_for(tau / n_out, tau / (16 * n_out))
+        steps_for(tau, tau / (16 * n_out))
         spec = smooth_data_spec(args.seed, amplitude=args.amplitude)
         datum = _datum(equation, TorusGrid(args.modes), spec, v_theta=spec.theta)
         # Both second-order references take 16 steps per sample. Finer is worse:

@@ -33,6 +33,10 @@ HERMITIAN_TOL = 1e-12
 # A run stops once its state grows past this multiple of its initial size.
 BLOWUP_FACTOR = 1e6
 
+# No run takes more steps than this, far above any real one: a horizon that
+# asks for more is refused before it can start a run that never ends.
+MAX_STEPS = 2**40
+
 
 # Streams for the velocity component of wave data are split off the user
 # seed by a fixed documented offset so (u, v) draws never collide.
@@ -70,6 +74,9 @@ def steps_for(span: float, tau: float) -> int:
     n = span / tau
     if not math.isfinite(n):
         raise ValueError(f"{span} / {tau} is not a finite step count")
+    if abs(n) > MAX_STEPS:
+        raise ValueError(f"step size {tau} takes {abs(n):.3g} steps in the horizon {span}, "
+                         "more than 2^40")
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"step size {tau} does not divide the horizon {span}")
     if span > 0 and round(n) == 0:

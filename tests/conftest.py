@@ -105,3 +105,12 @@ def hermitian_coeffs(n: int):
         return c
 
     return banded_coeffs(n, n // 2).map(build)
+
+
+def save_trajectory_arrays(path, coeffs, real, times=(0.0, 1.0, 2.0), meta=()):
+    """A trajectory file of the given arrays, as ``write_trajectory`` lays one out."""
+    with open(path, "wb") as fh:
+        for array in (np.asarray(times, dtype=np.float64), np.asarray(real, dtype=bool),
+                      np.asarray(coeffs, dtype=np.complex128),
+                      np.array(meta, dtype=str).reshape(-1, 2)):
+            np.save(fh, array)

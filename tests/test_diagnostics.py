@@ -1,13 +1,16 @@
-import contextlib
+import functools
+import io
 import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mode_field, real_state, rough_wave_state_on, state_gap
+from conftest import (
+    mode_field, real_state, rough_wave_state_on, save_trajectory_arrays, state_gap,
+)
 from lowreg import (
     Nonlinearity,
     NlsProblem,
@@ -462,47 +465,35 @@ def test_scalar_trajectory_file_round_trip(tmp_path):
     grid = TorusGrid(16)
     problem = NlsProblem(1, mode_field(grid, 1, 0.3), 0.5)
     states = nls_reference_solve(problem, 4, 2.0**-6)
-    traj = trajectory_of(states, 0.0, 0.5, scheme="lri", seed="7")
-    path = tmp_path / "traj.txt"
+    # Meta keys and values may hold several words, line breaks and any script.
+    meta = {"scheme": "lri", "seed": 7, "two words": "a\nb\r", "ключ": " значение ✓ ", "empty": ""}
+    traj = trajectory_of(states, 0.0, 0.5, **meta)
+    path = tmp_path / "traj.npy"
     write_trajectory(traj, path)
     back = read_trajectory(path)
     assert not back.is_wave
-    assert np.allclose(back.times, traj.times, atol=1e-15)
-    assert back.meta == {"scheme": "lri", "seed": "7"}
+    assert back.times.tobytes() == traj.times.tobytes()
+    assert back.meta == {key: str(value) for key, value in meta.items()}
     for ours, theirs in zip(traj.states, back.states):
         assert np.array_equal(ours.coeffs, theirs.coeffs)
 
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(ValueError, match=rf"traj\.txt, line {len(lines) - 2}: unexpected end"):
-        read_trajectory(path)
-    lines[2] = "samples five"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"traj\.txt, line 3: "):
-        read_trajectory(path)
+    # The file keeps the times themselves: t0 + dt * arange(38) would end
+    # at 0.30000000000000004.
+    write_trajectory(trajectory_of([zero_field(grid)] * 38, 0.0, 0.3), path)
+    assert read_trajectory(path).times[-1] == 0.3
 
-    # Eight header lines (two meta entries), then five 17-line records.
-    write_trajectory(traj, path)
-    lines = path.read_text().splitlines()
-    for index, line, error in [
-        (1, "kind waves", "unknown trajectory kind 'waves'"),
-        (1, "kindx nls", "expected 'kind <value>'"),
-        (2, "sample 5", "expected 'samples <value>'"),
-        (3, "t1 0.0", "expected 't0 <value>'"),
-        (4, "dt 0.125 0.125", "expected 'dt <value>'"),
-        (4, "dt 0", "dt 0.0 must be > 0"),
-        (4, "dt -0.5", "dt -0.5 must be > 0"),
-        (5, "metas 2", "expected 'meta <value>'"),
-        (2, "samples 3", "text after the 3 declared samples"),
+    path.write_bytes(path.read_bytes() + b"\n")
+    with pytest.raises(ValueError, match=r"traj\.npy: 1 bytes follow the four arrays"):
+        read_trajectory(path)
+    for times, error in [
+        ([0.0, 0.5, 0.25, 0.75, 1.0], "time samples must increase"),
+        ([0.0, 0.25, 0.5, 0.75, 1.5], "time samples must be uniformly spaced"),
+        ([0.0, 0.25, 0.5], "do not make a trajectory"),
+        ([[0.0, 0.25, 0.5, 0.75, 1.0]], "do not make a trajectory"),
     ]:
-        bad = lines.copy()
-        bad[index] = line
-        path.write_text("\n".join(bad) + "\n")
-        at = 8 + 3 * 17 + 1 if line == "samples 3" else index + 1
-        with pytest.raises(ValueError, match=rf"traj\.txt, line {at}: {error}"):
+        save_trajectory_arrays(path, np.zeros((5, 16)), [False] * 5, times)
+        with pytest.raises(ValueError, match=rf"traj\.npy: .*{error}"):
             read_trajectory(path)
-    path.write_text("\n".join(lines) + "\n\n  \n")
-    assert len(read_trajectory(path).states) == 5  # trailing blank lines are fine
 
 
 def test_wave_trajectory_file_round_trip(tmp_path):
@@ -510,32 +501,30 @@ def test_wave_trajectory_file_round_trip(tmp_path):
     w0 = rough_wave_state_on(grid, 9, amplitude=0.3)
     states = run_wave(w0, 2.0**-5, 8, QUADRATIC, record_every=2)
     traj = trajectory_of(states, 0.0, 0.25, nonlinearity="quadratic")
-    path = tmp_path / "wave_traj.txt"
+    path = tmp_path / "wave_traj.npy"
     write_trajectory(traj, path)
     back = read_trajectory(path)
     assert back.is_wave
+    assert back.times.tobytes() == traj.times.tobytes()
     assert back.meta == {"nonlinearity": "quadratic"}
     for ours, theirs in zip(traj.states, back.states):
         assert np.array_equal(ours.u.coeffs, theirs.u.coeffs)
         assert np.array_equal(ours.v.coeffs, theirs.v.coeffs)
 
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:20]) + "\n")
-    with pytest.raises(ValueError, match=r"wave_traj\.txt, line 21: unexpected end"):
-        read_trajectory(path)
-    lines[1] = "kind"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"wave_traj\.txt, line 2: "):
+    data = path.read_bytes()
+    path.write_bytes(data[:200])
+    with pytest.raises(ValueError, match=r"wave_traj\.npy: "):
         read_trajectory(path)
 
 
+# numpy drops a str's trailing NULs, an empty key names nothing, and keys that are
+# the same as str would read back as one.
 @pytest.mark.parametrize(
-    "meta", [{"note": "a\nb"}, {"note": "a\rb"}, {"two words": 1}, {"": 1}]
+    "meta", [{"": 1}, {"note": "a\0b"}, {"note": "trailing\0"}, {"a\0b": 1}, {1: "a", "1": "b"}]
 )
 def test_write_trajectory_refuses_meta_it_cannot_read_back(tmp_path, meta):
-    grid = TorusGrid(16)
-    traj = trajectory_of([zero_field(grid)] * 3, 0.0, 1.0, **meta)
-    path = tmp_path / "traj.txt"
+    traj = Trajectory(np.arange(3.0), [zero_field(TorusGrid(16))] * 3, meta)
+    path = tmp_path / "traj.npy"
     with pytest.raises(ValueError, match="cannot be written"):
         write_trajectory(traj, path)
     assert not path.exists()
@@ -548,54 +537,101 @@ def test_read_trajectory_rejects_other_files(tmp_path):
         read_trajectory(path)
 
 
-def _written_lines(traj) -> list[str]:
+def _written_bytes(traj) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/record.txt"
+        path = f"{tmp}/traj.npy"
         write_trajectory(traj, path)
-        with open(path, encoding="ascii") as fh:
-            return fh.read().splitlines()
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
-def _valid_records() -> list[list[str]]:
+@functools.cache
+def _valid_files() -> list[tuple[bytes, list[tuple[int, int, int]]]]:
+    """Field and wave files, each with the (start, header end, data end) of its
+    four arrays."""
     grid = TorusGrid(8)
     w = rough_wave_state_on(grid, 3, amplitude=0.3)
-    return [
-        _written_lines(trajectory_of([w.u, w.v, w.u], 0.0, 1.0, seed=3)),
-        _written_lines(trajectory_of([w, w, w], 0.0, 1.0)),
-    ]
+    u = random_rough_field(RoughDataSpec(theta=1.0, seed=4, amplitude=0.3), grid)
+    files = []
+    for traj in (trajectory_of([w.u, w.v, w.u], 0.0, 1.0, seed=3),
+                 trajectory_of([u, u, u], 0.0, 1.0, scheme="lri"),
+                 trajectory_of([w, w, w], 0.0, 1.0, note="zwei Wörter")):
+        data = _written_bytes(traj)
+        fh, spans = io.BytesIO(data), []
+        for _ in range(4):
+            start = fh.tell()
+            np.load(fh)
+            spans.append((start, start + 10 + int.from_bytes(data[start + 8:start + 10],
+                                                              "little"), fh.tell()))
+        files.append((data, spans))
+    return files
 
 
-_COUNTS = st.sampled_from(["-1", "0", "1", "3", "8", "16", "1000000000000000", "1.5", "x"])
-_FLOATS = st.sampled_from(["0", "0.25", "-0.5", "nan", "inf", "-1e308", "1e308", "x"])
-_LINES = st.one_of(
-    st.builds("field {} {}".format, _COUNTS, st.sampled_from(["0", "1", "2", "x"])),
-    st.sampled_from(["", "field", "wavestate", "trajectory", "kind", "kind nls", "kind wave"]),
-    st.builds("{} {}".format, st.sampled_from(["samples", "t0", "dt", "meta"]),
-              st.one_of(_COUNTS, _FLOATS)),
-    st.builds("{} {}".format, _FLOATS, _FLOATS),
-    st.text(st.sampled_from("0123 .-e\tx\u00e9"), max_size=8),
+_DESCRS = st.sampled_from(["<f8", "|b1", "<c16", "<U3", "<U0", "<U99999999", "|O", "<i8",
+                           ">c16", "<f4", "V16", "", "'"])
+_DIMS = st.lists(st.sampled_from([-1, 0, 1, 2, 3, 5, 8, 9, 10**15, 2**64]), max_size=3)
+_HEADERS = st.one_of(
+    st.builds("{{'descr': '{}', 'fortran_order': {}, 'shape': ({}), }}".format, _DESCRS,
+              st.sampled_from(["False", "True", "0"]),
+              _DIMS.map(lambda d: ", ".join(map(str, d)) + ("," if len(d) == 1 else ""))),
+    st.text(st.sampled_from("{}()[]'\":, 0123456789abdefhioprstU<|#\\\n\0é"), max_size=60),
 )
 
 
-def _spliced(base, cut, inserted, dropped):
-    return base[:cut] + inserted + base[cut + dropped:]
+def _flipped(data: bytes, at: int, mask: int) -> bytes:
+    damaged = bytearray(data)
+    damaged[at] ^= mask
+    return bytes(damaged)
 
 
-# Small headers and records, alone or spliced into a valid record.
-_FILES = st.one_of(
-    st.lists(_LINES, max_size=12),
-    st.builds(_spliced, st.sampled_from(_valid_records()), st.integers(0, 80),
-              st.lists(_LINES, max_size=6), st.integers(0, 80)),
-)
+def _forged(data: bytes, start: int, header_end: int, header: str, length=None) -> bytes:
+    """``data`` with the header of the array at ``start`` replaced, its
+    length field given or true."""
+    raw = header.encode("utf-8")
+    length = len(raw) if length is None else length
+    return data[:start + 8] + length.to_bytes(2, "little") + raw + data[header_end:]
+
+
+@st.composite
+def _damaged_files(draw):
+    """A valid file cut at any offset, with one byte flipped, or with one
+    array's header replaced."""
+    data, spans = draw(st.sampled_from(_valid_files()))
+    how = draw(st.sampled_from(["truncate", "flip", "forge"]))
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    start, header_end, end = draw(st.sampled_from(spans))
+    if how == "flip":  # in the array's header or, as often, in its data
+        at = draw(st.one_of(st.integers(start, header_end - 1), st.integers(header_end, end - 1)))
+        return _flipped(data, at, draw(st.integers(1, 255)))
+    header = draw(_HEADERS)
+    if draw(st.booleans()):  # padded as np.save pads, to the old length
+        header = header.ljust(header_end - start - 11) + "\n"
+    return _forged(data, start, header_end, header,
+                   draw(st.one_of(st.none(), st.integers(0, 2**16 - 1))))
+
+
+def _known_escapes() -> list[bytes]:
+    """Damage that lets other errors out of a reader built on np.load alone:
+    a header numpy's own parser fails to tokenize (tokenize.TokenError), and a
+    meta character past U+10FFFF (SystemError)."""
+    data, spans = _valid_files()[0]
+    start, header_end, _ = spans[0]
+    unclosed = "{'descr': '<f8', 'fortran_order': False, 'shape': (3,), ("
+    return [_forged(data, start, header_end, unclosed), _flipped(data, len(data) - 1, 1)]
 
 
 @settings(max_examples=400)
-@given(lines=_FILES)
-def test_readers_raise_only_value_errors_on_small_malformed_files(lines):
-    """The reader either reads the file or raises a ValueError."""
+@given(data=_damaged_files())
+@example(data=_known_escapes()[0])
+@example(data=_known_escapes()[1])
+def test_reader_raises_only_value_errors_on_damaged_files(data):
+    """The reader either reads the file or raises a ValueError naming it."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/malformed.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with contextlib.suppress(ValueError):
+        path = f"{tmp}/damaged.npy"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
             read_trajectory(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")

@@ -219,10 +219,10 @@ def test_local_error_reference_steps_16_per_sample(equation, monkeypatch, capsys
     assert [(run["tau"], run["steps"]) for run in runs] == [(2.0**-6 / 256, 256)]
 
 
-# Trajectory files of five snapshots of a 16-step run at N = 32.
+# Trajectory files (.npy arrays) of five snapshots of a 16-step run at N = 32.
 TRAJECTORY_EXPECTED = {
-    "nls": "f083c767d375250c02838f2dea40ec407c6b1bd28f8c6b9fb109df7109a85190",
-    "wave": "e36a90b496017f6fc6369a64518dde8a8f5f596585f3d8d906d5d1cffce9e3fb",
+    "nls": "648d8eb94e1c968c3ff3619566af129d1bb1a6c0656904d1809ecf8fc444efd6",
+    "wave": "93212425efc6cc061c1194992987f41b4c23c7ce7bd6b9f30beda11fc2829b7d",
 }
 
 
@@ -237,7 +237,11 @@ def test_trajectory_file_bytes_are_pinned(equation, tmp_path):
         states, scheme = run_wave(rough_wave_state(spec, grid), 2.0**-6, 16,
                                   Nonlinearity.preset("quadratic"),
                                   record_every=4), "corrected_lie"
-    path = tmp_path / "trajectory.txt"
-    write_trajectory(trajectory_of(states, 0.0, 0.25, scheme=scheme), path)
+    traj = trajectory_of(states, 0.0, 0.25, scheme=scheme)
+    path = tmp_path / "trajectory.npy"
+    write_trajectory(traj, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == TRAJECTORY_EXPECTED[equation], f"{equation} trajectory bytes changed"
+    first = path.read_bytes()
+    write_trajectory(traj, path)
+    assert path.read_bytes() == first  # no time stamp or other run-to-run state

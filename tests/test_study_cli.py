@@ -459,6 +459,31 @@ def test_steps_below_every_float_exit_4(argv, capsys):
     assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
+def test_a_reference_of_more_than_2_to_the_40_steps_is_refused():
+    # 8e300 reference steps: the step divides the horizon, so only the
+    # ceiling stops it.
+    with pytest.raises(ConfigError, match=r"more than 2\^40"):
+        StudyConfig("nls", (0.25, 0.125), n_modes=8, ref_factor=10**300)
+
+
+# Runs that would never end.  No run may start: a started one fails at once.
+@pytest.mark.parametrize("argv", [
+    "diagnose-strichartz --tau-ref 2^-1000",
+    "nls-converge --taus 2^-4..2^-70",
+    "local-error-check --equation nls --quad-order 1000000000000",
+], ids=["diagnose", "converge", "local-error"])
+def test_runs_of_more_than_2_to_the_40_steps_exit_4(argv, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(study_cli, "_run_scheme", no_run)
+    assert main(argv.split()) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "more than 2^40" in err
+
+
 # --- the Strang comparator -----------------------------------------------------------
 
 

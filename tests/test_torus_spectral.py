@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lowreg
-from conftest import banded_coeffs, hermitian_coeffs, mode_field, rough_field_on, seeds
+from conftest import (
+    banded_coeffs, hermitian_coeffs, mode_field, rough_field_on, save_trajectory_arrays, seeds,
+)
 from lowreg import (
     BlowUpError,
     Nonlinearity,
@@ -47,6 +49,7 @@ from lowreg.torus_spectral import (
     full_spectrum,
     half_spectrum,
     rough_wave_state,
+    steps_for,
     unit_uniform,
 )
 from lowreg.wave_integrators import _wave_snapshots
@@ -804,60 +807,70 @@ def test_embedding_preserves_shared_node_values(grid32):
 # --- serialization -------------------------------------------------------------
 
 
-# The field and wave-state records are read only as trajectory samples.  A
-# trajectory header of three NLS samples, whose first record is the one under test.
-TRAJECTORY_HEADER = ["trajectory", "kind nls", "samples 3", "t0 0.0", "dt 1.0", "meta 0"]
+# Fields and wave states are written only as trajectory samples: a file of four
+# .npy arrays, the times, the realness flags, the coefficients and the meta.
+def load_arrays(path):
+    with open(path, "rb") as fh:
+        return [np.load(fh) for _ in range(4)]
 
 
 def test_field_file_round_trip(tmp_path, grid32):
     f = rough_field_on(grid32, 21)
-    path = tmp_path / "field.txt"
+    path = tmp_path / "field.npy"
     write_trajectory(trajectory_of([f, f, f], 0.0, 1.0), path)
     g = read_trajectory(path).states[0]
     assert g.grid.n_modes == 32
     assert g.is_real == f.is_real
     assert np.array_equal(g.coeffs, f.coeffs)
 
-    # Six header lines, then the first field record.
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:16]) + "\n")
-    with pytest.raises(ValueError, match=r"field\.txt, line 17: unexpected end of file"):
+    times, real, coeffs, meta = load_arrays(path)
+    assert coeffs.shape == (3, 32) and np.array_equal(coeffs[0], f.coeffs)
+    assert real.tolist() == [False] * 3 and meta.shape == (0, 2)
+
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match=r"field\.npy: unexpected array header"):
         read_trajectory(path)
-    for index, line, error in [
-        (6, "field 32", "malformed field header"),
-        (6, "field 32 7", "malformed field header"),
-        (11, "0.5", "not enough values to unpack"),
+    for coeffs_, real_, error in [
+        (coeffs, [False, False], "do not make a trajectory"),
+        (coeffs[:, :24], real, "n_modes must be a power of two"),
+        (coeffs, [True, False, False], "Hermitian symmetry"),
+        (coeffs, np.array([2, 0, 0], dtype=np.uint8).view(bool), "neither 0 nor 1"),
     ]:
-        bad = lines.copy()
-        bad[index] = line
-        path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match=rf"field\.txt, line {index + 1}: {error}"):
+        save_trajectory_arrays(path, coeffs_, real_)
+        with pytest.raises(ValueError, match=rf"field\.npy: .*{error}"):
             read_trajectory(path)
 
 
 def test_field_reader_does_not_trust_the_header_size(tmp_path):
-    # Building the array from the header's N would ask for petabytes here.
-    path = tmp_path / "traj.txt"
-    path.write_text("\n".join([*TRAJECTORY_HEADER, "field 1000000000000000 0", "0.5 0.0"]) + "\n")
-    with pytest.raises(ValueError, match=r"traj\.txt, line 9: unexpected end of file"):
+    # Loading the coefficients this header declares would take 16 petabytes.
+    path = tmp_path / "traj.npy"
+    save_trajectory_arrays(path, np.zeros((3, 8)), [False] * 3)
+    old, new = b"'shape': (3, 8), }", b"'shape': (1000000000000000,), }"
+    data = path.read_bytes()
+    path.write_bytes(data.replace(old + b" " * (len(new) - len(old)), new))
+    assert path.stat().st_size == len(data)
+    with pytest.raises(ValueError, match=r"traj\.npy: .*declares shape \(1000000000000000,\) and "
+                       r"16000000000000000 bytes"):
         read_trajectory(path)
 
 
 def test_field_reader_refuses_an_overflowing_real_record(tmp_path):
-    # k = -4..3: 1e308 at k = 1 with no partner at k = -1, and i at k = 2.
-    records = ["0 0"] * 5 + ["1e308 0", "0 1", "0 0"]
-    path = tmp_path / "traj.txt"
-    path.write_text("\n".join([*TRAJECTORY_HEADER, "field 8 1", *records]) + "\n")
-    with pytest.raises(ValueError, match=r"traj\.txt, line 15: .*Hermitian symmetry"):
+    # 1e308 at k = 1 with no partner at k = -1, and i at k = 2.
+    c = np.zeros(8, dtype=np.complex128)
+    c[1], c[2] = 1e308, 1j
+    path = tmp_path / "traj.npy"
+    save_trajectory_arrays(path, [c, c, c], [True] * 3)
+    with pytest.raises(ValueError, match=r"traj\.npy: .*Hermitian symmetry"):
         read_trajectory(path)
 
 
 def test_field_reader_refuses_a_real_record_with_a_nan_defect(tmp_path):
-    # k = -4..3: inf at k = 1 with no partner at k = -1, and i at k = 2.
-    records = ["0 0"] * 5 + ["inf 0", "0 1", "0 0"]
-    path = tmp_path / "traj.txt"
-    path.write_text("\n".join([*TRAJECTORY_HEADER, "field 8 1", *records]) + "\n")
-    with pytest.raises(ValueError, match=r"traj\.txt, line 15: .*Hermitian symmetry.*nan"):
+    # inf at k = 1 with no partner at k = -1, and i at k = 2.
+    c = np.zeros(8, dtype=np.complex128)
+    c[1], c[2] = np.inf, 1j
+    path = tmp_path / "traj.npy"
+    save_trajectory_arrays(path, [c, c, c], [True] * 3)
+    with pytest.raises(ValueError, match=r"traj\.npy: .*Hermitian symmetry.*nan"):
         read_trajectory(path)
 
 
@@ -866,30 +879,40 @@ def test_wave_state_file_round_trip(tmp_path, grid32):
         rough_field_on(grid32, 4, real_valued=True),
         rough_field_on(grid32, 5, theta=0.0, real_valued=True),
     )
-    path = tmp_path / "state.txt"
+    path = tmp_path / "state.npy"
     write_trajectory(trajectory_of([w, w, w], 0.0, 1.0), path)
     back = read_trajectory(path).states[0]
     assert np.array_equal(back.u.coeffs, w.u.coeffs)
     assert np.array_equal(back.v.coeffs, w.v.coeffs)
 
-    # Six header lines, then the first wave-state record.
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:46]) + "\n")
-    with pytest.raises(ValueError, match=r"state\.txt, line 47: unexpected end of file"):
+    # The coefficients are the stored half-spectrum pairs, shape (3, 2, N/2 + 1).
+    times, real, coeffs, meta = load_arrays(path)
+    assert coeffs.shape == (3, 2, 17) and np.array_equal(coeffs[0], _half_pair(w))
+    assert real.all()
+
+    path.write_bytes(path.read_bytes()[:1024])
+    with pytest.raises(ValueError, match=r"state\.npy: the array at byte \d+ declares"):
         read_trajectory(path)
-    for index, line, error in [
-        (6, "wavestates", "malformed wave state header"),
-        (7, "field 32 7", "malformed field header"),
-        (41, "1.0 2.0 3.0", "too many values to unpack"),
-    ]:
-        bad = lines.copy()
-        bad[index] = line
-        path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match=rf"state\.txt, line {index + 1}: {error}"):
+    # _full_pair would zero an imaginary part at k = 0 or N/2 without a word.
+    for k in (0, 16):
+        forged = coeffs.copy()
+        forged[1, 0, k] += 1e-300j
+        save_trajectory_arrays(path, forged, real)
+        with pytest.raises(ValueError, match=r"state\.npy: .*k = 0 or N/2 entry is not real"):
+            read_trajectory(path)
+    for coeffs_, real_ in [(coeffs[:, :1], real), (coeffs, [True, False, True])]:
+        save_trajectory_arrays(path, coeffs_, real_)
+        with pytest.raises(ValueError, match=r"state\.npy: a wave state is a real \(u, v\) pair"):
             read_trajectory(path)
 
 
 # --- the evolve loop -------------------------------------------------------------
+
+
+def test_steps_for_refuses_more_than_2_to_the_40_steps():
+    assert steps_for(1.0, 2.0**-40) == 2**40
+    with pytest.raises(ValueError, match=r"more than 2\^40"):
+        steps_for(1.0, 2.0**-41)
 
 
 @pytest.mark.parametrize("equation, step", [("nls", 3), ("wave", 23)], ids=["nls", "wave"])
