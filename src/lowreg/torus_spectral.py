@@ -47,12 +47,14 @@ class BlowUpError(RuntimeError):
     """Raised when an evolved state exceeds the configured growth guard."""
 
 
-def sin_over(y: np.ndarray) -> np.ndarray:
-    """sin(y)/y, with the cubic Taylor polynomial below |y| < 1e-4."""
+def sin_over(y: np.ndarray, sin_y: np.ndarray | None = None) -> np.ndarray:
+    """sin(y)/y, with the cubic Taylor polynomial below |y| < 1e-4; a caller
+    that has ``np.sin(y)`` already passes it as ``sin_y``."""
     y = np.asarray(y, dtype=np.float64)
     small = np.abs(y) < 1e-4
     safe = np.where(small, 1.0, y)
-    return np.where(small, 1.0 - y * y / 6.0, np.sin(safe) / safe)
+    sin_y = np.sin(safe) if sin_y is None else sin_y
+    return np.where(small, 1.0 - y * y / 6.0, sin_y / safe)
 
 
 def series_mask(y: np.ndarray, branch: str | None, radius: float) -> np.ndarray:
@@ -306,8 +308,8 @@ def pad_coeffs(c: np.ndarray, m: int) -> np.ndarray:
 
 
 def truncate_coeffs(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Restrict FFT-order coefficients (along the last axis) to n modes,
-    folding the +-N/2 pair, into ``out`` when given, else into a fresh array.
+    """Restrict FFT-order coefficients to n modes, fewer than their last axis
+    holds, folding the +-N/2 pair, into ``out`` when given, else a fresh array.
 
     Folding reproduces exactly what sampling the underlying function on the
     n-point grid does to the two Nyquist-conjugate modes, so truncation of a
@@ -316,9 +318,6 @@ def truncate_coeffs(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.
     m = c.shape[-1]
     if out is None:
         out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
-    if m == n:
-        out[...] = c
-        return out
     h = n // 2
     out[..., :h] = c[..., :h]
     out[..., h:] = c[..., m - h :]

@@ -120,7 +120,8 @@ def _flow_table(grid: TorusGrid, t: float):
     The Nyquist slot holds k = -N/2, as ``grid.freqs`` does."""
     k = grid.freqs[: grid.nyquist_index + 1].astype(np.float64)
     kt = k * t
-    return np.cos(kt), np.stack([t * sin_over(kt), -k * np.sin(kt)])
+    sin_kt = np.sin(kt)
+    return np.cos(kt), np.stack([t * sin_over(kt, sin_kt), -k * sin_kt])
 
 
 def phi2_entry_r(y: np.ndarray, branch: str | None = None) -> np.ndarray:

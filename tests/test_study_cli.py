@@ -6,7 +6,6 @@ import io
 import json
 import os
 import pathlib
-import runpy
 import shlex
 import subprocess
 import sys
@@ -234,12 +233,19 @@ def test_readme_commands_parse():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         commands = [line.split()[1:] for line in fh if line.startswith("lowreg ")]
-    assert len(commands) == 6  # every subcommand, local-error-check once per equation
+    # The six of "Command line" (every subcommand, local-error-check once per
+    # equation), then the five ready-made studies.
+    assert len(commands) == 11
     parsed = [build_parser().parse_args(argv) for argv in commands]
-    assert [(a.equation, a.tau) for a in parsed if a.command == "local-error-check"] == [
-        ("wave", 2.0**-6), ("nls", 2.0**-6)]
-    nls = next(a for a in parsed if a.command == "nls-converge")
-    assert parse_taus(nls.taus)[-1] == 2.0**-10
+    assert [(a.equation, a.tau, a.quad_order) for a in parsed
+            if a.command == "local-error-check"] == [
+        ("wave", 2.0**-6, 64), ("nls", 2.0**-6, 64), ("wave", 2.0**-6, 16)]
+    assert [parse_taus(a.taus)[-1] for a in parsed if a.command == "nls-converge"] == [
+        2.0**-10, 2.0**-10]
+    assert [a.scheme for a in parsed if a.command == "wave-converge"] == [
+        "corrected_lie,lie", "corrected_lie,lie"]
+    assert [(a.modes, a.samples, a.tau_ref, a.refine) for a in parsed[-3:-1]] == [
+        (128, 64, 2.0**-10, True)] * 2
 
 
 def test_parse_norm_forms():
@@ -842,16 +848,9 @@ def test_cli_reports_the_blowup_of_the_first_listed_scheme(schemes, capsys):
 # --- command line ------------------------------------------------------------------
 
 
-WAVE_ORDER = pathlib.Path(__file__).parent.parent / "scripts" / "wave_order_study.py"
-
-
-def run_wave_order_script(argv, monkeypatch, capsys):
-    """Exit code, stdout and stderr of the comparator script run in this
-    process."""
-    monkeypatch.setattr(sys, "argv", [str(WAVE_ORDER), *argv])
-    with pytest.raises(SystemExit) as done:
-        runpy.run_path(str(WAVE_ORDER), run_name="__main__")
-    return done.value.code, *capsys.readouterr()
+# The paper's corrected-versus-plain wave study, as README gives it.
+SCHEME_PAIR = ["wave-converge", "--scheme", "corrected_lie,lie", "--cross-val-tol", "1e-4",
+               "--no-spatial-check"]
 
 
 def printed_orders(out) -> dict:
@@ -866,9 +865,9 @@ def printed_orders(out) -> dict:
     return orders
 
 
-def test_wave_order_script_reports_the_orders_of_two_direct_studies(monkeypatch, capsys):
-    code, out, _ = run_wave_order_script(["--modes", "32", "--ref-factor", "16"],
-                                         monkeypatch, capsys)
+def test_scheme_pair_reports_the_orders_of_two_direct_studies(capsys):
+    code = main([*SCHEME_PAIR, "--modes", "32", "--ref-factor", "16"])
+    out = capsys.readouterr().out
     assert code == 0
     orders = printed_orders(out)
     assert list(orders) == ["corrected_lie", "lie"]
@@ -883,24 +882,19 @@ def test_wave_order_script_reports_the_orders_of_two_direct_studies(monkeypatch,
 
 
 @pytest.mark.parametrize("argv", ["--theta nan", "--nonlinearity bogus"])
-def test_wave_order_script_bad_input_exits_4_without_a_traceback(argv):
-    src = os.path.dirname(os.path.dirname(lowreg.__file__))
-    done = subprocess.run(
-        [sys.executable, str(WAVE_ORDER), *argv.split()], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src), timeout=120,
-    )
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("configuration error: ")
-    assert done.stderr.count("\n") == 1
+def test_scheme_pair_bad_input_exits_4_without_a_traceback(argv, capsys):
+    assert main([*SCHEME_PAIR, *argv.split()]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
 
 
-def test_wave_order_script_refuses_an_output_file_that_is_a_directory(
-    tmp_path, monkeypatch, capsys
-):
+def test_scheme_pair_refuses_an_output_file_that_is_a_directory(tmp_path, capsys):
     (tmp_path / "study-lie.json").mkdir()
-    code, out, err = run_wave_order_script(["--modes", "32", "--out", str(tmp_path / "study")],
-                                           monkeypatch, capsys)
+    code = main([*SCHEME_PAIR, "--modes", "32", "--out", str(tmp_path / "study")])
+    out, err = capsys.readouterr()
     assert code == 4
     taken = tmp_path / "study-lie.json"
     assert err == f"configuration error: output file {taken} is a directory\n"
@@ -1055,11 +1049,12 @@ def test_cli_refuses_an_output_name_too_long_for_its_directory_before_solving(
 # import of a private name, or a read of a private attribute of lowreg or of
 # a name imported from it.
 PRIVATE_USES = ["step_timing.py: study_cli._sweeps"]
+STEP_TIMING = pathlib.Path(__file__).parent.parent / "scripts" / "step_timing.py"
 
 
 def test_no_script_imports_a_private_package_name():
-    scripts = sorted((pathlib.Path(__file__).parent.parent / "scripts").glob("*.py"))
-    assert WAVE_ORDER in scripts
+    scripts = sorted(STEP_TIMING.parent.glob("*.py"))
+    assert STEP_TIMING in scripts
     private = []
     for path in scripts:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -1089,8 +1084,7 @@ def test_no_script_imports_a_private_package_name():
 # step_timing.py builds its cases on the private study_cli._sweeps: run every
 # case once, small, so that a change there fails here.
 def test_step_timing_runs_every_case(monkeypatch, capsys):
-    path = WAVE_ORDER.parent / "step_timing.py"
-    spec = importlib.util.spec_from_file_location("step_timing", path)
+    spec = importlib.util.spec_from_file_location("step_timing", STEP_TIMING)
     timing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(timing)
     for name, value in [("STEPS", 4), ("CALLS", 2), ("REPEATS", 1), ("MODES", (16,)),

@@ -29,7 +29,7 @@ from lowreg import (
     wave_state_norm,
     zero_field,
 )
-from lowreg.torus_spectral import half_spectrum
+from lowreg.torus_spectral import half_spectrum, sin_over
 from lowreg.wave_integrators import _WaveWork, _flow_table, _phi2_table
 from oracles import (
     corrected_lie_zero_mode,
@@ -128,6 +128,19 @@ def test_flow_group_law(seed, s, t):
     one = wave_flow(wave_flow(w, s), t)
     both = wave_flow(w, s + t)
     assert state_gap(one, both) <= 1e-12 * max(wave_state_norm(w), 1.0)
+
+
+# t = 0 and 1e-6 put every |kt| below 1e-4, on the sin_over series; 2^-14
+# does so for the lowest modes only; k = 0 takes it at every t.
+@pytest.mark.parametrize("t", [0.0, 1e-6, 2.0**-14, 1.3, 2 * np.pi * 7 / 1024])
+def test_flow_table_takes_one_sine_bit_for_bit(t):
+    grid = TorusGrid(256)
+    k = grid.freqs[: grid.nyquist_index + 1].astype(np.float64)
+    kt = k * t
+    diag, off = _flow_table(grid, t)
+    assert diag.tobytes() == np.cos(kt).tobytes()
+    assert off[0].tobytes() == (t * sin_over(kt)).tobytes()
+    assert off[1].tobytes() == (-k * np.sin(kt)).tobytes()
 
 
 # --- phi2 --------------------------------------------------------------------
