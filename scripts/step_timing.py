@@ -6,15 +6,16 @@ one process, for the NLS schemes (``lri``, ``lie``) and the wave schemes
 (``corrected``, ``plain``), each advanced through ``run_nls`` / ``run_wave``
 without snapshots, so a step includes its growth guard.  Next to each
 scheme's step at N = 1024 it prints the step of a max-over-steps sweep
-(``study_cli._sweeps`` with ``every_step``): the same run, paused at every
-step for an error against the reference snapshot of that step, and its cost
-as a multiple of the plain step.  The reference snapshots are a recorded run
-of the equation's other scheme, handed to the sweep one by one as a study's
-reference pass hands them.  Then prints the cost of one values-plus-coeffs
-call pair of the complex (``PaddedPair``) and the real (``RealPaddedPair``)
-workspace for 1, 2 and 3 rows, and of one ``wave_flow`` plus one
-``null_form_field`` call at N = 256 and 1024: the benchmark's closed-form
-null-form check makes 2,050 such call pairs at N = 256.  Last, the cost of
+(``study_cli._sweeps`` on a ``max_over_steps`` config): the same run, paused
+at every step for an error against the reference snapshot of that step, and
+its cost as a multiple of the plain step.  The reference snapshots are a
+recorded run of the equation's other scheme, handed to the sweep one by one
+as a study's reference pass hands them.  Then prints the cost of one
+values-plus-coeffs call pair of the complex (``PaddedPair``) and the real
+(``RealPaddedPair``) workspace for 1, 2 and 3 rows, and of one
+``wave_flow`` plus one ``null_form_field`` call at N = 256 and 1024: the
+benchmark's closed-form null-form check makes 2,050 such call pairs at
+N = 256.  Last, the cost of
 one ``wave_state_norm`` call at N = 256 and 1024, the study norm of every
 wave error.  All cases of one repeat run back to back before the next
 repeat starts, so a change in the machine's speed touches every case alike.
@@ -39,6 +40,7 @@ from lowreg import (
     null_form_field,
     run_nls,
     run_wave,
+    sobolev_norm,
     study_cli,
     torus_spectral,
     wave_flow,
@@ -82,12 +84,14 @@ def sweep_case(scheme, n):
     equation, study_scheme, other = STUDY[scheme]
     ref = step_case(other, n, record_every=1)()
     config = study_cli.StudyConfig(equation, (TAU,), scheme=study_scheme, n_modes=n,
-                                   t_end=STEPS * TAU)
-    term = 1 if equation == "nls" else Nonlinearity.preset("quadratic")
+                                   t_end=STEPS * TAU, max_over_steps=True)
+    if equation == "nls":
+        term, norm = 1, lambda u: sobolev_norm(u, 0.0)
+    else:
+        term, norm = Nonlinearity.preset("quadratic"), wave_state_norm
 
     def run():
-        compare, _ = study_cli._sweeps("sweep", config, ref[0], term, (TAU,), 0.0, STEPS,
-                                       every_step=True)
+        compare, _ = study_cli._sweeps(config, ref[0], term, STEPS, norm)
         for i, state in enumerate(ref):
             compare(i, state)
 

@@ -282,31 +282,20 @@ def _terminal(run):
     return state
 
 
-def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1,
-                   compare=lambda i, ref: None):
-    """Reference pass at tau_ref, cross-validated against Strang splitting.
-
-    Its n_out + 1 snapshots go to ``compare`` (see ``_sweeps``), the last
-    once the reference is validated; the reference run and its stepper are
-    gone before the comparator starts.  The comparator is second order and
-    shares neither the phi1 filter nor the phi2 correction with the
+def _validation(initial, term, t_end, tau_ref, terminal, norm_fn, tol) -> dict:
+    """The record of the reference's ``terminal`` state at tau_ref, checked
+    against Strang splitting; raises ``ValidationError`` unless the terminal
+    distance is at most the absolute ``tol``.  The comparator is second order
+    and shares neither the phi1 filter nor the phi2 correction with the
     reference, so it runs at factor * tau_ref with factor = gcd(n_steps, 4):
-    a quarter of the reference's steps whenever 4 divides them.  Returns the
-    terminal reference state and the validation record; raises
-    ``ValidationError`` unless the terminal distance is at most the absolute
-    ``tol``.
+    a quarter of the reference's steps whenever 4 divides them.
     """
-    canonical = _reference_scheme(initial)
-    run = _run_scheme("reference", initial, canonical, term, tau_ref, t_end, n_out)
-    for i, (_, terminal) in enumerate(run):
-        if i < n_out:
-            compare(i, terminal)
     factor = math.gcd(steps_for(t_end, tau_ref), 4)
     comp = _terminal(_run_scheme("comparator", initial, "strang", term, factor * tau_ref, t_end))
     distance = norm_fn(difference(terminal, comp))
     record = {
         "tau_ref": tau_ref,
-        "reference_scheme": canonical,
+        "reference_scheme": _reference_scheme(initial),
         "comparator_scheme": "strang",
         "comparator_tau": factor * tau_ref,
         "distance": distance,
@@ -320,25 +309,24 @@ def _reference_run(initial, term, t_end, tau_ref, norm_fn, tol, n_out=1,
             f"{distance:.3e} exceeds tolerance {tol:.3e} at tau_ref={tau_ref:g}",
             record,
         )
-    compare(n_out, terminal)
-    return terminal, record
+    return record
 
 
-def _sweeps(phase, config: StudyConfig, initial, term, taus, r: float, n_ref: int,
-            every_step=False):
-    """Paused runs of ``config.scheme`` at each step in ``taus``, driven by
-    ``compare(i, ref)`` with each of n_ref + 1 equispaced reference snapshots
-    in turn: each run due there steps to its time and is compared.  Returns
-    ``compare`` and the list it fills with the errors in the study norm, each
-    ``norm(difference(state, ref))``, the largest over every step when
-    ``every_step``, else the terminal one, or a run's ``BlowUpError`` for ``_settled``."""
-    n_outs = [steps_for(config.t_end, tau) if every_step else 1 for tau in taus]
-    runs = [None] * len(taus)
-    errors = [None] * len(taus)
-    norm = _norm_fn(initial, r)
+def _sweeps(config: StudyConfig, initial, term, n_ref: int, norm):
+    """Paused runs of ``config.scheme`` at each step of ``config.tau_list``,
+    driven by ``compare(i, ref)`` with each of n_ref + 1 equispaced reference
+    snapshots in turn: each run due there steps to its time and is compared.
+    Returns ``compare`` and the list it fills with the errors
+    ``norm(difference(state, ref))``, the largest over every step under
+    ``config.max_over_steps``, else the terminal one, or a run's
+    ``BlowUpError`` for ``_settled``."""
+    n_outs = [steps_for(config.t_end, tau) if config.max_over_steps else 1
+              for tau in config.tau_list]
+    runs = [None] * len(n_outs)
+    errors = [None] * len(n_outs)
 
     def compare(i, ref):
-        for k, tau in enumerate(taus):
+        for k, tau in enumerate(config.tau_list):
             # Run k's snapshot m is at the time of reference snapshot
             # m * n_ref / n_outs[k]; its first, the initial state, is skipped.
             if not i or i * n_outs[k] % n_ref or isinstance(errors[k], BlowUpError):
@@ -347,7 +335,7 @@ def _sweeps(phase, config: StudyConfig, initial, term, taus, r: float, n_ref: in
             # terminal study holds one run at a time.
             try:
                 if runs[k] is None:
-                    runs[k] = _run_scheme(phase.format(tau), initial, config.scheme, term,
+                    runs[k] = _run_scheme(f"sweep tau={tau:g}", initial, config.scheme, term,
                                           tau, config.t_end, n_outs[k])
                     next(runs[k])
                 state = next(runs[k])[1]
@@ -371,7 +359,7 @@ def _settled(errors) -> list[float]:
     return [float(e) for e in errors]
 
 
-def _spatial_check(config: StudyConfig, term, r, minis):
+def _spatial_check(config: StudyConfig, term, norm, minis):
     """Error at the largest step, recomputed at N and 2N from the same datum.
 
     Both errors use a dedicated mini-reference at tau_max/max(ref_factor, 256)
@@ -389,7 +377,7 @@ def _spatial_check(config: StudyConfig, term, r, minis):
                 tau_c / max(config.ref_factor, 256), config.t_end))
             minis[k] = start, terminal
         run = _run_scheme("spatial check", start, config.scheme, term, tau_c, config.t_end)
-        found.append(_norm_fn(start, r)(difference(_terminal(run), terminal)))
+        found.append(norm(difference(_terminal(run), terminal)))
     e_base, e_fine = found
     change = abs(e_fine - e_base) / max(e_base, 1e-300)
     return bool(change < 0.01), float(change)
@@ -399,8 +387,9 @@ def _studies(configs: Sequence[StudyConfig]):
     """Studies of each scheme in ``configs`` on one datum, as a generator of
     their reports in config order, each written before it is yielded.
 
-    One reference pass, with its comparator, drives the sweeps of every
-    scheme in turn.  The configs may differ only in scheme, output path and
+    One reference pass drives the sweeps of every scheme in turn; its
+    terminal state goes to them once the run has ended and ``_validation``
+    has passed it.  The configs may differ only in scheme, output path and
     spatial check, and name each scheme at most once.  A validation failure
     outranks every sweep blow-up, and each scheme's blow-up is raised after
     the reports of the schemes before it.
@@ -422,21 +411,23 @@ def _studies(configs: Sequence[StudyConfig]):
         theta=first.theta, seed=first.seed, delta=first.delta, amplitude=first.amplitude,
     ))
     term = Nonlinearity.preset(first.nonlinearity) if first.equation == "wave" else first.mu
-    r = first.norm_r if first.error_norm == "Hr" else 0.0
-    norm_fn = _norm_fn(initial, r)
+    norm_fn = _norm_fn(initial, first.norm_r if first.error_norm == "Hr" else 0.0)
+    initial_norm = norm_fn(initial)
+    if not math.isfinite(initial_norm):
+        raise ConfigError(f"the datum's {first.norm_label} norm is {initial_norm}, not finite")
     tau_ref = first.tau_list[-1] / first.ref_factor
     n_ref = steps_for(first.t_end, first.tau_list[-1]) if first.max_over_steps else 1
-    sweeps = [_sweeps("sweep tau={:g}", config, initial, term, config.tau_list, r, n_ref,
-                      config.max_over_steps) for config in configs]
-
-    def compare(i, ref):
-        for each, _ in sweeps:
-            each(i, ref)
-
-    ref_terminal, validation = _reference_run(
-        initial, term, first.t_end, tau_ref, norm_fn,
-        first.cross_val_tol * norm_fn(initial), n_ref, compare,
-    )
+    sweeps = [_sweeps(config, initial, term, n_ref, norm_fn) for config in configs]
+    run = _run_scheme("reference", initial, _reference_scheme(initial), term, tau_ref,
+                      first.t_end, n_ref)
+    for i, (_, ref_terminal) in enumerate(run):
+        if i < n_ref:
+            for compare, _ in sweeps:
+                compare(i, ref_terminal)
+    validation = _validation(initial, term, first.t_end, tau_ref, ref_terminal, norm_fn,
+                             first.cross_val_tol * initial_norm)
+    for compare, _ in sweeps:
+        compare(n_ref, ref_terminal)
     # The spatial check's mini-references; the reference's terminal state is
     # kept only where it stands in bit for bit for the N-grid one (at tau_ref).
     tau_mini = first.tau_list[0] / max(first.ref_factor, 256)
@@ -451,7 +442,8 @@ def _studies(configs: Sequence[StudyConfig]):
         errors = _settled(errors)
         usable = sum(FIT_FLOOR <= e <= FIT_CEILING for e in errors)
         fit = fit_rate(list(zip(config.tau_list, errors))) if usable >= 4 else (None, None)
-        spatial = _spatial_check(config, term, r, minis) if config.spatial_check else (None, None)
+        spatial = (_spatial_check(config, term, norm_fn, minis) if config.spatial_check
+                   else (None, None))
         report = ConvergenceReport(
             equation=config.equation, scheme=config.scheme, seed=config.seed,
             norm_label=config.norm_label, taus=list(config.tau_list), errors=errors,
@@ -477,16 +469,19 @@ def _report_files(stem: str | None) -> list[str]:
 
 
 def _atomic_write(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    """Write through a temporary file that never outlives the call; an
+    ``OSError`` is the ``ConfigError`` of an output that cannot be written."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".report-")
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def emit_report(report: ConvergenceReport, format: str, path: str) -> str:
@@ -535,14 +530,16 @@ def _input_errors():
 
 def _require_out_dir(*paths: str | None) -> None:
     """Refuse, before any solve runs, an output file that is a directory,
-    whose directory is missing or whose name is longer than that directory
-    allows; an unset path writes nothing."""
+    whose directory is missing or not writable, or whose name is longer than
+    that directory allows; an unset path writes nothing."""
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise ConfigError(f"output file {path} is a directory")
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise ConfigError(f"output directory of {path} does not exist")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise ConfigError(f"output directory of {path} is not writable")
         name_max = os.pathconf(directory, "PC_NAME_MAX")
         if 0 < name_max < len(os.fsencode(os.path.basename(path))):
             raise ConfigError(f"output file name {os.path.basename(path)[:16]}... is longer "
@@ -876,9 +873,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(action: Callable[[], object]) -> int:
-    """0 once ``action()`` returns; for a typed failure, one stderr line and its exit code."""
+    """0 once ``action()`` returns; for a typed failure, one stderr line and its
+    exit code.  numpy's overflow and invalid-value warnings are silenced: the
+    growth guard and the study-norm check report an overflow in one line."""
     try:
-        action()
+        with np.errstate(over="ignore", invalid="ignore"):
+            action()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4

@@ -96,9 +96,16 @@ def evolve(state, step, size, n_steps, record_every) -> Iterator[tuple[int, np.n
     divergence from ever reaching floating overflow.  It yields ``(j, state)``,
     the array after step j, at each snapshot: the initial state (j = 0) and
     every ``record_every``-th one, or just the terminal state when
-    ``record_every`` is unset.  The array may be the stepper's own buffer,
-    overwritten by a later step: the paused runs hand out a copy as a state.
+    ``record_every`` is None or 0.  A negative ``n_steps``, or a stride that
+    is negative or does not divide ``n_steps``, raises ``ValueError``.  The
+    array may be the stepper's own buffer, overwritten by a later step: the
+    paused runs hand out a copy as a state.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if record_every and (record_every < 0 or n_steps % record_every):
+        raise ValueError(f"record_every {record_every} is not a positive divisor of "
+                         f"n_steps {n_steps}")
     if not np.all(np.isfinite(state.view(np.float64))):
         raise BlowUpError("non-finite coefficients in stepper input")
     guard = BLOWUP_FACTOR * max(size(state), 1e-300)

@@ -113,7 +113,7 @@ def watch_runs(monkeypatch):
     return runs, events
 
 
-def test_spatial_check_reuses_the_reference_run(monkeypatch):
+def test_spatial_check_reuses_the_reference_terminal_state(monkeypatch):
     runs, _ = watch_runs(monkeypatch)
     run_convergence_study(StudyConfig(output_path=None, **CONFIGS["nls_reuse"]))
     runs = [(run["n"], run["tau"]) for run in runs]

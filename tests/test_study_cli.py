@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -50,11 +51,13 @@ from lowreg import study_cli
 from lowreg.study_cli import (
     _datum,
     _norm_fn,
-    _reference_run,
+    _reference_scheme,
     _run_scheme,
     _studies,
     _study_configs_from_args,
     _sweeps,
+    _terminal,
+    _validation,
     build_parser,
     parse_norm,
     parse_taus,
@@ -376,12 +379,14 @@ def test_config_files_and_flags_fail_only_as_config_or_value_errors(
 
 
 def cross_validate(initial, term, t_end, tau_ref, tol=None):
-    """The validation record of a reference pass at tau_ref; the absolute
+    """The validation record of a reference run at tau_ref; the absolute
     tolerance defaults to 1e-6 of the initial norm."""
     norm_fn = _norm_fn(initial)
     if tol is None:
         tol = 1e-6 * norm_fn(initial)
-    return _reference_run(initial, term, t_end, tau_ref, norm_fn, tol)[1]
+    terminal = _terminal(_run_scheme("reference", initial, _reference_scheme(initial), term,
+                                     tau_ref, t_end))
+    return _validation(initial, term, t_end, tau_ref, terminal, norm_fn, tol)
 
 
 def test_cross_validation_passes_on_the_linear_wave():
@@ -601,7 +606,8 @@ def test_max_over_steps_error_peaks_where_the_reference_is_off(equation):
     assert peak > 0.0
 
     def errors(every_step):
-        compare, found = _sweeps("sweep", config, initial, term, (tau,), 0.0, 8, every_step)
+        compare, found = _sweeps(dataclasses.replace(config, max_over_steps=every_step),
+                                 initial, term, 8, _norm_fn(initial))
         for i, state in enumerate(ref):
             compare(i, state)
         return found
@@ -651,13 +657,12 @@ def test_certification_margin_is_the_smallest_error_over_the_distance(tmp_path):
 
 
 def test_certification_margin_is_null_when_the_distance_is_zero(monkeypatch):
-    real = study_cli._reference_run
+    real = study_cli._validation
 
     def exact_comparator(*args, **kwargs):
-        states, record = real(*args, **kwargs)
-        return states, dict(record, distance=0.0)
+        return dict(real(*args, **kwargs), distance=0.0)
 
-    monkeypatch.setattr(study_cli, "_reference_run", exact_comparator)
+    monkeypatch.setattr(study_cli, "_validation", exact_comparator)
     report = run_convergence_study(tiny_nls_config())
     assert report.validation["certification_margin"] is None
 
@@ -794,10 +799,12 @@ class ReachedTheReference(Exception):
 def test_one_reference_pass_refuses_configs_that_differ_in_more_than_the_scheme(
     change, monkeypatch
 ):
-    def reached(*args, **kwargs):
-        raise ReachedTheReference
+    def reached(phase, *args, _run_scheme=study_cli._run_scheme):
+        if phase == "reference":
+            raise ReachedTheReference
+        return _run_scheme(phase, *args)
 
-    monkeypatch.setattr(study_cli, "_reference_run", reached)
+    monkeypatch.setattr(study_cli, "_run_scheme", reached)
     first, second = scheme_pair("wave", False)
     with pytest.raises(ConfigError, match=f"differ in .*{next(iter(change))}"):
         next(_studies([first, dataclasses.replace(second, **change)]))
@@ -982,14 +989,16 @@ def test_cli_bad_input_exits_4_without_a_traceback(argv):
     assert done.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "nls-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --no-spatial-check",
-        "diagnose-strichartz --modes 16 --samples 4 --tau-ref 2^-6",
-        "local-error-check --equation nls --modes 16 --quad-order 2",
-    ],
-)
+# One small command line of each kind that writes an --out file.
+WRITING_COMMANDS = [
+    "nls-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --cross-val-tol 1 "
+    "--no-spatial-check",
+    "diagnose-strichartz --modes 16 --samples 4 --tau-ref 2^-6",
+    "local-error-check --equation nls --modes 16 --quad-order 2",
+]
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS)
 def test_cli_missing_output_directory_exits_4_before_solving(argv, tmp_path):
     src = os.path.dirname(os.path.dirname(lowreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -1186,6 +1195,84 @@ def test_main_ends_every_command_line_in_a_documented_exit_code(case):
         assert len(lines) == 1 and lines[0].endswith("\n")
         assert lines[0].startswith(("configuration error: ", "validation failure: ",
                                     "blow-up: "))
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
+# Root may write everywhere, so a patched os.access stands in for a directory
+# without write or search permission.
+@pytest.mark.parametrize("argv", WRITING_COMMANDS)
+def test_cli_refuses_an_unwritable_output_directory_before_solving(
+    argv, tmp_path, monkeypatch, capsys
+):
+    def access(path, mode, _access=os.access, **kwargs):
+        return os.path.abspath(path) != str(tmp_path) and _access(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+    monkeypatch.setattr(study_cli, "_run_scheme", no_solve)
+    out = tmp_path / "report"
+    assert main([*argv.split(), "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"configuration error: output directory of {out}"
+                                       f"{'.csv' if 'converge' in argv else ''} is not "
+                                       "writable\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# A write can still fail after the checks, in making the temporary file or in
+# moving it into place.
+@pytest.mark.parametrize("fails", ["mkstemp", "replace"])
+@pytest.mark.parametrize("argv", WRITING_COMMANDS)
+def test_an_output_that_cannot_be_written_exits_4_and_leaves_no_temporary_file(
+    argv, fails, tmp_path, monkeypatch, capsys
+):
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile if fails == "mkstemp" else os, fails, denied)
+    out = tmp_path / "report"
+    assert main([*argv.split(), "--out", str(out)]) == 4
+    first = f"{out}{'.csv' if 'converge' in argv else ''}"
+    err = capsys.readouterr().err
+    assert err == f"configuration error: cannot write {first}: [Errno 13] Permission denied\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# Unchecked, a study norm that overflows on the datum runs the whole study to
+# exit 0, with "error inf" rows and a JSON report with Infinity and NaN
+# tokens; an amplitude that overflows the norm trips the guard at step 1.
+@pytest.mark.parametrize("argv, label", [
+    ("nls-converge --modes 64 --taus 2^-2..2^-5 --ref-factor 16 --norm Hr:120 "
+     "--no-spatial-check", "H120"),
+    ("nls-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --amplitude 1e200", "L2"),
+    ("wave-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --amplitude 1e200", "H1xL2"),
+])
+def test_a_study_norm_not_finite_on_the_datum_exits_4_before_solving(
+    argv, label, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(study_cli, "_run_scheme", no_solve)
+    assert main([*argv.split(), "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr() == (
+        "", f"configuration error: the datum's {label} norm is inf, not finite\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# numpy's overflow warnings, with their source lines, would come before the
+# one blow-up line.
+@pytest.mark.parametrize("argv", [
+    "diagnose-strichartz --modes 8 --samples 2 --t-end 1 --tau-ref 2^-3 --amplitude 1e300",
+    "local-error-check --equation nls --modes 8 --quad-order 2 --amplitude 1e200",
+])
+def test_an_overflow_blowup_prints_one_line_and_no_numpy_warning(argv, capsys):
+    numpy_defaults = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv.split()) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("blow-up: ") and err.count("\n") == 1
+    assert np.geterr() == numpy_defaults
 
 
 def test_cli_signals_validation_failure(capsys):

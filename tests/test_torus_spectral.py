@@ -972,3 +972,41 @@ def test_a_paused_run_hands_out_snapshots_no_later_step_overwrites(equation):
         for got, then, want in zip(arrays(state), copies, arrays(recorded)):
             assert np.array_equal(got, then) and np.array_equal(got, want)
     assert [j for j, _ in paused()] == [8]  # without a stride, just the terminal state
+
+
+def _runner(equation):
+    """``run(tau, n_steps, **kwargs)`` of ``equation`` on a rough datum at N = 16."""
+    grid = TorusGrid(16)
+    if equation == "nls":
+        u0 = rough_field_on(grid, 3)
+        return functools.partial(run_nls, u0, mu=1)
+    w0 = rough_wave_state(RoughDataSpec(theta=1.0, seed=3, amplitude=0.5), grid)
+    return functools.partial(run_wave, w0, nl=Nonlinearity.preset("quadratic"))
+
+
+# Unchecked, a stride of 3 or 4 in 10 steps stops at step 9 or 8, short of
+# the terminal state; -2 records 6 states; -5 steps return the initial state
+# as the terminal one.
+@pytest.mark.parametrize("n_steps, record_every", [(10, 3), (10, 4), (10, -2), (-5, None)],
+                         ids=["stride-3-in-10", "stride-4-in-10", "negative-stride",
+                              "negative-steps"])
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_a_run_refuses_a_stride_or_step_count_that_misses_its_end(equation, n_steps,
+                                                                   record_every):
+    run = _runner(equation)
+    with pytest.raises(ValueError, match="n_steps"):
+        run(0.01, n_steps, record_every=record_every)
+
+
+@pytest.mark.parametrize("equation", ["nls", "wave"])
+def test_a_dividing_stride_ends_on_the_terminal_state_bit_for_bit(equation):
+    def raw(state):
+        fields = (state.u, state.v) if isinstance(state, WaveState) else (state,)
+        return b"".join(f.coeffs.tobytes() for f in fields)
+
+    run = _runner(equation)
+    recorded = run(0.01, 10, record_every=5)
+    assert len(recorded) == 3
+    assert raw(recorded[-1]) == raw(run(0.01, 10)[-1])
+    # Zero steps record the initial state alone, with or without a stride.
+    assert all(len(run(0.01, 0, record_every=every)) == 1 for every in (None, 0, 3))
