@@ -26,7 +26,6 @@ from .nls_integrators import (
     NlsProblem,
     NlsStepperKind,
     free_flow,
-    lri_step,
     nls_reference_solve,
     phi1_apply,
     phi1_of_ix,
@@ -66,7 +65,6 @@ from .wave_integrators import (
     WaveProblem,
     a_apply,
     b_map,
-    corrected_lie_step,
     h_map,
     phi2_apply,
     phi2_entry_q,

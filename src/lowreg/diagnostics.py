@@ -1,10 +1,11 @@
 """Space-time functionals and local-error integral oracles.
 
 Operates on uniformly sampled trajectories of Schrödinger fields or wave
-states.  The two ``*_local_error_oracle`` functions compare the one-step
-error of a scheme measured directly (fine reference minus one step) against
-an independent evaluation of its exact double-integral representation, with
-quadrature nodes snapped to the trajectory's own time samples.
+states; this module measures the snapshots it is given and runs no scheme.
+The two ``*_local_error_oracle`` functions evaluate the exact
+double-integral representation of a scheme's one-step error, with
+quadrature nodes snapped to the trajectory's own time samples; the caller
+sets it against the error measured directly (fine reference minus one step).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .nls_integrators import lri_step
 from .torus_spectral import (
     PaddedPair,
     SpectralField,
@@ -28,7 +28,6 @@ from .torus_spectral import (
     _half_pair,
     conjugate,
     derivative,
-    difference,
     full_spectrum,
     spacetime_norm,
 )
@@ -38,7 +37,6 @@ from .wave_integrators import (
     _flow_table,
     _nonlinear_coeffs,
     b_map,
-    corrected_lie_step,
 )
 
 
@@ -132,10 +130,10 @@ def _quadrature_layout(traj: Trajectory, tau: float, quad_order: int):
 
 def nls_local_error_oracle(
     traj: Trajectory, tau: float, mu: float, quad_order: int
-) -> tuple[SpectralField, SpectralField]:
-    """Direct one-step error versus its double-integral representation.
+) -> SpectralField:
+    """The double-integral representation of the exponential integrator's
+    one-step error u_ref(t0 + tau) - Phi_tau(u_ref(t0)):
 
-    direct   = u_ref(t0 + tau) - one step of the exponential integrator,
     integral = mu * int_0^tau int_0^s P(tau - sigma) D(sigma, s) dsigma ds,
 
     where P(t) is the free flow and D collects the three integrand terms
@@ -177,16 +175,15 @@ def nls_local_error_oracle(
         mu_u2 = mu * up * up
         integrand = mu_u2 * pa - 2.0 * (mu_u2 * absu2 + uxp * uxp) * pc - 4.0 * up * uxp * pe
         total += np.exp(-1j * (tau - j * h) * k2) * pair.coeffs(integrand)
-    integral = SpectralField(grid, mu * total, False)
-    return difference(traj.states[-1], lri_step(traj.states[0], tau, mu)), integral
+    return SpectralField(grid, mu * total, False)
 
 
 def wave_local_error_oracle(
     traj: Trajectory, tau: float, nl: Nonlinearity, quad_order: int
-) -> tuple[WaveState, WaveState]:
-    """Direct one-step error versus its double-integral representation.
+) -> WaveState:
+    """The double-integral representation of the corrected Lie splitting's
+    one-step error U_ref(t0 + tau) - Phi_tau(U_ref(t0)):
 
-    direct   = U_ref(t0 + tau) - one corrected Lie splitting step,
     integral = e^{tau A} int_0^tau (tau - s) e^{-2sA} int_0^s e^{sigma A}
                B(U(sigma)) dsigma ds,
 
@@ -209,10 +206,7 @@ def wave_local_error_oracle(
         if l == quad_order:
             continue  # the (tau - s) weight vanishes at s = tau
         total = total + h * (tau - s) * _apply_stacked(_flow_table(grid, -2.0 * s), inner)
-    integral = _full_pair(grid, _apply_stacked(_flow_table(grid, tau), total))
-
-    direct = difference(traj.states[-1], corrected_lie_step(traj.states[0], tau, nl))
-    return direct, integral
+    return _full_pair(grid, _apply_stacked(_flow_table(grid, tau), total))
 
 
 # Trajectory files: four arrays in numpy's .npy format, one after another: the

@@ -5,6 +5,7 @@ nonlinear term is filtered by a phi1 Fourier multiplier, and a classical
 exponential Lie splitting; conjugated by half a free flow, the Lie run is
 the Strang comparator of the study driver.  Both advance Fourier
 coefficient vectors; nonlinear products are dealiased on a 2x grid.
+``run_nls(u, tau, 1, mu)[-1]`` is one step; ``_Stepper.step`` has the formulas.
 """
 
 from __future__ import annotations
@@ -120,6 +121,9 @@ class _Stepper:
         return np.sqrt(self.weights @ np.square(c.view(np.float64), out=self._real))
 
     def step(self, c: np.ndarray) -> np.ndarray:
+        """u_{n+1} = exp(i*tau*dxx) * (u_n - i*tau*mu*(u_n)^2 * phi1_filtered(conj u_n))
+        for the integrator, the conjugate taken in coefficient space, and
+        exp(i*tau*dxx) * (exp(-i*tau*mu*|u_n|^2) * u_n) for the Lie splitting."""
         out = self._outs[1] if c is self._outs[0] else self._outs[0]
         if self.kind is NlsStepperKind.LOW_REGULARITY:
             # phi1 * conj(c[-k]); the slot of -k is 0 for k = 0, else n - k.
@@ -148,16 +152,6 @@ class _Stepper:
         np.subtract(0.0, phase.imag, out=phase.imag)
         u_phys *= phase
         return np.multiply(self.free, self.pair.coeffs(u_phys, out=out), out=out)
-
-
-def lri_step(u_n: SpectralField, tau: float, mu: float) -> SpectralField:
-    """One step of the exponential-type integrator.
-
-    u_{n+1} = exp(i*tau*dxx) * (u_n - i*tau*mu*(u_n)^2 * phi1_filtered(conj u_n)),
-    with the cubic product dealiased and the conjugate taken in coefficient
-    space.  ``mu = 0`` reduces the map to the free flow.
-    """
-    return run_nls(u_n, tau, 1, mu, NlsStepperKind.LOW_REGULARITY)[-1]
 
 
 def _nls_snapshots(u0, tau, n_steps, mu, kind=NlsStepperKind.LOW_REGULARITY,

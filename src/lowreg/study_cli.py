@@ -792,13 +792,13 @@ def _cmd_local_error_check(args) -> None:
     run = _run_scheme("local-error reference", datum, scheme, term, tau / (16 * n_out), tau,
                       n_out)
     traj = trajectory_of([s for _, s in run], 0.0, tau)
-    pairs = [oracle(traj, tau, term, q) for q in (quad_order, 4 * quad_order)]
+    # The one-step error of the scheme under test, measured once for both orders.
+    step = _run_scheme("local-error step", datum, _reference_scheme(datum), term, tau, tau)
+    direct = difference(traj.states[-1], _terminal(step))
     norm_fn = _norm_fn(datum)
-    scale = norm_fn(pairs[0][0])
-    discrepancies = [
-        norm_fn(difference(direct, integral)) / max(scale, 1e-300)
-        for direct, integral in pairs
-    ]
+    scale = max(norm_fn(direct), 1e-300)
+    discrepancies = [norm_fn(difference(direct, oracle(traj, tau, term, q))) / scale
+                     for q in (quad_order, 4 * quad_order)]
 
     improvement = discrepancies[0] / max(discrepancies[1], 1e-300)
     print(f"relative_discrepancy {discrepancies[0]!r}")
@@ -872,13 +872,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """``stream`` as a command's standard output: an ``OSError`` of a write or
+    a flush is the ConfigError of an output that cannot be written."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def _call(self, name: str, *args):
+        try:
+            return getattr(self.stream, name)(*args)
+        except OSError as exc:
+            raise ConfigError(f"cannot write standard output: {exc}") from exc
+
+    def write(self, text: str) -> int:
+        return self._call("write", text)
+
+    def flush(self) -> None:
+        self._call("flush")
+
+
 def _exit_code(action: Callable[[], object]) -> int:
-    """0 once ``action()`` returns; for a typed failure, one stderr line and its
-    exit code.  numpy's overflow and invalid-value warnings are silenced: the
-    growth guard and the study-norm check report an overflow in one line."""
+    """0 once ``action()`` returns and its output is flushed; for a typed
+    failure, one stderr line and its exit code.  numpy's overflow and
+    invalid-value warnings are silenced: the growth guard and the study-norm
+    check report an overflow in one line."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with (np.errstate(over="ignore", invalid="ignore"),
+              contextlib.redirect_stdout(_Stdout(sys.stdout))):
             action()
+            sys.stdout.flush()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
@@ -900,4 +923,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # What stdout still holds cannot be written: the flush at interpreter
+        # exit goes to devnull, so it adds nothing to main's one stderr line.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -8,8 +8,8 @@ block [[0, 1], [-k^2, 0]].  Provided maps:
 * ``phi2_apply``      the averaged backward flow (1/tau^2) * int_0^tau (tau-s) e^{-2sA} ds,
 * ``h_map/b_map``  the nonlinear maps (-g(u), g'(u)v) and
   (0, g''(u)[v^2 - u_x^2] + g'(u)g(u)),
-* ``corrected_lie_step``  Lie splitting plus the tau^2 phi2 correction, one
-  step of ``run_wave``; ``corrected=False`` runs the plain Lie splitting.
+* ``run_wave``  Lie splitting plus the tau^2 phi2 correction (``_WaveWork.step``;
+  ``run_wave(w, tau, 1, nl)[-1]`` is one step); ``corrected=False`` runs plain Lie.
 
 The fields are real, so every map here works on real half-spectra
 (k = 0..N/2, see ``torus_spectral.half_spectrum``), stacked as one
@@ -218,6 +218,8 @@ class _WaveWork:
         return np.sqrt(u_h1_sq) + np.sqrt(v_l2_sq)
 
     def step(self, s: np.ndarray) -> np.ndarray:
+        """U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n)) + tau^2 * phi2(-2 tau A)(-g(u_n),
+        g'(u_n) v_n)] for the corrected Lie splitting; the plain one drops tau^2."""
         tau = self.tau
         # Rows u (and v) become g(u) (and g'(u) * v) in the workspace.
         values = self.pair.values(s[: 2 if self.corrected else 1])
@@ -267,14 +269,6 @@ def b_map(w: WaveState, nl: Nonlinearity) -> WaveState:
         w, lambda u, v, ux: nl.g2(u) * (v * v - ux * ux) + nl.g1(u) * nl.g(u)
     )
     return _full_pair(w.grid, np.stack([np.zeros_like(b), b]))
-
-
-def corrected_lie_step(w_n: WaveState, tau: float, nl: Nonlinearity) -> WaveState:
-    """One corrected Lie splitting step.
-
-    U_{n+1} = e^{tau A} [U_n + tau*(0, g(u_n)) + tau^2 * phi2(-2 tau A)(-g(u_n), g'(u_n) v_n)].
-    """
-    return run_wave(w_n, tau, 1, nl, corrected=True)[-1]
 
 
 @functools.cache

@@ -60,7 +60,8 @@ def test_run_descriptions_read_the_runner_parameters(tracing):
     u0 = random_rough_field(RoughDataSpec(theta=1.0, seed=1, real_valued=False), grid)
     w0 = rough_wave_state_on(grid, 1)
     quadratic = Nonlinearity.preset("quadratic")
-    # As the one-step maps call the runners, and as _solve does.
+    # A terminal-only run, as the benchmark and the tests' one-step runs call
+    # the runners, and a recorded one, as _solve does.
     assert described(tracing, run_nls, u0, 0.125, 2, 1) == {
         "scheme": "lri", "n": 16, "tau": 0.125, "steps": 2, "snapshots": 1}
     assert described(tracing, run_nls, u0, 0.125, 2, 1, NlsStepperKind.LIE_SPLITTING,

@@ -12,7 +12,6 @@ from lowreg import (
     SpectralField,
     TorusGrid,
     free_flow,
-    lri_step,
     nls_reference_solve,
     phi1_apply,
     phi1_of_ix,
@@ -121,24 +120,24 @@ def test_phi1_apply_rejects_nonpositive_tau(grid16):
 # --- one step of each scheme ---------------------------------------------------
 
 
-def test_lri_step_on_constant_data(grid16):
-    out = lri_step(mode_field(grid16, 0, 1.0), 0.1, 1)
+def test_lri_one_step_on_constant_data(grid16):
+    out = run_nls(mode_field(grid16, 0, 1.0), 0.1, 1, 1)[-1]
     assert out.coeffs[0] == pytest.approx(1.0 - 0.1j, abs=1e-15)
     assert np.allclose(np.delete(out.coeffs, 0), 0.0)
 
 
-def test_lri_step_zero_input_and_zero_mu(grid16):
-    assert np.all(lri_step(zero_field(grid16, is_real=False), 0.1, 1).coeffs == 0.0)
+def test_lri_one_step_zero_input_and_zero_mu(grid16):
+    assert np.all(run_nls(zero_field(grid16, is_real=False), 0.1, 1, 1)[-1].coeffs == 0.0)
     f = rough_field_on(grid16, 2)
-    linear = lri_step(f, 0.1, 0)
+    linear = run_nls(f, 0.1, 1, 0)[-1]
     assert np.allclose(linear.coeffs, free_flow(f, 0.1).coeffs, atol=1e-15)
 
 
-def test_lri_step_on_plane_wave_matches_convolution_assembly():
+def test_lri_one_step_on_plane_wave_matches_convolution_assembly():
     grid = TorusGrid(16)
     tau, mu = 0.05, 1
     u = mode_field(grid, 1)
-    out = lri_step(u, tau, mu)
+    out = run_nls(u, tau, 1, mu)[-1]
 
     # Assemble the same update from exact coefficient convolutions: the cubic
     # term is u * u * (phi1-filtered conjugate), then the free flow.
@@ -154,11 +153,11 @@ def test_lri_step_on_plane_wave_matches_convolution_assembly():
     assert out.coeffs[1] == pytest.approx(closed, abs=1e-14)
 
 
-def test_lri_step_rejects_non_finite_input(grid16):
+def test_lri_one_step_rejects_non_finite_input(grid16):
     c = np.zeros(16, dtype=np.complex128)
     c[3] = np.nan
     with pytest.raises(BlowUpError):
-        lri_step(SpectralField(grid16, c), 0.1, 1)
+        run_nls(SpectralField(grid16, c), 0.1, 1, 1)
 
 
 def test_lie_step_is_exact_on_constants(grid16):
@@ -285,7 +284,7 @@ def test_local_error_is_second_order_on_smooth_data():
     errs = []
     for tau in taus:
         ref = run_nls(u0, tau / 512, 512, 1)[-1]
-        one = lri_step(u0, tau, 1)
+        one = run_nls(u0, tau, 1, 1)[-1]
         errs.append(np.linalg.norm(ref.coeffs - one.coeffs))
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     assert 1.9 <= slope <= 2.1, (slope, errs)

@@ -215,8 +215,10 @@ def test_local_error_reference_steps_16_per_sample(equation, monkeypatch, capsys
     runs, _ = watch_runs(monkeypatch)
     argv = ["local-error-check", "--equation", equation, *LOCAL_ERROR_ARGS.split()]
     assert study_cli.main(argv) == 0
-    # 16 steps for each of the 4q = 16 samples
-    assert [(run["tau"], run["steps"]) for run in runs] == [(2.0**-6 / 256, 256)]
+    # The reference, 16 steps for each of the 4q = 16 samples, then the one
+    # step of the scheme under test.
+    assert [(run["tau"], run["steps"]) for run in runs] == [(2.0**-6 / 256, 256),
+                                                            (2.0**-6, 1)]
 
 
 # Trajectory files (.npy arrays) of five snapshots of a 16-step run at N = 32.

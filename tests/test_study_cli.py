@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import errno
 import importlib.util
 import io
 import json
@@ -249,6 +250,17 @@ def test_readme_commands_parse():
         "corrected_lie,lie", "corrected_lie,lie"]
     assert [(a.modes, a.samples, a.tau_ref, a.refine) for a in parsed[-3:-1]] == [
         (128, 64, 2.0**-10, True)] * 2
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Library example\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md (Library example)", "exec"), {})
+    assert float(capsys.readouterr().out) > 0.0  # the Strichartz functional
+    assert (tmp_path / "nls.trajectory").is_file()
 
 
 def test_parse_norm_forms():
@@ -1107,6 +1119,48 @@ def test_step_timing_runs_every_case(monkeypatch, capsys):
     assert "wave_flow + null_form_field N=16 " in out and "wave_state_norm N=16 " in out
 
 
+SMALL_STUDY = ("nls-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --cross-val-tol 1 "
+               "--no-spatial-check")
+NO_STDOUT = ("configuration error: cannot write standard output: "
+             "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_stdout_that_cannot_be_written_exits_4_with_one_line(unbuffered):
+    src = os.path.dirname(os.path.dirname(lowreg.__file__))
+    # An empty PYTHONUNBUFFERED leaves stdout block-buffered, so the write
+    # fails only at the flush.
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "lowreg", *SMALL_STUDY.split()],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    assert done.returncode == 4
+    assert done.stderr == NO_STDOUT
+
+
+class FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_write_to_stdout_is_a_configuration_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert main(SMALL_STUDY.split()) == 4
+    assert capsys.readouterr().err == NO_STDOUT
+
+
+def test_any_other_os_error_keeps_its_path(monkeypatch, capsys):
+    def fails(configs):
+        raise OSError(errno.EIO, "not standard output")
+
+    monkeypatch.setattr(study_cli, "_studies", fails)
+    with pytest.raises(OSError, match="not standard output"):
+        main(SMALL_STUDY.split())
+    assert capsys.readouterr().err == ""
+
+
 def test_python_m_lowreg_is_the_module_entry():
     src = os.path.dirname(os.path.dirname(lowreg.__file__))
     done = subprocess.run(
@@ -1296,6 +1350,10 @@ def test_cli_signals_validation_failure(capsys):
             "local-error-check --equation wave --modes 32 --quad-order 4 --amplitude 400 "
             "--tau 0.5", "local-error reference run (corrected_lie)", 129,
             id="local-error-check"),
+        # The reference passes; the one step of the scheme under test trips.
+        pytest.param(
+            "local-error-check --equation nls --modes 8 --quad-order 2 --amplitude 1e100",
+            "local-error step run (lri)", 1, id="local-error-check-step"),
         pytest.param(
             "diagnose-nullform --modes 16 --samples 4 --amplitude 400 --tau-ref 2^-6",
             "nullform_norm reference run (corrected_lie)", 13, id="diagnose-nullform"),

@@ -16,7 +16,6 @@ from lowreg import (
     WaveState,
     a_apply,
     b_map,
-    corrected_lie_step,
     derivative,
     to_physical,
     h_map,
@@ -265,7 +264,7 @@ def test_b_map_drops_its_second_order_term_along_null_directions(grid16):
 
 def test_corrected_step_on_constant_data():
     grid = TorusGrid(16)
-    out = corrected_lie_step(constant_state(grid, 1.0, 0.0), 0.1, QUADRATIC)
+    out = run_wave(constant_state(grid, 1.0, 0.0), 0.1, 1, QUADRATIC)[-1]
     assert out.u.coeffs[0] == pytest.approx(1.005, abs=1e-15)
     assert out.v.coeffs[0] == pytest.approx(0.1, abs=1e-15)
     assert np.allclose(np.delete(out.u.coeffs, 0), 0.0)
@@ -289,12 +288,12 @@ def test_lie_step_on_constant_data():
 def test_zero_data_is_a_fixed_point(grid16):
     w = constant_state(grid16, 0.0, 0.0)
     for nl in (QUADRATIC, SINE):
-        out = corrected_lie_step(w, 0.2, nl)
+        out = run_wave(w, 0.2, 1, nl)[-1]
         assert wave_state_norm(out) == 0.0
 
 
 @pytest.mark.parametrize("corrected", [True, False],
-                         ids=["corrected_lie_step", "lie_step_wave"])
+                         ids=["corrected_lie", "lie_step_wave"])
 def test_steps_are_exact_without_forcing(corrected):
     grid = TorusGrid(32)
     w = rough_wave_state_on(grid, 8)
@@ -315,7 +314,7 @@ def test_corrected_step_beats_tau_cubed_against_the_scalar_ode():
     grid = TorusGrid(8)
     for tau in (0.1, 0.05, 0.025):
         exact = scalar_second_order_ode(QUADRATIC.g, 1.0, 0.0, [0.0, tau])[-1]
-        out = corrected_lie_step(constant_state(grid, 1.0, 0.0), tau, QUADRATIC)
+        out = run_wave(constant_state(grid, 1.0, 0.0), tau, 1, QUADRATIC)[-1]
         gap = abs(out.u.coeffs[0] - exact[0]) + abs(out.v.coeffs[0] - exact[1])
         assert gap <= 5.0 * tau**3, (tau, gap)
 
@@ -327,7 +326,7 @@ def test_step_rejects_non_finite_input(grid16):
         zero_field(grid16),
     )
     with pytest.raises(BlowUpError):
-        corrected_lie_step(bad, 0.1, QUADRATIC)
+        run_wave(bad, 0.1, 1, QUADRATIC)
 
 
 # --- multi-step driver -------------------------------------------------------------
@@ -462,7 +461,7 @@ def test_corrected_local_error_is_third_order_on_smooth_data(name):
     errs = []
     for tau in taus:
         ref = run_wave(w0, tau / 512, 512, nl)[-1]
-        errs.append(state_gap(corrected_lie_step(w0, tau, nl), ref))
+        errs.append(state_gap(run_wave(w0, tau, 1, nl)[-1], ref))
     slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
     assert 2.8 <= slope <= 3.2, (slope, errs)
 
