@@ -16,11 +16,14 @@ values-plus-coeffs call pair of the complex (``PaddedPair``) and the real
 ``wave_flow`` plus one ``null_form_field`` call at N = 256 and 1024: the
 benchmark's closed-form null-form check makes 2,050 such call pairs at
 N = 256.  Last, the cost of
-one ``wave_state_norm`` call at N = 256 and 1024, the study norm of every
-wave error.  All cases of one repeat run back to back before the next
-repeat starts, so a change in the machine's speed touches every case alike.
-The plain steps, the free-flow null forms and the wave state norms use only
-public names, so their rows can be taken on another checkout by pointing
+one call of each norm at N = 256 and 1024: ``wave_state_norm``, the study
+norm of every wave error, and ``lebesgue_norm`` at p = 2 on a null form and
+at p = 4 on u_x of a complex field, the per-sample norms of
+``diagnose-nullform`` and ``diagnose-strichartz``.  All cases of one repeat
+run back to back before the next repeat starts, so a change in the
+machine's speed touches every case alike.
+The plain steps, the free-flow null forms and the norms use only public
+names, so their rows can be taken on another checkout by pointing
 ``PYTHONPATH`` at that checkout's ``src``:
 
     PYTHONPATH=src python3 scripts/step_timing.py
@@ -36,6 +39,8 @@ from lowreg import (
     NlsStepperKind,
     RoughDataSpec,
     TorusGrid,
+    derivative,
+    lebesgue_norm,
     random_rough_field,
     null_form_field,
     run_nls,
@@ -133,16 +138,25 @@ def flow_case(n):
     return run
 
 
-def norm_case(n):
-    """A callable that makes CALLS ``wave_state_norm`` calls at N = n."""
-    w0 = torus_spectral.rough_wave_state(RoughDataSpec(theta=1.0, seed=1, amplitude=0.5),
-                                         TorusGrid(n))
+def norm_cases(n):
+    """Per norm, a callable that makes CALLS calls of it at N = n."""
+    grid = TorusGrid(n)
+    w0 = torus_spectral.rough_wave_state(RoughDataSpec(theta=1.0, seed=1, amplitude=0.5), grid)
+    null_form = null_form_field(w0)
+    u_x = derivative(random_rough_field(RoughDataSpec(theta=1.0, seed=1, real_valued=False),
+                                        grid), 1)
+    calls = {"wave_state_norm": lambda: wave_state_norm(w0),
+             "lebesgue_norm p=2": lambda: lebesgue_norm(null_form, 2),
+             "lebesgue_norm p=4": lambda: lebesgue_norm(u_x, 4)}
 
-    def run():
-        for _ in range(CALLS):
-            wave_state_norm(w0)
+    def repeated(call):
+        def run():
+            for _ in range(CALLS):
+                call()
 
-    return run
+        return run
+
+    return {(name, f"N={n}"): (repeated(call), CALLS) for name, call in calls.items()}
 
 
 def interleaved(cases):
@@ -196,9 +210,8 @@ def main():
     report(f"free-flow null form, one wave_flow + null_form_field call pair "
            f"({CALLS} per run):", flows, interleaved(flows))
 
-    norms = {("wave_state_norm", f"N={n}"): (norm_case(n), CALLS) for n in NORM_MODES}
-    report(f"wave state norm, one wave_state_norm call ({CALLS} per run):",
-           norms, interleaved(norms))
+    norms = {key: case for n in NORM_MODES for key, case in norm_cases(n).items()}
+    report(f"norms, one call ({CALLS} per run):", norms, interleaved(norms))
 
 
 if __name__ == "__main__":

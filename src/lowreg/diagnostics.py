@@ -96,7 +96,7 @@ def strichartz_l4(traj: Trajectory) -> float:
     each sample's u_x is measured and dropped before the next is built."""
     if traj.is_wave:
         raise ValueError("strichartz_l4 expects a trajectory of scalar fields")
-    return spacetime_norm((derivative(u, 1) for u in traj.states), traj.dt, 4, 4)
+    return spacetime_norm((derivative(u, 1) for u in traj.states), traj.dt, 4)
 
 
 def null_form_field(w: WaveState) -> SpectralField:
@@ -110,7 +110,7 @@ def nullform_norm(traj: Trajectory) -> float:
     pass: each sample's null form is measured and dropped before the next is built."""
     if not traj.is_wave:
         raise ValueError("nullform_norm expects a trajectory of wave states")
-    return spacetime_norm((null_form_field(w) for w in traj.states), traj.dt, 2, 2)
+    return spacetime_norm((null_form_field(w) for w in traj.states), traj.dt, 2)
 
 
 def _quadrature_layout(traj: Trajectory, tau: float, quad_order: int):

@@ -749,18 +749,24 @@ def _cmd_diagnose(args, functional: str) -> None:
             field, p = null_form_field, 2
             results["nonlinearity"] = term.tag
 
-    def value_on(state, n_out):
+    def value_on(state, n_out, name):
         # One pass: each snapshot leaves only its sample norm.  t_end / n_out
         # is bit for bit the dt of a trajectory_of the snapshots.
         run = _run_scheme(f"{functional} reference", state, _reference_scheme(state), term,
                           tau_ref, t_end, n_out)
-        return spacetime_norm((field(s) for _, s in run), t_end / n_out, p, p)
+        value = spacetime_norm((field(s) for _, s in run), t_end / n_out, p)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} is {value!r}, not finite")
+        return value
 
-    value = value_on(datum, samples)
+    # Every value is taken before any is printed: a failure leaves no output.
+    value = value_on(datum, samples, functional)
+    if args.refine:
+        refined = value_on(regrid(datum, TorusGrid(2 * modes)), 2 * samples,
+                           f"{functional}_refined")
     print(f"{functional} {value!r}")
     results["value"] = value
     if args.refine:
-        refined = value_on(regrid(datum, TorusGrid(2 * modes)), 2 * samples)
         change = abs(refined - value) / max(value, 1e-300)
         print(f"{functional}_refined {refined!r}")
         print(f"relative_change {change!r}")

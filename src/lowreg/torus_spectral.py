@@ -8,7 +8,8 @@ kept in FFT order.  The analysis conventions used throughout:
 
 * Sobolev norms are plain coefficient sums, ``H^r = sqrt(sum (1+k^2)^r |u_hat|^2)``.
 * Lebesgue norms use the physical measure ``dx`` on [0, 2*pi), so
-  ``||u||_L2 = sqrt(2*pi) * ||u_hat||_l2``.
+  ``||u||_L2 = sqrt(2*pi) * ||u_hat||_l2``; only p = 2 and p = 4 occur, and
+  both are evaluated exactly.
 * Nonlinear products are evaluated on a 2x zero-padded grid and truncated
   back, which keeps all quadratic and cubic products alias-free.
 * A ``WaveState`` stores its real pair (u, v) as one read-only stacked
@@ -302,18 +303,6 @@ def difference(a, b):
     return SpectralField(a.grid, a.coeffs - b.coeffs, False)
 
 
-def pad_coeffs(c: np.ndarray, m: int) -> np.ndarray:
-    """Embed FFT-order coefficients into a length-m FFT-order array (m >= len)."""
-    n = c.size
-    if m == n:
-        return np.array(c, dtype=np.complex128)
-    h = n // 2
-    out = np.zeros(m, dtype=np.complex128)
-    out[:h] = c[:h]
-    out[m - h :] = c[h:]
-    return out
-
-
 def truncate_coeffs(c: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Restrict FFT-order coefficients to n modes, fewer than their last axis
     holds, folding the +-N/2 pair, into ``out`` when given, else a fresh array.
@@ -456,16 +445,13 @@ class RealPaddedPair:
         return f
 
 
-def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
-    """Evaluate the trigonometric polynomial at oversample*N equispaced nodes."""
-    if oversample not in (1, 2, 4):
-        raise ValueError("oversample must be one of {1, 2, 4}")
-    m = oversample * f.grid.n_modes
-    return np.fft.ifft(pad_coeffs(f.coeffs, m)) * m
+def to_physical(f: SpectralField) -> np.ndarray:
+    """Evaluate the trigonometric polynomial at the N grid points."""
+    return np.fft.ifft(f.coeffs, norm="forward")
 
 
 def from_physical(values: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Interpolate N nodal values; inverse of ``to_physical`` at oversample 1."""
+    """Interpolate N nodal values; inverse of ``to_physical``."""
     values = np.asarray(values)
     if values.shape != (grid.n_modes,):
         raise ValueError(
@@ -511,38 +497,32 @@ def sobolev_norm(f: SpectralField, r: float) -> float:
     return math.sqrt(np.add.reduce(a))
 
 
-def lebesgue_norm(f: SpectralField, p: float) -> float:
-    """L^p norm on [0, 2*pi); rectangle rule on a 4x grid, exact for p in {2, 4}."""
-    values = np.abs(to_physical(f, oversample=4))
-    if p == np.inf:
-        return float(values.max(initial=0.0))
-    if p not in (2, 4):
-        raise ValueError("p must be 2, 4, or inf")
-    m = values.size
-    return float((TWO_PI / m * np.sum(values**p)) ** (1.0 / p))
+def lebesgue_norm(f: SpectralField, p: int) -> float:
+    """L^p norm on [0, 2*pi) for p in {2, 4}, exact: L^2 by Parseval, as
+    sqrt(2*pi) times the coefficient l^2 norm; L^4 by the rectangle rule on
+    the 2N padded grid, exact because |u|^4 has no wavenumber beyond 2N - 2."""
+    if p == 2:
+        return math.sqrt(TWO_PI) * sobolev_norm(f, 0.0)
+    if p != 4:
+        raise ValueError("p must be 2 or 4")
+    values = np.abs(PaddedPair(f.grid.n_modes).values(f.coeffs)[0])
+    return float((TWO_PI / values.size * np.sum(values**4)) ** 0.25)
 
 
-def spacetime_norm(
-    samples: Iterable[SpectralField],
-    dt: float,
-    p_space: float,
-    p_time: float,
-) -> float:
-    """Mixed L^p_t L^p_x norm over a uniformly sampled time interval, in one
-    pass that keeps only each sample's ``lebesgue_norm``: a generator of
+def spacetime_norm(samples: Iterable[SpectralField], dt: float, p: int) -> float:
+    """L^p_t L^p_x norm, p in {2, 4}, over a uniformly sampled time interval,
+    in one pass that keeps only each sample's ``lebesgue_norm``: a generator of
     samples, such as the fields of a paused run's snapshots, need never hold
     more than one.  In time: the composite trapezoid rule on the norms raised
-    to ``p_time``, then the root."""
-    a = np.array([lebesgue_norm(s, p_space) for s in samples])
+    to p, then the root."""
+    a = np.array([lebesgue_norm(s, p) for s in samples])
     if a.size < 2:
         raise ValueError("spacetime_norm needs at least 2 samples")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if p_time == np.inf:
-        return float(a.max())
-    powered = a**p_time
+    powered = a**p
     integral = dt * (powered.sum() - 0.5 * (powered[0] + powered[-1]))
-    return float(integral ** (1.0 / p_time))
+    return float(integral ** (1.0 / p))
 
 
 # Deterministic per-mode random streams.
@@ -629,10 +609,12 @@ def regrid(f: SpectralField | WaveState, grid: TorusGrid):
     if n_new == n_old:
         return SpectralField(grid, f.coeffs, f.is_real)
     if n_new > n_old:
-        c = pad_coeffs(f.coeffs, n_new)
-        nyq = f.coeffs[n_old // 2]
-        c[n_new - n_old // 2] = 0.5 * nyq if f.is_real else nyq
+        h = n_old // 2
+        c = np.zeros(n_new, dtype=np.complex128)
+        c[:h] = f.coeffs[:h]
+        c[n_new - h :] = f.coeffs[h:]
         if f.is_real:
-            c[n_old // 2] = 0.5 * np.conj(nyq)
+            c[n_new - h] *= 0.5
+            c[h] = np.conj(c[n_new - h])
         return SpectralField(grid, c, f.is_real)
     return SpectralField(grid, truncate_coeffs(f.coeffs, n_new), f.is_real)

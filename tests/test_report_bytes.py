@@ -8,22 +8,30 @@ here and say where and why the bytes moved.
 """
 
 import hashlib
+import json
 import weakref
 
 import pytest
 
 from lowreg import (
+    NlsProblem,
     Nonlinearity,
     RoughDataSpec,
     StudyConfig,
     TorusGrid,
+    WaveProblem,
     emit_report,
+    nls_reference_solve,
+    nullform_norm,
     random_rough_field,
+    regrid,
     run_convergence_study,
     run_nls,
     run_wave,
+    strichartz_l4,
     study_cli,
     trajectory_of,
+    wave_reference_solve,
     write_trajectory,
 )
 from lowreg.torus_spectral import rough_wave_state
@@ -169,9 +177,9 @@ def test_max_over_steps_sweeps_keep_no_snapshot_lists(equation, monkeypatch):
 # The diagnose records of the test_cli_diagnose_* configurations.
 DIAGNOSE_ARGS = "--modes 64 --samples 8 --t-end 0.5 --tau-ref 2^-6 --seed 2 --amplitude 0.3"
 DIAGNOSE_EXPECTED = {
-    "diagnose-strichartz": "8a5183753ff031bd9f650f0ecb3a0347be1ef0e54566851ad2d6ed028b20cec9",
+    "diagnose-strichartz": "c8217bc79d75f19b25c8206989cf10b232c32ff07d1e71cba651be328a1ae8f4",
     "diagnose-nullform --refine":
-        "3269f34dd1b87805f147237f90a14eaf6daa9717fcadc0510ad830ba08a0d938",
+        "3c4205d43eeeba0ed58f76cc39759df5a905124e3d04326caa61f19fd9832e57",
 }
 
 
@@ -181,6 +189,33 @@ def test_diagnose_record_bytes_are_pinned(command, tmp_path, capsys):
     assert study_cli.main([*command.split(), *DIAGNOSE_ARGS.split(), "--out", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == DIAGNOSE_EXPECTED[command], f"{command} record bytes changed"
+
+
+def test_diagnose_records_are_the_library_functionals_bit_for_bit(tmp_path, capsys):
+    """The command's one-pass values equal the library functionals over a
+    reference solve's snapshots, at N and, refined, at 2N."""
+    args = study_cli.build_parser().parse_args(["diagnose-nullform", *DIAGNOSE_ARGS.split()])
+    spec = RoughDataSpec(theta=args.theta, seed=args.seed, amplitude=args.amplitude)
+    grid, fine = TorusGrid(args.modes), TorusGrid(2 * args.modes)
+    t_end, n_out, tau = args.t_end, args.samples, args.tau_ref
+
+    def record(command):
+        path = tmp_path / "record.json"
+        assert study_cli.main([*command.split(), *DIAGNOSE_ARGS.split(), "--out",
+                               str(path)]) == 0
+        return json.loads(path.read_text())
+
+    u0 = study_cli._datum("nls", grid, spec)
+    states = nls_reference_solve(NlsProblem(1, u0, t_end), n_out, tau)
+    assert record("diagnose-strichartz")["value"] == strichartz_l4(
+        trajectory_of(states, 0.0, t_end))
+
+    w0, nl = study_cli._datum("wave", grid, spec), Nonlinearity.preset(args.nonlinearity)
+    nullform = record("diagnose-nullform --refine")
+    for datum, samples, key in ((w0, n_out, "value"),
+                                (regrid(w0, fine), 2 * n_out, "refined_value")):
+        states = wave_reference_solve(WaveProblem(nl, datum, t_end), samples, tau)
+        assert nullform[key] == nullform_norm(trajectory_of(states, 0.0, t_end))
 
 
 @pytest.mark.parametrize("command", ["diagnose-strichartz", "diagnose-nullform"])

@@ -1117,6 +1117,7 @@ def test_step_timing_runs_every_case(monkeypatch, capsys):
         assert f"  {scheme} N=16 max-over-steps " in out
     assert out.count(" N=16 rows=") == 6
     assert "wave_flow + null_form_field N=16 " in out and "wave_state_norm N=16 " in out
+    assert "lebesgue_norm p=2 N=16 " in out and "lebesgue_norm p=4 N=16 " in out
 
 
 SMALL_STUDY = ("nls-converge --modes 16 --taus 2^-2..2^-5 --ref-factor 16 --cross-val-tol 1 "
@@ -1421,6 +1422,18 @@ def test_cli_diagnose_nullform_with_refinement(tmp_path, capsys):
     record = json.loads(out_path.read_text())
     assert record["refined_value"] > 0.0
     assert record["relative_change"] >= 0.0
+
+
+# No run blows up with a zero nonlinearity, but at amplitude 1e80 the null
+# form's square overflows and its norm is NaN: no value is printed or written.
+@pytest.mark.parametrize("refine", [[], ["--refine"]], ids=["plain", "refine"])
+def test_a_diagnose_value_not_finite_exits_4_with_no_output(refine, tmp_path, capsys):
+    argv = ("diagnose-nullform --nonlinearity zero --amplitude 1e80 --modes 16 --samples 4 "
+            "--tau-ref 2^-4").split()
+    assert main([*argv, *refine, "--out", str(tmp_path / "x.json")]) == 4
+    assert capsys.readouterr() == (
+        "", "configuration error: nullform_norm is nan, not finite\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
